@@ -2,98 +2,25 @@
 //!
 //! A [`StoreClient`] is bound to one data center (users are served by the client in or
 //! nearest to their DC). Each operation resolves the key's configuration (from the client's
-//! local view, falling back to the metadata service), runs the appropriate protocol state
-//! machine against the server threads, and transparently handles the two kinds of
-//! disruption the paper studies: reconfigurations (restart against the new configuration
-//! after refreshing metadata) and data-center failures (timeout, widen the quorum to the
-//! full placement, retry).
+//! local view, falling back to the metadata service) and hosts a
+//! [`legostore_proto::OpDriver`] against the servers. The driver decides how the operation
+//! survives the two kinds of disruption the paper studies — reconfigurations and
+//! data-center failures; this module moves its messages over the transport, waits on the
+//! deployment clock and keeps the client's view, GET cache, statistics and telemetry.
 
 use crate::cluster::ClusterInner;
 use crate::inbox::DelayedInbox;
 use crate::transport::{Endpoint, ReplyEnvelope};
 use legostore_lincheck::recorder::fingerprint;
 use legostore_obs::{OpRecord, OpSpan, SpanEventKind};
-use legostore_proto::msg::{OpOutcome, OpProgress, Outbound, ProtoReply};
 use legostore_proto::server::{ControlMsg, DcServer, Inbound};
-use legostore_proto::{AbdGet, AbdPut, CasGet, CasPut};
+use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 use legostore_types::{
-    ClientId, Configuration, DcId, Key, OpKind, ProtocolKind, StoreError, StoreResult, Tag, Value,
+    ClientId, Configuration, DcId, Key, OpKind, StoreError, StoreResult, Tag, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// One protocol operation in flight.
-enum ClientOp {
-    AbdPut(AbdPut),
-    AbdGet(AbdGet),
-    CasPut(CasPut),
-    CasGet(CasGet),
-}
-
-impl ClientOp {
-    fn start(&self) -> Vec<Outbound> {
-        match self {
-            ClientOp::AbdPut(o) => o.start(),
-            ClientOp::AbdGet(o) => o.start(),
-            ClientOp::CasPut(o) => o.start(),
-            ClientOp::CasGet(o) => o.start(),
-        }
-    }
-
-    /// Re-sends the current phase to every placement DC (§4.5 timeout handling). The
-    /// operation *resumes* — same state machine, same chosen tag — because a restarted
-    /// PUT would take effect a second time under a fresh tag (see
-    /// [`AbdPut::resend_widened`]).
-    fn resend_widened(&mut self) -> Vec<Outbound> {
-        match self {
-            ClientOp::AbdPut(o) => o.resend_widened(),
-            ClientOp::AbdGet(o) => o.resend_widened(),
-            ClientOp::CasPut(o) => o.resend_widened(),
-            ClientOp::CasGet(o) => o.resend_widened(),
-        }
-    }
-
-    /// The tag a PUT has committed to (`None` for GETs and for PUTs still in their
-    /// query phase). A rebuild across a configuration epoch must carry this tag into
-    /// the new state machine — see [`StoreClient::rebuild_for_epoch`].
-    fn chosen_tag(&self) -> Option<Tag> {
-        match self {
-            ClientOp::AbdPut(o) => o.chosen_tag(),
-            ClientOp::CasPut(o) => o.chosen_tag(),
-            ClientOp::AbdGet(_) | ClientOp::CasGet(_) => None,
-        }
-    }
-
-    /// The protocol phase the state machine is currently in (for telemetry spans).
-    fn current_phase(&self) -> u8 {
-        match self {
-            ClientOp::AbdPut(o) => o.current_phase(),
-            ClientOp::AbdGet(o) => o.current_phase(),
-            ClientOp::CasPut(o) => o.current_phase(),
-            ClientOp::CasGet(o) => o.current_phase(),
-        }
-    }
-
-    /// `(needed, received)` of the stalled phase's quorum (timeout diagnostics).
-    fn pending_quorum(&self) -> (usize, usize) {
-        match self {
-            ClientOp::AbdPut(o) => o.pending_quorum(),
-            ClientOp::AbdGet(o) => o.pending_quorum(),
-            ClientOp::CasPut(o) => o.pending_quorum(),
-            ClientOp::CasGet(o) => o.pending_quorum(),
-        }
-    }
-
-    fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        match self {
-            ClientOp::AbdPut(o) => o.on_reply(from, phase, reply),
-            ClientOp::AbdGet(o) => o.on_reply(from, phase, reply),
-            ClientOp::CasPut(o) => o.on_reply(from, phase, reply),
-            ClientOp::CasGet(o) => o.on_reply(from, phase, reply),
-        }
-    }
-}
 
 /// Statistics kept by a client about its own operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -154,15 +81,7 @@ impl StoreClient {
     /// CREATE: registers `key` with the default configuration (ABD over the nearest DCs) and
     /// stores `value` as its initial version. Errors if the key already exists.
     pub fn create(&mut self, key: &Key, value: Value) -> StoreResult<()> {
-        let f = self.cluster.options.default_fault_tolerance;
-        let dcs: Vec<DcId> = self
-            .cluster
-            .model
-            .nearest_dcs(self.dc)
-            .into_iter()
-            .take(2 * f + 1)
-            .collect();
-        let config = Configuration::abd_majority(dcs, f);
+        let config = self.cluster.default_config(self.dc);
         self.create_with_config(key, value, config)
     }
 
@@ -218,7 +137,7 @@ impl StoreClient {
     /// GET: returns the value of `key`.
     pub fn get(&mut self, key: &Key) -> StoreResult<Value> {
         let invoke = self.cluster.now_ns();
-        let (value, one_phase) = self.run_operation(key, OpKind::Get, None)?;
+        let Completed { value, one_phase, .. } = self.run_operation(key, None)?;
         let ret = self.cluster.now_ns();
         self.stats.gets += 1;
         if one_phase {
@@ -238,7 +157,7 @@ impl StoreClient {
     pub fn put(&mut self, key: &Key, value: Value) -> StoreResult<()> {
         let invoke = self.cluster.now_ns();
         let fp = fingerprint(value.as_bytes());
-        self.run_operation(key, OpKind::Put, Some(value))?;
+        self.run_operation(key, Some(value))?;
         let ret = self.cluster.now_ns();
         self.stats.puts += 1;
         self.cluster
@@ -267,431 +186,160 @@ impl StoreClient {
         self.refresh_view(key)
     }
 
-    fn build_op(&self, key: &Key, kind: OpKind, config: &Configuration, value: Option<&Value>) -> ClientOp {
-        match (config.protocol, kind) {
-            (ProtocolKind::Abd, OpKind::Put) => ClientOp::AbdPut(AbdPut::new(
-                key.clone(),
-                config.clone(),
-                self.dc,
-                self.client_id,
-                value.cloned().unwrap_or_else(Value::empty),
-            )),
-            (ProtocolKind::Abd, OpKind::Get) => ClientOp::AbdGet(AbdGet::new(
-                key.clone(),
-                config.clone(),
-                self.dc,
-                self.cluster.options.optimized_get,
-            )),
-            (ProtocolKind::Cas, OpKind::Put) => ClientOp::CasPut(CasPut::new(
-                key.clone(),
-                config.clone(),
-                self.dc,
-                self.client_id,
-                value.cloned().unwrap_or_else(Value::empty),
-            )),
-            (ProtocolKind::Cas, OpKind::Get) => {
-                let cache = if self.cluster.options.optimized_get {
-                    self.cas_cache.get(key).cloned()
-                } else {
-                    None
-                };
-                ClientOp::CasGet(CasGet::new(key.clone(), config.clone(), self.dc, cache))
-            }
-        }
-    }
-
-    /// Builds (or rebuilds) the operation state machine, recording the erasure-encode
-    /// duration on CAS PUTs when a span is active (`CasPut::new` splits the value into
-    /// coded elements).
-    fn build_op_traced(
-        &self,
-        key: &Key,
-        kind: OpKind,
-        config: &Configuration,
-        value: Option<&Value>,
-        span: &mut Option<OpSpan>,
-    ) -> ClientOp {
-        let Some(s) = span.as_mut() else {
-            return self.build_op(key, kind, config, value);
-        };
-        let clock = self.cluster.clock();
-        let build_started_ns = clock.now_ns();
-        let op = self.build_op(key, kind, config, value);
-        if kind.is_put() && matches!(config.protocol, ProtocolKind::Cas) {
-            let now = clock.now_ns();
-            s.push(now, SpanEventKind::Encode { dur_ns: now.saturating_sub(build_started_ns) });
-        }
-        op
-    }
-
-    /// Rebuilds the state machine after a reconfiguration moved the key to a new epoch.
+    /// Runs one PUT of `value` (or a GET, if `None`) to completion.
     ///
-    /// A PUT that already chose its tag in the old epoch re-enters the new epoch
-    /// *resumed* at the write phase with that tag pinned
-    /// ([`AbdPut::resume_write`] / [`CasPut::resume_write`]): its old-epoch phase-2
-    /// writes may have landed at old servers and been transferred into the new
-    /// placement, so a fresh machine would re-query and install the same value again
-    /// under a higher tag — one logical PUT linearizing twice, observable as a
-    /// new → old → new read sequence. GETs and PUTs still in their query phase have no
-    /// cross-epoch effect to deduplicate and restart fresh.
-    fn rebuild_for_epoch(
-        &self,
-        key: &Key,
-        kind: OpKind,
-        config: &Configuration,
-        value: Option<&Value>,
-        pinned: Option<Tag>,
-        span: &mut Option<OpSpan>,
-    ) -> ClientOp {
-        let Some(tag) = pinned.filter(|_| kind.is_put()) else {
-            return self.build_op_traced(key, kind, config, value, span);
-        };
-        let clock = self.cluster.clock();
-        let build_started_ns = clock.now_ns();
-        let value = value.cloned().unwrap_or_else(Value::empty);
-        let op = match config.protocol {
-            ProtocolKind::Abd => ClientOp::AbdPut(AbdPut::resume_write(
-                key.clone(),
-                config.clone(),
-                self.dc,
-                self.client_id,
-                tag,
-                value,
-            )),
-            ProtocolKind::Cas => ClientOp::CasPut(CasPut::resume_write(
-                key.clone(),
-                config.clone(),
-                self.dc,
-                self.client_id,
-                tag,
-                value,
-            )),
-        };
-        if let Some(s) = span.as_mut() {
-            if matches!(config.protocol, ProtocolKind::Cas) {
-                let now = clock.now_ns();
-                s.push(now, SpanEventKind::Encode { dur_ns: now.saturating_sub(build_started_ns) });
-            }
-        }
-        op
-    }
-
-    /// Runs one GET/PUT to completion, handling reconfiguration redirects and timeouts.
-    /// Returns the value read (GETs) or the value written (PUTs) plus the one-phase flag.
-    ///
-    /// Telemetry wrapper: when observability is on, the whole operation is covered by an
-    /// [`OpSpan`] (phase starts, replies with their service/network split, retries), the
-    /// finished span feeds the client metric bundle and the bounded op-record queue, and
-    /// a terminal [`StoreError::QuorumUnreachable`] dumps the flight recorder to stderr
-    /// so the events leading up to the give-up are preserved.
-    fn run_operation(
-        &mut self,
-        key: &Key,
-        kind: OpKind,
-        value: Option<Value>,
-    ) -> StoreResult<(Value, bool)> {
-        let obs = self.cluster.obs.clone();
-        if !obs.enabled() {
-            return self.run_operation_inner(key, kind, value, &mut None);
-        }
-        let clock = self.cluster.clock().clone();
+    /// Every protocol decision — which messages, when to widen, how to cross an epoch,
+    /// when to give up — is the [`OpDriver`]'s. This function opens and closes the
+    /// per-attempt endpoints, waits, sleeps the modelled metadata round trip, keeps the
+    /// client's view and GET cache, and wraps the operation in telemetry: when
+    /// observability is on, the driver fills an [`OpSpan`] that feeds the client metric
+    /// bundle and the bounded op-record queue.
+    fn run_operation(&mut self, key: &Key, value: Option<Value>) -> StoreResult<Completed> {
+        let config = self.config_for(key)?;
+        let cluster = self.cluster.clone();
+        let clock = cluster.clock().clone();
+        // Register with the clock for the whole operation: a virtual clock must not jump
+        // ahead while this thread is between sends and waits.
+        let _participant = clock.enter();
         let started_ns = clock.now_ns();
-        let mut span = Some(OpSpan::new(obs.next_op_id(), kind, key.as_str(), self.dc, started_ns));
-        let result = self.run_operation_inner(key, kind, value, &mut span);
-        let mut span = span.expect("span is only taken here");
-        let completed_ns = clock.now_ns();
+        let kind = if value.is_some() { OpKind::Put } else { OpKind::Get };
+        let span = cluster
+            .obs
+            .enabled()
+            .then(|| OpSpan::new(cluster.obs.next_op_id(), kind, key.as_str(), self.dc, started_ns));
+        let spec = OpSpec {
+            key: key.clone(),
+            client_dc: self.dc,
+            client_id: self.client_id,
+            optimized_get: cluster.options.optimized_get,
+            max_attempts: cluster.options.max_attempts,
+        };
+        let (epoch, op_id) = (config.epoch, span.as_ref().map(|s| s.op_id));
+        let cache = self.cas_cache.get(key).cloned();
+        let host = Host {
+            now_ns: &|| clock.now_ns(),
+            metadata: &|| cluster.metadata.lock().get(key).cloned(),
+            cache: &|| cache.clone(),
+        };
+        let mut driver = OpDriver::new(spec, config, value, span, &host);
+        let result = self.drive(&cluster, &mut driver, &host, op_id);
+        if driver.config().epoch != epoch {
+            self.view.insert(key.clone(), driver.config().clone());
+        }
+        if let Ok(done) = &result {
+            self.cas_cache.insert(key.clone(), (done.tag, done.value.clone()));
+        }
+        if let Some(span) = driver.take_span() {
+            self.finish_span(span, &result);
+        }
+        result
+    }
+
+    /// The host loop: one iteration per attempt. `op_id` is the operation's span id when
+    /// it is observed (retries then also leave a line in the flight recorder).
+    fn drive(
+        &mut self,
+        cluster: &ClusterInner,
+        driver: &mut OpDriver,
+        host: &Host,
+        op_id: Option<u64>,
+    ) -> StoreResult<Completed> {
+        let clock = cluster.clock();
+        let note = |what: String| {
+            if let Some(id) = op_id {
+                cluster.obs.flight().record(clock.now_ns(), id, what);
+            }
+        };
+        loop {
+            // A fresh endpoint per attempt: dropping it at the end of the attempt closes
+            // its reply channel (and deregisters its route, on transports that keep one),
+            // so replies that straggle in after a timeout or a reconfiguration redirect
+            // are discarded at the source (and cannot hold a virtual clock back).
+            let endpoint = cluster.transport.open_endpoint();
+            let deadline_ns = clock.now_ns() + cluster.options.op_timeout.as_nanos() as u64;
+            let mut inbox: DelayedInbox<ReplyEnvelope> = DelayedInbox::new();
+            let mut outbound = driver.open_attempt(host);
+            let cause = loop {
+                for out in outbound.drain(..) {
+                    let to = out.to;
+                    cluster.send_request(self.dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
+                }
+                let step = match self.wait_for_reply(&endpoint, &mut inbox, deadline_ns) {
+                    Some(env) => {
+                        driver.on_reply(env.from, env.phase, env.epoch, env.service_ns, env.reply, host)
+                    }
+                    None => driver.on_timeout(host),
+                };
+                match step {
+                    Step::Wait => {}
+                    Step::Send(msgs) => outbound = msgs,
+                    Step::Reopen(cause) => break cause,
+                    Step::Done(result) => return result,
+                }
+            };
+            // The attempt is over: close its endpoint before pausing — a bare sleep with
+            // an open channel could strand straggler replies and stall a virtual clock.
+            drop(endpoint);
+            let (kind, key) = (driver.kind(), driver.key());
+            match cause {
+                RetryCause::Redirect => {
+                    self.stats.reconfig_restarts += 1;
+                    note(format!("{kind} {key}: restarting against epoch {}", driver.config().epoch));
+                    // Fetching the new configuration is modeled as a metadata round
+                    // trip to the controller DC.
+                    clock.sleep(cluster.reply_delay(
+                        self.dc,
+                        cluster.options.controller_dc,
+                        cluster.options.metadata_bytes,
+                    ));
+                }
+                RetryCause::Timeout => {
+                    self.stats.timeout_restarts += 1;
+                    note(format!(
+                        "{kind} {key}: attempt timed out in phase {}; widening to the full placement",
+                        driver.phase()
+                    ));
+                }
+                RetryCause::EpochMoved | RetryCause::Failure => {}
+            }
+        }
+    }
+
+    /// Closes a finished operation's span: the terminal event, the client metrics, the
+    /// op-record queue, the `LEGOSTORE_TRACE` rendering — and, on a terminal
+    /// [`StoreError::QuorumUnreachable`], a flight-recorder dump to stderr so the events
+    /// leading up to the give-up are preserved.
+    fn finish_span(&self, mut span: OpSpan, result: &StoreResult<Completed>) {
+        let obs = &self.cluster.obs;
+        let completed_ns = self.cluster.now_ns();
         let ok = result.is_ok();
         span.push(completed_ns, SpanEventKind::Finished { ok });
         self.cluster.client_metrics.observe_span(&span, completed_ns, ok);
+        if matches!(result, Ok(done) if done.one_phase) {
+            self.cluster.client_metrics.one_phase_gets.inc();
+        }
         obs.push_op(OpRecord {
             op_id: span.op_id,
-            kind,
-            key: key.as_str().to_string(),
+            kind: span.kind,
+            key: span.key.clone(),
             origin: self.dc,
-            started_ns,
+            started_ns: span.started_ns,
             completed_ns,
-            object_bytes: result
-                .as_ref()
-                .map(|(v, _)| v.as_bytes().len() as u64)
-                .unwrap_or(0),
+            object_bytes: result.as_ref().map(|done| done.value.as_bytes().len() as u64).unwrap_or(0),
             ok,
         });
         if obs.trace_enabled() {
             eprintln!("{}", span.render());
         }
-        if let Err(StoreError::QuorumUnreachable { attempts, last }) = &result {
+        if let Err(StoreError::QuorumUnreachable { attempts, last }) = result {
+            let (kind, key) = (span.kind, &span.key);
             obs.flight().record(
                 completed_ns,
                 span.op_id,
                 format!("{kind} {key} gave up after {attempts} attempts (last: {last})"),
             );
-            obs.flight()
-                .dump_to_stderr(&format!("{kind} {key} from {} hit QuorumUnreachable", self.dc));
+            obs.flight().dump_to_stderr(&format!("{kind} {key} from {} hit QuorumUnreachable", self.dc));
         }
-        result
-    }
-
-    /// The uninstrumented operation loop behind [`StoreClient::run_operation`]; `span`
-    /// is `Some` only when observability is enabled.
-    fn run_operation_inner(
-        &mut self,
-        key: &Key,
-        kind: OpKind,
-        value: Option<Value>,
-        span: &mut Option<OpSpan>,
-    ) -> StoreResult<(Value, bool)> {
-        let mut config = self.config_for(key)?;
-        let max_attempts = self.cluster.options.max_attempts.max(1);
-        let mut last_error = StoreError::QuorumTimeout { needed: 0, received: 0 };
-        let clock = self.cluster.clock().clone();
-        // Register with the clock for the whole operation: a virtual clock must not jump
-        // ahead while this thread is between sends and waits.
-        let _participant = clock.enter();
-        // One state machine for the whole operation. A timed-out attempt *resumes* it
-        // (§4.5: re-send the current phase to every placement DC) rather than restarting:
-        // a restarted PUT whose writes already landed somewhere would install the same
-        // value again under a fresh tag — one logical write, two linearization points.
-        // The machine is rebuilt only when the configuration itself changed (reconfig
-        // redirect or epoch bump) or after a retryable in-protocol failure, which only
-        // effect-free reads report.
-        let mut op = self.build_op_traced(key, kind, &config, value.as_ref(), span);
-        let mut resume = false;
-        // True once a reconfiguration redirected this operation into a newer epoch.
-        // During that window a KeyNotFound from a new-placement server is transient
-        // (the controller's write-new round may not have reached it yet), so it is
-        // retried instead of surfaced, as long as the metadata still lists the key.
-        let mut crossed_epochs = false;
-        // Span bookkeeping: which phase is running and when it started (a reply's
-        // network share is measured from the start of the phase that solicited it).
-        let mut last_phase: u8 = 0;
-        let mut phase_started_ns: u64 = 0;
-        for _attempt in 0..max_attempts {
-            let endpoint = self.cluster.transport.open_endpoint();
-            let deadline_ns =
-                clock.now_ns() + self.cluster.options.op_timeout.as_nanos() as u64;
-            // A fresh endpoint per attempt: dropping it at the end of the attempt closes
-            // its reply channel (and deregisters its route, on transports that keep one),
-            // so replies that straggle in after a timeout or a reconfiguration redirect
-            // are discarded at the source (and cannot hold a virtual clock back).
-            let mut inbox: DelayedInbox<ReplyEnvelope> = DelayedInbox::new();
-            let mut outbound = if resume { op.resend_widened() } else { op.start() };
-            if let Some(s) = span.as_mut() {
-                last_phase = op.current_phase();
-                phase_started_ns = clock.now_ns();
-                s.push(phase_started_ns, SpanEventKind::PhaseStart { phase: last_phase });
-            }
-            // Metadata round trip owed after a reconfiguration redirect; slept only once
-            // the attempt's reply channel is closed (a bare sleep with an open channel
-            // could strand straggler replies and stall a virtual clock).
-            let mut metadata_pause = None;
-            let mut timed_out = false;
-            loop {
-                for out in outbound.drain(..) {
-                    let inbound = Inbound {
-                        from: endpoint.id(),
-                        msg_id: 0,
-                        phase: out.phase,
-                        key: out.key.clone(),
-                        epoch: out.epoch,
-                        msg: out.msg.clone(),
-                    };
-                    self.cluster.send_request(self.dc, out.to, &endpoint, inbound)?;
-                }
-                // Wait for the next reply (or the attempt deadline).
-                let env = match self.wait_for_reply(&endpoint, &mut inbox, config.epoch, deadline_ns)
-                {
-                    Some(env) => env,
-                    None => {
-                        timed_out = true;
-                        // Record how far the stalled phase got, so a final
-                        // QuorumUnreachable carries real needed/received counts.
-                        let (needed, received) = op.pending_quorum();
-                        last_error = StoreError::QuorumTimeout { needed, received };
-                        break; // timeout: resume with a widened re-send
-                    }
-                };
-                let reply_seen_ns = span.as_mut().map(|s| {
-                    let now = clock.now_ns();
-                    let network_ns =
-                        now.saturating_sub(phase_started_ns).saturating_sub(env.service_ns);
-                    s.push(
-                        now,
-                        SpanEventKind::Reply {
-                            from: env.from,
-                            phase: env.phase,
-                            service_ns: env.service_ns,
-                            network_ns,
-                        },
-                    );
-                    now
-                });
-                match op.on_reply(env.from, env.phase, env.reply) {
-                    OpProgress::Pending => {}
-                    OpProgress::Send(msgs) => {
-                        outbound = msgs;
-                        if let Some(s) = span.as_mut() {
-                            let phase = op.current_phase();
-                            if phase != last_phase {
-                                last_phase = phase;
-                                phase_started_ns = clock.now_ns();
-                                s.push(phase_started_ns, SpanEventKind::PhaseStart { phase });
-                            }
-                        }
-                    }
-                    OpProgress::Done(outcome) => match outcome {
-                        OpOutcome::PutOk { tag } => {
-                            if let Some(v) = &value {
-                                self.cas_cache.insert(key.clone(), (tag, v.clone()));
-                            }
-                            return Ok((value.unwrap_or_else(Value::empty), false));
-                        }
-                        OpOutcome::GetOk { tag, value, one_phase } => {
-                            if let Some(s) = span.as_mut() {
-                                // The completing on_reply of a CAS GET reassembles the
-                                // value from coded elements — charge it as decode time.
-                                if matches!(config.protocol, ProtocolKind::Cas) {
-                                    let now = clock.now_ns();
-                                    let dur_ns =
-                                        now.saturating_sub(reply_seen_ns.unwrap_or(now));
-                                    s.push(now, SpanEventKind::Decode { dur_ns });
-                                }
-                                if one_phase {
-                                    self.cluster.client_metrics.one_phase_gets.inc();
-                                }
-                            }
-                            self.cas_cache.insert(key.clone(), (tag, value.clone()));
-                            return Ok((value, one_phase));
-                        }
-                        OpOutcome::Reconfigured { new_config } => {
-                            // Fetch the new configuration (modeled as a metadata round trip
-                            // to the controller DC) and restart against it.
-                            self.stats.reconfig_restarts += 1;
-                            if let Some(s) = span.as_mut() {
-                                let now = clock.now_ns();
-                                s.push(now, SpanEventKind::ReconfigRestart);
-                                self.cluster.obs.flight().record(
-                                    now,
-                                    s.op_id,
-                                    format!(
-                                        "{kind} {key}: restarting against epoch {}",
-                                        new_config.epoch
-                                    ),
-                                );
-                            }
-                            metadata_pause = Some(self.cluster.reply_delay(
-                                self.dc,
-                                self.cluster.options.controller_dc,
-                                self.cluster.options.metadata_bytes,
-                            ));
-                            config = (*new_config).clone();
-                            self.view.insert(key.clone(), config.clone());
-                            last_error = StoreError::OperationFailedByReconfig {
-                                new_epoch: config.epoch,
-                            };
-                            // Rebuild for the new epoch, pinning the tag a PUT already
-                            // chose (its old-epoch writes may have been transferred).
-                            op = self.rebuild_for_epoch(
-                                key,
-                                kind,
-                                &config,
-                                value.as_ref(),
-                                op.chosen_tag(),
-                                span,
-                            );
-                            resume = false;
-                            crossed_epochs = true;
-                            break;
-                        }
-                        OpOutcome::Failed(err) => {
-                            if err.is_retryable() {
-                                // Only effect-free reads reach here (e.g. a CAS GET that
-                                // gathered too few coded elements), so a fresh state
-                                // machine is safe — and re-querying picks up the newest
-                                // finalized tag, which a resumed read would keep missing.
-                                last_error = err;
-                                op = self.build_op_traced(key, kind, &config, value.as_ref(), span);
-                                resume = false;
-                                break;
-                            }
-                            if crossed_epochs
-                                && matches!(err, StoreError::KeyNotFound(_))
-                                && self.cluster.metadata.lock().contains_key(key)
-                            {
-                                // The redirect raced the controller's write-new round: a
-                                // new-placement server answered before the key reached
-                                // it. The metadata still lists the key, so retry (with
-                                // the PUT's tag still pinned) instead of failing.
-                                last_error = err;
-                                op = self.rebuild_for_epoch(
-                                    key,
-                                    kind,
-                                    &config,
-                                    value.as_ref(),
-                                    op.chosen_tag(),
-                                    span,
-                                );
-                                resume = false;
-                                break;
-                            }
-                            return Err(err);
-                        }
-                    },
-                }
-            }
-            // The attempt is over: close its endpoint (discarding any stragglers)
-            // before pausing for the modeled metadata fetch.
-            drop(endpoint);
-            if let Some(delay) = metadata_pause {
-                clock.sleep(delay);
-            }
-            if !timed_out {
-                continue; // the outcome arm already rebuilt the operation
-            }
-            // The attempt timed out: refresh the view (it may have changed). If the
-            // configuration moved, restart against it; otherwise resume the same
-            // operation, re-sending its current phase to the full placement.
-            if let Ok(fresh) = self.refresh_view(key) {
-                if fresh.epoch > config.epoch {
-                    config = fresh;
-                    // Same cross-epoch hazard as the redirect arm: a timed-out PUT whose
-                    // old-epoch writes were transferred must keep its tag in the new epoch.
-                    op = self.rebuild_for_epoch(
-                        key,
-                        kind,
-                        &config,
-                        value.as_ref(),
-                        op.chosen_tag(),
-                        span,
-                    );
-                    resume = false;
-                    crossed_epochs = true;
-                    continue;
-                }
-            }
-            resume = true;
-            self.stats.timeout_restarts += 1;
-            if let Some(s) = span.as_mut() {
-                let now = clock.now_ns();
-                let phase = op.current_phase();
-                s.push(now, SpanEventKind::TimeoutWiden { phase });
-                self.cluster.obs.flight().record(
-                    now,
-                    s.op_id,
-                    format!(
-                        "{kind} {key}: attempt timed out in phase {phase} ({last_error}); \
-                         widening to the full placement"
-                    ),
-                );
-            }
-        }
-        // Every attempt ended in a retryable failure (timeouts, reconfiguration races,
-        // transport loss): report the terminal verdict instead of the last symptom, so
-        // callers facing a beyond-`f` fault get a typed, non-retryable answer rather
-        // than a generic timeout (or, worse, an unbounded hang).
-        Err(StoreError::QuorumUnreachable {
-            attempts: max_attempts,
-            last: Box::new(last_error),
-        })
     }
 
     /// Buffers `env` in `inbox` at its modeled arrival instant.
@@ -703,23 +351,17 @@ impl StoreClient {
     /// delays. `deadline_ns` is a [`Clock::now_ns`](crate::clock::Clock::now_ns)
     /// timestamp. All parking happens in channel waits (never in a bare clock sleep), so
     /// replies keep being drained into the inbox while we wait for the earliest one.
-    ///
-    /// Replies are filtered by endpoint id *and* by `epoch`: every request of the
-    /// attempt carries the attempt's configuration epoch and servers echo it back, so
-    /// an envelope stamped with any other epoch is a straggler solicited before a
-    /// reconfiguration redirect (or a routing mix-up) and is discarded unseen.
     fn wait_for_reply(
         &mut self,
         endpoint: &Endpoint,
         inbox: &mut DelayedInbox<ReplyEnvelope>,
-        epoch: legostore_types::ConfigEpoch,
         deadline_ns: u64,
     ) -> Option<ReplyEnvelope> {
         let clock = self.cluster.clock().clone();
         loop {
             // Drain anything already delivered into the delayed inbox.
             while let Some(env) = endpoint.try_recv() {
-                if env.endpoint == endpoint.id() && env.epoch == epoch {
+                if env.endpoint == endpoint.id() {
                     self.buffer_reply(inbox, env);
                 }
             }
@@ -735,7 +377,7 @@ impl StoreClient {
                 .min(deadline_ns);
             match endpoint.recv_deadline_ns(wake_ns) {
                 Some(env) => {
-                    if env.endpoint == endpoint.id() && env.epoch == epoch {
+                    if env.endpoint == endpoint.id() {
                         self.buffer_reply(inbox, env);
                     }
                 }

@@ -15,15 +15,14 @@ use crate::transport::{
 };
 use legostore_cloud::CloudModel;
 use legostore_lincheck::HistoryRecorder;
-use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig, ServerMetrics};
-use legostore_proto::msg::MSG_KIND_NAMES;
-use legostore_proto::reconfig::{ControllerProgress, ReconfigController, PHASE_FINISH};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound, MAX_REPLY_ROUTES};
+use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
+use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound, RequestServer};
 use legostore_types::{
     Configuration, DcId, FaultPlan, Key, StoreError, StoreResult, Tag, Value,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
@@ -78,7 +77,8 @@ pub struct ClusterOptions {
 impl ClusterOptions {
     /// The effective epoch lease in nanoseconds (defaulting from `op_timeout`).
     pub(crate) fn epoch_lease_ns(&self) -> u64 {
-        self.epoch_lease.unwrap_or(self.op_timeout * 16).as_nanos() as u64
+        let default = self.op_timeout * (2 * ReconfigDriver::DEADLINE_TIMEOUTS) as u32;
+        self.epoch_lease.unwrap_or(default).as_nanos() as u64
     }
 }
 
@@ -158,6 +158,13 @@ impl ClusterInner {
 
     pub(crate) fn control(&self, to: DcId, msg: ControlMsg) {
         let _ = self.transport.control(to, msg);
+    }
+
+    /// See [`Cluster::default_config`].
+    pub(crate) fn default_config(&self, near: DcId) -> Configuration {
+        let f = self.options.default_fault_tolerance;
+        let dcs = self.model.nearest_dcs(near).into_iter().take(2 * f + 1).collect();
+        Configuration::abd_majority(dcs, f)
     }
 }
 
@@ -346,15 +353,7 @@ impl Cluster {
     /// over the `2f + 1` data centers nearest to the creating client (paper §3.1 footnote:
     /// "a default configuration uses the nearest DCs").
     pub fn default_config(&self, near: DcId) -> Configuration {
-        let f = self.inner.options.default_fault_tolerance;
-        let dcs: Vec<DcId> = self
-            .inner
-            .model
-            .nearest_dcs(near)
-            .into_iter()
-            .take(2 * f + 1)
-            .collect();
-        Configuration::abd_majority(dcs, f)
+        self.inner.default_config(near)
     }
 
     /// Installs `key` with an explicit configuration and initial value, bypassing the
@@ -384,13 +383,11 @@ impl Cluster {
     /// finish), which the paper reports as sub-second at real geo latencies. Under a
     /// virtual clock this is the modeled duration, independent of scheduler jitter.
     ///
-    /// Fault tolerance: every controller round is idempotent at the servers, so if a
-    /// round makes no progress for one `op_timeout` it is re-sent in full — a crashed or
-    /// partitioned minority of either placement only delays the transfer. If the overall
-    /// deadline of 8 × `op_timeout` passes without completing, the transfer stalls with
-    /// [`StoreError::ReconfigStalled`] naming the round it died in; the metadata service
-    /// still points at the old configuration, and the old servers re-activate on their
-    /// epoch lease, so no key is left half-moved.
+    /// Fault tolerance is the [`ReconfigDriver`]'s: lost rounds are re-sent, so a crashed
+    /// or partitioned minority of either placement only delays the transfer, and beyond
+    /// that it stalls with [`StoreError::ReconfigStalled`] naming the round it died in,
+    /// the metadata service still pointing at the old configuration. This function only
+    /// moves the driver's messages and tells it the time.
     pub fn reconfigure(&self, key: impl Into<Key>, new_config: Configuration) -> StoreResult<Duration> {
         let key = key.into();
         let old = self
@@ -400,114 +397,46 @@ impl Cluster {
         let _participant = clock.enter();
         let started_ns = clock.now_ns();
         let controller_dc = self.inner.options.controller_dc;
-        let mut controller = ReconfigController::new(key.clone(), old, new_config);
-        let target_epoch = controller.new_config().epoch;
+        let op_timeout_ns = self.inner.options.op_timeout.as_nanos() as u64;
+        let mut driver = ReconfigDriver::new(key.clone(), old, new_config, op_timeout_ns, started_ns);
         let endpoint = self.inner.transport.open_endpoint();
         let mut inbox: DelayedInbox<ReplyEnvelope> = DelayedInbox::new();
-        let mut outbound = controller.start();
-        let op_timeout_ns = self.inner.options.op_timeout.as_nanos() as u64;
-        let deadline_ns = started_ns + op_timeout_ns * 8;
-        let outcome = loop {
+        let mut outbound = driver.start();
+        loop {
             for out in outbound.drain(..) {
-                let inbound = Inbound {
-                    from: endpoint.id(),
-                    msg_id: 0,
-                    phase: out.phase,
-                    key: out.key.clone(),
-                    epoch: out.epoch,
-                    msg: out.msg.clone(),
-                };
-                self.inner.send_request(controller_dc, out.to, &endpoint, inbound)?;
+                let to = out.to;
+                self.inner.send_request(controller_dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
             }
-            // Collect replies until the controller advances. All parking happens in
-            // channel waits so arriving replies keep being drained (a bare clock sleep
-            // would leave them undelivered and stall a virtual clock). If a full
-            // op-timeout passes with no round transition, the current round is re-sent:
-            // requests or replies lost to faults are replaced, and servers that already
-            // answered just answer again (all rounds are idempotent).
-            let resend_at_ns = clock.now_ns() + op_timeout_ns;
-            let mut progressed = None;
-            while progressed.is_none() {
-                while let Some(env) = endpoint.try_recv() {
-                    self.inner.buffer_reply(controller_dc, &mut inbox, env);
-                }
-                if let Some(env) = inbox.pop_ready(clock.now_ns()) {
-                    match controller.on_reply(env.from, env.phase, env.reply) {
-                        ControllerProgress::Pending => {}
-                        ControllerProgress::Send(msgs) => progressed = Some(Ok(msgs)),
-                        ControllerProgress::Done(outcome) => progressed = Some(Err(outcome)),
-                    }
-                    continue;
-                }
-                let now = clock.now_ns();
-                if now >= deadline_ns {
-                    return Err(StoreError::ReconfigStalled {
-                        epoch: target_epoch,
-                        round: controller.round_number(),
-                    });
-                }
-                if now >= resend_at_ns {
-                    progressed = Some(Ok(controller.resend_current_round()));
-                    continue;
-                }
-                let wake_ns = inbox
-                    .next_available_at()
-                    .unwrap_or(deadline_ns)
-                    .min(deadline_ns)
-                    .min(resend_at_ns);
+            // All parking happens in channel waits so arriving replies keep being
+            // drained (a bare clock sleep would leave them undelivered and stall a
+            // virtual clock).
+            while let Some(env) = endpoint.try_recv() {
+                self.inner.buffer_reply(controller_dc, &mut inbox, env);
+            }
+            let now = clock.now_ns();
+            let step = if let Some(env) = inbox.pop_ready(now) {
+                driver.on_reply(env.from, env.phase, env.reply, now)
+            } else if now >= driver.wake_ns() {
+                driver.tick(now)
+            } else {
+                let wake_ns = inbox.next_available_at().unwrap_or(u64::MAX).min(driver.wake_ns());
                 if let Some(env) = endpoint.recv_deadline_ns(wake_ns) {
                     self.inner.buffer_reply(controller_dc, &mut inbox, env);
                 }
-            }
-            match progressed.expect("set above") {
-                Ok(msgs) => outbound = msgs,
-                Err(outcome) => break outcome,
-            }
-        };
-        // The new placement holds the transferred value; publish it, then release the old
-        // configuration's servers. The finish round is retried on the same op-timeout
-        // cadence until every old-placement server acks or the deadline passes — but a
-        // partial finish is not an error: the metadata already points at the new
-        // configuration, and any old server that never hears the finish re-activates on
-        // its epoch lease, fails subsequent requests with a redirect, and gets pruned.
-        self.inner
-            .metadata
-            .lock()
-            .insert(key.clone(), outcome.new_config.clone());
-        let mut acked: HashSet<DcId> = HashSet::new();
-        while acked.len() < outcome.finish_messages.len() && clock.now_ns() < deadline_ns {
-            for out in outcome.finish_messages.iter().filter(|o| !acked.contains(&o.to)) {
-                let inbound = Inbound {
-                    from: endpoint.id(),
-                    msg_id: 0,
-                    phase: out.phase,
-                    key: out.key.clone(),
-                    epoch: out.epoch,
-                    msg: out.msg.clone(),
-                };
-                self.inner.send_request(controller_dc, out.to, &endpoint, inbound)?;
-            }
-            let resend_at_ns = (clock.now_ns() + op_timeout_ns).min(deadline_ns);
-            while acked.len() < outcome.finish_messages.len() && clock.now_ns() < resend_at_ns {
-                while let Some(env) = endpoint.try_recv() {
-                    self.inner.buffer_reply(controller_dc, &mut inbox, env);
+                continue;
+            };
+            match step {
+                ReconfigStep::Wait => {}
+                ReconfigStep::Send(msgs) => outbound = msgs,
+                ReconfigStep::Publish { new_config, finish } => {
+                    self.inner.metadata.lock().insert(key.clone(), *new_config);
+                    outbound = finish;
                 }
-                if let Some(env) = inbox.pop_ready(clock.now_ns()) {
-                    if env.phase == PHASE_FINISH {
-                        acked.insert(env.from);
-                    }
-                    continue;
-                }
-                let wake_ns = inbox
-                    .next_available_at()
-                    .unwrap_or(resend_at_ns)
-                    .min(resend_at_ns);
-                if let Some(env) = endpoint.recv_deadline_ns(wake_ns) {
-                    self.inner.buffer_reply(controller_dc, &mut inbox, env);
+                ReconfigStep::Done(result) => {
+                    return result.map(|()| Duration::from_nanos(clock.now_ns() - started_ns));
                 }
             }
         }
-        Ok(Duration::from_nanos(clock.now_ns() - started_ns))
     }
 
     /// Shuts the deployment down: in-process server threads are joined; TCP servers
@@ -530,14 +459,14 @@ impl Drop for Cluster {
     }
 }
 
-/// The per-DC server thread: dispatches protocol messages to the shared `DcServer` state and
-/// routes replies back to the endpoint that sent each (possibly deferred) request.
+/// The per-DC server thread: a receive loop around [`RequestServer`], replying through
+/// each request's reply channel.
 ///
-/// Telemetry: message/byte counters use the *modeled* wire sizes (the same
-/// `wire_size(metadata_bytes)` the latency model charges for), and `handle` dispatch
-/// time comes off the deployment clock — so under a virtual clock, durations are the
-/// modeled ones (deterministically 0 for compute, since busy threads pin virtual time)
-/// and two identical runs snapshot identically.
+/// Telemetry: byte counters use the *modeled* wire sizes (the same
+/// `wire_size(metadata_bytes)` the latency model charges for), and dispatch time comes
+/// off the deployment clock — so under a virtual clock, durations are the modeled ones
+/// (deterministically 0 for compute, since busy threads pin virtual time) and two
+/// identical runs snapshot identically.
 fn server_loop(
     dc: DcId,
     rx: ClockedReceiver<ServerMsg>,
@@ -547,64 +476,30 @@ fn server_loop(
     epoch_lease_ns: u64,
 ) {
     let _participant = clock.enter();
-    let mut server = DcServer::new(dc);
-    server.set_epoch_lease_ns(epoch_lease_ns);
-    let metrics = ServerMetrics::new(&obs, &MSG_KIND_NAMES);
-    // endpoint → (reply channel, message counter at last request from that endpoint).
-    let mut reply_routes: HashMap<u64, (crate::clock::ClockedSender<ReplyEnvelope>, u64)> =
-        HashMap::new();
-    let mut msg_counter: u64 = 0;
+    let mut host = RequestServer::new(dc, obs);
+    host.server.set_epoch_lease_ns(epoch_lease_ns);
     while let Ok(msg) = rx.recv() {
         match msg {
             ServerMsg::Shutdown => break,
-            ServerMsg::Control(ctrl) => server.apply_control(ctrl),
+            ServerMsg::Control(ctrl) => host.server.apply_control(ctrl),
             ServerMsg::Stats(reply) => {
-                // Point-in-time gauges are refreshed at scrape time; everything else
-                // accumulated as requests were dispatched.
-                metrics.keys.set(server.key_count() as u64);
-                metrics.storage_bytes.set(server.storage_bytes());
-                let _ = reply.send(obs.snapshot());
+                let _ = reply.send(host.stats());
             }
             ServerMsg::Request { reply_to, inbound } => {
-                msg_counter += 1;
-                reply_routes.insert(inbound.from, (reply_to, msg_counter));
-                // Bound the routing table. Evicting only the least-recently-seen half (not
-                // the whole table) keeps routes of in-flight operations alive: a deferred
-                // request may be answered long after it arrived, when a FinishReconfig
-                // flushes it.
-                if reply_routes.len() > MAX_REPLY_ROUTES {
-                    legostore_proto::server::evict_stale_routes(
-                        &mut reply_routes,
-                        MAX_REPLY_ROUTES / 2,
-                    );
-                }
-                let enabled = obs.enabled();
-                let (msg_kind, phase) = (inbound.msg.kind_index(), inbound.phase);
-                if enabled {
-                    metrics.bytes_in.add(inbound.msg.wire_size(metadata_bytes));
-                }
-                let handled_at = clock.now_ns();
-                let replies = server.handle_at(inbound, handled_at);
-                let service_ns = clock.now_ns().saturating_sub(handled_at);
-                if enabled {
-                    metrics.on_request(msg_kind, phase, service_ns, replies.len() as u64);
-                    metrics
-                        .bytes_out
-                        .add(replies.iter().map(|r| r.reply.wire_size(metadata_bytes)).sum());
-                }
-                for r in replies {
-                    if let Some((route, _)) = reply_routes.get(&r.to) {
-                        let _ = route.send(ReplyEnvelope {
-                            endpoint: r.to,
-                            from: dc,
-                            sent_at_ns: clock.now_ns(),
-                            service_ns,
-                            phase: r.phase,
-                            epoch: r.epoch,
-                            reply: r.reply,
-                        });
-                    }
-                }
+                let bytes_in = inbound.msg.wire_size(metadata_bytes);
+                host.serve(reply_to, inbound, bytes_in, || clock.now_ns(), |route, r| {
+                    let bytes = r.reply.wire_size(metadata_bytes);
+                    let sent = route.send(ReplyEnvelope {
+                        endpoint: r.endpoint,
+                        from: r.from,
+                        sent_at_ns: r.sent_at_ns,
+                        service_ns: r.service_ns,
+                        phase: r.phase,
+                        epoch: r.epoch,
+                        reply: r.reply,
+                    });
+                    sent.is_ok().then_some(bytes)
+                });
             }
         }
     }

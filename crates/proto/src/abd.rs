@@ -10,10 +10,8 @@
 //!   the highest tag (so the write-back would be a no-op).
 
 use crate::msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
-use crate::quorum::{widen_preferred_quorums, QuorumTracker};
-use legostore_types::{
-    ClientId, ConfigEpoch, Configuration, DcId, Key, QuorumId, StoreError, Tag, Value,
-};
+use crate::quorum::OpCore;
+use legostore_types::{ClientId, Configuration, DcId, Key, QuorumId, StoreError, Tag, Value};
 use std::collections::BTreeMap;
 
 /// Per-key server state for ABD.
@@ -61,19 +59,11 @@ impl AbdKeyState {
 /// Client-side state machine for an ABD PUT.
 #[derive(Debug, Clone)]
 pub struct AbdPut {
-    key: Key,
-    epoch: ConfigEpoch,
-    config: Configuration,
-    client_dc: DcId,
+    pub(crate) core: OpCore,
     client_id: ClientId,
     value: Value,
-    phase: u8,
-    q1: QuorumTracker,
-    q2: QuorumTracker,
     max_tag: Tag,
     new_tag: Option<Tag>,
-    /// Distinct servers that answered `KeyNotFound` (see `on_reply` for the quorum rule).
-    not_found: QuorumTracker,
 }
 
 impl AbdPut {
@@ -85,22 +75,13 @@ impl AbdPut {
         client_id: ClientId,
         value: Value,
     ) -> Self {
-        let q1 = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
-        let q2 = QuorumTracker::new(config.quorums.size(QuorumId::Q2));
-        let not_found = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
+        let needed = [config.quorums.size(QuorumId::Q1), config.quorums.size(QuorumId::Q2)];
         AbdPut {
-            key,
-            epoch: config.epoch,
-            config,
-            client_dc,
+            core: OpCore::new(key, config, client_dc, &needed),
             client_id,
             value,
-            phase: 1,
-            q1,
-            q2,
             max_tag: Tag::INITIAL,
             new_tag: None,
-            not_found,
         }
     }
 
@@ -125,7 +106,7 @@ impl AbdPut {
         value: Value,
     ) -> Self {
         let mut put = AbdPut::new(key, config, client_dc, client_id, value);
-        put.phase = 2;
+        put.core.phase = 2;
         put.new_tag = Some(tag);
         put
     }
@@ -135,48 +116,17 @@ impl AbdPut {
         self.new_tag
     }
 
-    /// The 1-based protocol phase currently collecting replies (telemetry spans
-    /// stamp phase boundaries with this).
-    pub fn current_phase(&self) -> u8 {
-        self.phase
-    }
-
-    /// `(needed, received)` of the current phase's quorum — how far the stalled phase
-    /// got, for timeout diagnostics.
-    pub fn pending_quorum(&self) -> (usize, usize) {
-        let q = if self.phase == 1 { &self.q1 } else { &self.q2 };
-        (q.needed(), q.count())
-    }
-
     /// Messages for the first phase this machine runs: the write-query for a fresh PUT,
     /// or the pinned-tag write fan-out for a machine built by [`AbdPut::resume_write`].
     pub fn start(&self) -> Vec<Outbound> {
-        if self.phase >= 2 {
-            let tag = self.new_tag.expect("a resumed PUT carries its pinned tag");
-            return self
-                .config
-                .quorum_for(self.client_dc, QuorumId::Q2)
-                .iter().copied()
-                .map(|to| Outbound {
-                    to,
-                    phase: 2,
-                    key: self.key.clone(),
-                    epoch: self.epoch,
-                    msg: ProtoMsg::AbdWrite { tag, value: self.value.clone() },
-                })
-                .collect();
+        match self.core.phase {
+            1 => self.core.fan_out(QuorumId::Q1, |_| Some(ProtoMsg::AbdWriteQuery)),
+            _ => {
+                let tag = self.new_tag.expect("phase 2 implies a chosen tag");
+                let write = || ProtoMsg::AbdWrite { tag, value: self.value.clone() };
+                self.core.fan_out(QuorumId::Q2, |_| Some(write()))
+            }
         }
-        self.config
-            .quorum_for(self.client_dc, QuorumId::Q1)
-            .iter().copied()
-            .map(|to| Outbound {
-                to,
-                phase: 1,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::AbdWriteQuery,
-            })
-            .collect()
     }
 
     /// Re-sends the *current* phase's messages to every DC of the placement — the
@@ -190,93 +140,31 @@ impl AbdPut {
     /// making one logical PUT take effect at two distinct linearization points (reads
     /// could then observe new → old → new). Re-sending keeps the tag pinned, so the
     /// retried write is idempotent. Responses already counted stay counted (the quorum
-    /// trackers deduplicate by DC).
-    ///
-    /// The widening is sticky: later phases of the resumed operation also target the
-    /// full placement (a preferred quorum containing the unreachable DC would otherwise
-    /// stall every subsequent phase transition until its own timeout).
+    /// trackers deduplicate by DC). The widening is sticky for the later phases.
     pub fn resend_widened(&mut self) -> Vec<Outbound> {
-        widen_preferred_quorums(&mut self.config, self.client_dc);
-        let msg = match self.phase {
-            1 => ProtoMsg::AbdWriteQuery,
-            _ => ProtoMsg::AbdWrite {
-                tag: self.new_tag.expect("phase 2 implies a chosen tag"),
-                value: self.value.clone(),
-            },
-        };
-        let phase = self.phase;
-        self.config
-            .dcs
-            .iter()
-            .copied()
-            .map(|to| Outbound {
-                to,
-                phase,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: msg.clone(),
-            })
-            .collect()
+        self.core.widen();
+        self.start()
     }
 
     /// Feeds one reply (tagged with the phase it answers) into the state machine.
     pub fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        if let ProtoReply::OperationFail { new_config } = reply {
-            return OpProgress::Done(OpOutcome::Reconfigured { new_config });
-        }
-        if phase != self.phase {
-            return OpProgress::Pending;
-        }
-        match (self.phase, reply) {
+        let reply = match self.core.screen(from, phase, reply) {
+            Ok(reply) => reply,
+            Err(progress) => return progress,
+        };
+        match (self.core.phase, reply) {
             (1, ProtoReply::TagOnly { tag }) => {
                 self.max_tag = self.max_tag.max(tag);
-                if self.q1.record(from) {
-                    let new_tag = self.max_tag.successor(self.client_id);
-                    self.new_tag = Some(new_tag);
-                    self.phase = 2;
-                    let msgs = self
-                        .config
-                        .quorum_for(self.client_dc, QuorumId::Q2)
-                        .iter().copied()
-                        .map(|to| Outbound {
-                            to,
-                            phase: 2,
-                            key: self.key.clone(),
-                            epoch: self.epoch,
-                            msg: ProtoMsg::AbdWrite {
-                                tag: new_tag,
-                                value: self.value.clone(),
-                            },
-                        })
-                        .collect();
-                    OpProgress::Send(msgs)
-                } else {
-                    OpProgress::Pending
+                if !self.core.record(from) {
+                    return OpProgress::Pending;
                 }
+                self.new_tag = Some(self.max_tag.successor(self.client_id));
+                self.core.phase = 2;
+                OpProgress::Send(self.start())
             }
-            (2, ProtoReply::Ack) => {
-                if self.q2.record(from) {
-                    OpProgress::Done(OpOutcome::PutOk {
-                        tag: self.new_tag.expect("tag chosen in phase 1"),
-                    })
-                } else {
-                    OpProgress::Pending
-                }
-            }
-            (_, ProtoReply::Error(e)) if matches!(e, StoreError::KeyNotFound(_)) => {
-                // One key-less server must not veto an operation a quorum can still
-                // serve: a new-placement DC that was crashed or partitioned during the
-                // reconfiguration's write-new round answers `KeyNotFound` even though a
-                // write quorum holds the transferred key. Only a *read quorum* of
-                // `KeyNotFound`s — which intersects every write quorum, so no write
-                // could have completed — proves the key truly does not exist; fewer
-                // are treated as non-replies.
-                if self.not_found.record(from) {
-                    OpProgress::Done(OpOutcome::Failed(e))
-                } else {
-                    OpProgress::Pending
-                }
-            }
+            (2, ProtoReply::Ack) if self.core.record(from) => OpProgress::Done(OpOutcome::PutOk {
+                tag: self.new_tag.expect("tag chosen in phase 1"),
+            }),
             _ => OpProgress::Pending,
         }
     }
@@ -285,78 +173,48 @@ impl AbdPut {
 /// Client-side state machine for an ABD GET.
 #[derive(Debug, Clone)]
 pub struct AbdGet {
-    key: Key,
-    epoch: ConfigEpoch,
-    config: Configuration,
-    client_dc: DcId,
-    phase: u8,
+    pub(crate) core: OpCore,
     optimized: bool,
-    /// Phase-1 quorum target: `q1` normally, `max(q1, q2)` when the optimized fast path is
-    /// enabled.
-    phase1: QuorumTracker,
-    q2: QuorumTracker,
     /// Highest `(tag, value)` pair seen in phase 1.
     best: Option<(Tag, Value)>,
     /// How many phase-1 responders reported each tag (needed for the fast-path test).
     tag_counts: BTreeMap<Tag, usize>,
-    /// Distinct servers that answered `KeyNotFound` (see [`AbdPut`]'s quorum rule).
-    not_found: QuorumTracker,
 }
 
 impl AbdGet {
     /// Creates the state machine. When `optimized` is true the GET may complete in one
-    /// phase if enough servers already store the highest tag.
+    /// phase if enough servers already store the highest tag; phase 1 then waits for
+    /// `max(q1, q2)` responses instead of `q1`.
     pub fn new(key: Key, config: Configuration, client_dc: DcId, optimized: bool) -> Self {
         let q1 = config.quorums.size(QuorumId::Q1);
         let q2 = config.quorums.size(QuorumId::Q2);
-        let phase1_needed = if optimized { q1.max(q2) } else { q1 };
+        let needed = [if optimized { q1.max(q2) } else { q1 }, q2];
         AbdGet {
-            key,
-            epoch: config.epoch,
-            config: config.clone(),
-            client_dc,
-            phase: 1,
+            core: OpCore::new(key, config, client_dc, &needed),
             optimized,
-            phase1: QuorumTracker::new(phase1_needed),
-            q2: QuorumTracker::new(q2),
             best: None,
             tag_counts: BTreeMap::new(),
-            not_found: QuorumTracker::new(q1),
         }
     }
 
-    /// The 1-based protocol phase currently collecting replies.
-    pub fn current_phase(&self) -> u8 {
-        self.phase
-    }
-
-    /// `(needed, received)` of the current phase's quorum (timeout diagnostics).
-    pub fn pending_quorum(&self) -> (usize, usize) {
-        let q = if self.phase == 1 { &self.phase1 } else { &self.q2 };
-        (q.needed(), q.count())
-    }
-
-    /// Messages for phase 1 (read-query).
+    /// Messages for the current phase: the read-query (phase 1) or the write-back.
     pub fn start(&self) -> Vec<Outbound> {
-        let mut targets = self.config.quorum_for(self.client_dc, QuorumId::Q1).to_vec();
+        if self.core.phase >= 2 {
+            let (tag, value) = self.best.clone().expect("phase 2 implies a best pair");
+            let write = || ProtoMsg::AbdWrite { tag, value: value.clone() };
+            return self.core.fan_out(QuorumId::Q2, |_| Some(write()));
+        }
+        let config = &self.core.config;
+        let mut targets = config.quorum_for(self.core.client_dc, QuorumId::Q1).to_vec();
         if self.optimized {
             // Need max(q1, q2) responses; widen the target set with the Q2 preference.
-            for &dc in self.config.quorum_for(self.client_dc, QuorumId::Q2) {
+            for &dc in config.quorum_for(self.core.client_dc, QuorumId::Q2) {
                 if !targets.contains(&dc) {
                     targets.push(dc);
                 }
             }
         }
-        targets
-            .into_iter()
-            .map(|to| Outbound {
-                to,
-                phase: 1,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::AbdReadQuery,
-            })
-            .collect()
+        self.core.send_to(&targets, |_| Some(ProtoMsg::AbdReadQuery))
     }
 
     /// Re-sends the current phase's messages to every DC of the placement (§4.5 timeout
@@ -364,40 +222,19 @@ impl AbdGet {
     /// resuming preserves the responses already gathered, which matters for liveness on
     /// lossy links.
     pub fn resend_widened(&mut self) -> Vec<Outbound> {
-        widen_preferred_quorums(&mut self.config, self.client_dc);
-        let msg = match self.phase {
-            1 => ProtoMsg::AbdReadQuery,
-            _ => {
-                let (tag, value) = self.best.clone().expect("phase 2 implies a best pair");
-                ProtoMsg::AbdWrite { tag, value }
-            }
-        };
-        let phase = self.phase;
-        self.config
-            .dcs
-            .iter()
-            .copied()
-            .map(|to| Outbound {
-                to,
-                phase,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: msg.clone(),
-            })
-            .collect()
+        self.core.widen();
+        self.start()
     }
 
     /// Feeds one reply into the state machine.
     pub fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        if let ProtoReply::OperationFail { new_config } = reply {
-            return OpProgress::Done(OpOutcome::Reconfigured { new_config });
-        }
-        if phase != self.phase {
-            return OpProgress::Pending;
-        }
-        match (self.phase, reply) {
+        let reply = match self.core.screen(from, phase, reply) {
+            Ok(reply) => reply,
+            Err(progress) => return progress,
+        };
+        match (self.core.phase, reply) {
             (1, ProtoReply::AbdTagValue { tag, value }) => {
-                if self.phase1.has_responded(from) {
+                if self.core.tracker(1).has_responded(from) {
                     return OpProgress::Pending;
                 }
                 match &self.best {
@@ -405,58 +242,20 @@ impl AbdGet {
                     _ => self.best = Some((tag, value)),
                 }
                 *self.tag_counts.entry(tag).or_insert(0) += 1;
-                if self.phase1.record(from) {
-                    let (tag, value) = self.best.clone().expect("at least one response");
-                    if self.optimized {
-                        let max_count = self.tag_counts.get(&tag).copied().unwrap_or(0);
-                        if max_count >= self.q2.needed() {
-                            return OpProgress::Done(OpOutcome::GetOk {
-                                tag,
-                                value,
-                                one_phase: true,
-                            });
-                        }
-                    }
-                    self.phase = 2;
-                    let msgs = self
-                        .config
-                        .quorum_for(self.client_dc, QuorumId::Q2)
-                        .iter().copied()
-                        .map(|to| Outbound {
-                            to,
-                            phase: 2,
-                            key: self.key.clone(),
-                            epoch: self.epoch,
-                            msg: ProtoMsg::AbdWrite {
-                                tag,
-                                value: value.clone(),
-                            },
-                        })
-                        .collect();
-                    OpProgress::Send(msgs)
-                } else {
-                    OpProgress::Pending
+                if !self.core.record(from) {
+                    return OpProgress::Pending;
                 }
+                let (tag, value) = self.best.clone().expect("at least one response");
+                let agreeing = self.tag_counts.get(&tag).copied().unwrap_or(0);
+                if self.optimized && agreeing >= self.core.tracker(2).needed() {
+                    return OpProgress::Done(OpOutcome::GetOk { tag, value, one_phase: true });
+                }
+                self.core.phase = 2;
+                OpProgress::Send(self.start())
             }
-            (2, ProtoReply::Ack) => {
-                if self.q2.record(from) {
-                    let (tag, value) = self.best.clone().expect("phase 1 completed");
-                    OpProgress::Done(OpOutcome::GetOk {
-                        tag,
-                        value,
-                        one_phase: false,
-                    })
-                } else {
-                    OpProgress::Pending
-                }
-            }
-            (_, ProtoReply::Error(e)) if matches!(e, StoreError::KeyNotFound(_)) => {
-                // Authoritative only from a read quorum; see [`AbdPut::on_reply`].
-                if self.not_found.record(from) {
-                    OpProgress::Done(OpOutcome::Failed(e))
-                } else {
-                    OpProgress::Pending
-                }
+            (2, ProtoReply::Ack) if self.core.record(from) => {
+                let (tag, value) = self.best.clone().expect("phase 1 completed");
+                OpProgress::Done(OpOutcome::GetOk { tag, value, one_phase: false })
             }
             _ => OpProgress::Pending,
         }

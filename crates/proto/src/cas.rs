@@ -11,12 +11,10 @@
 //! and the paper sets the horizon orders of magnitude above operation latencies.
 
 use crate::msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
-use crate::quorum::{widen_preferred_quorums, QuorumTracker};
+use crate::quorum::OpCore;
 use bytes::Bytes;
 use legostore_erasure::{decode_value, encode_value, Shard};
-use legostore_types::{
-    ClientId, ConfigEpoch, Configuration, DcId, Key, QuorumId, StoreError, Tag, Value,
-};
+use legostore_types::{ClientId, Configuration, DcId, Key, QuorumId, StoreError, Tag, Value};
 use std::collections::BTreeMap;
 
 /// Label attached to every stored triple.
@@ -152,27 +150,19 @@ impl CasKeyState {
 /// Client-side state machine for a CAS PUT (3 phases).
 #[derive(Debug, Clone)]
 pub struct CasPut {
-    key: Key,
-    epoch: ConfigEpoch,
-    config: Configuration,
-    client_dc: DcId,
+    pub(crate) core: OpCore,
     client_id: ClientId,
     value: Value,
-    phase: u8,
-    q1: QuorumTracker,
-    q2: QuorumTracker,
-    q3: QuorumTracker,
     max_tag: Tag,
     new_tag: Option<Tag>,
-    /// Distinct servers that answered `KeyNotFound` (see [`crate::AbdPut`]'s quorum rule).
-    not_found: QuorumTracker,
-    /// Memoized codeword of `value` (a pure function of `(value, n, k)`): computed at
-    /// the first phase-2 send and reused by every timeout re-send.
-    encoded: Option<Vec<Shard>>,
+    /// The codeword of `value` under the configuration's `(n, k)` code: built on entering
+    /// phase 2 (never in [`CasPut::new`]) and reused by every timeout re-send.
+    encoded: Vec<Shard>,
 }
 
 impl CasPut {
-    /// Creates the state machine.
+    /// Creates the state machine. The value is erasure-coded only once phase 1 has
+    /// chosen the tag, inside the `on_reply` that completes it.
     pub fn new(
         key: Key,
         config: Configuration,
@@ -180,25 +170,14 @@ impl CasPut {
         client_id: ClientId,
         value: Value,
     ) -> Self {
-        let q1 = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
-        let q2 = QuorumTracker::new(config.quorums.size(QuorumId::Q2));
-        let q3 = QuorumTracker::new(config.quorums.size(QuorumId::Q3));
-        let not_found = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
+        let needed = [QuorumId::Q1, QuorumId::Q2, QuorumId::Q3].map(|q| config.quorums.size(q));
         CasPut {
-            key,
-            epoch: config.epoch,
-            config,
-            client_dc,
+            core: OpCore::new(key, config, client_dc, &needed),
             client_id,
             value,
-            phase: 1,
-            q1,
-            q2,
-            q3,
             max_tag: Tag::INITIAL,
             new_tag: None,
-            encoded: None,
-            not_found,
+            encoded: Vec::new(),
         }
     }
 
@@ -219,13 +198,18 @@ impl CasPut {
         tag: Tag,
         value: Value,
     ) -> Self {
-        let encoded = encode_value(value.as_bytes(), config.n, config.k)
-            .expect("configuration was validated");
         let mut put = CasPut::new(key, config, client_dc, client_id, value);
-        put.phase = 2;
-        put.new_tag = Some(tag);
-        put.encoded = Some(encoded);
+        put.enter_pre_write(tag);
         put
+    }
+
+    /// Pins `tag`, encodes the value and moves to phase 2.
+    fn enter_pre_write(&mut self, tag: Tag) {
+        let config = &self.core.config;
+        self.encoded = encode_value(self.value.as_bytes(), config.n, config.k)
+            .expect("configuration was validated");
+        self.new_tag = Some(tag);
+        self.core.phase = 2;
     }
 
     /// The tag this PUT will install (available once phase 1 completes).
@@ -233,85 +217,18 @@ impl CasPut {
         self.new_tag
     }
 
-    /// The 1-based protocol phase currently collecting replies.
-    pub fn current_phase(&self) -> u8 {
-        self.phase
-    }
-
-    /// `(needed, received)` of the current phase's quorum (timeout diagnostics).
-    pub fn pending_quorum(&self) -> (usize, usize) {
-        let q = match self.phase {
-            1 => &self.q1,
-            2 => &self.q2,
-            _ => &self.q3,
-        };
-        (q.needed(), q.count())
-    }
-
     /// Messages for the first phase this machine runs: the query for a fresh PUT, or
     /// the pinned-tag pre-write fan-out for a machine built by [`CasPut::resume_write`].
     pub fn start(&self) -> Vec<Outbound> {
-        if self.phase >= 2 {
-            let tag = self.new_tag.expect("a resumed PUT carries its pinned tag");
-            let shards = self.encoded.as_deref().expect("resume_write pre-encodes");
-            return self.pre_write_messages_to(tag, shards);
+        let tag = || self.new_tag.expect("past phase 1 the tag is chosen");
+        match self.core.phase {
+            1 => self.core.fan_out(QuorumId::Q1, |_| Some(ProtoMsg::CasQuery)),
+            2 => self.core.fan_out(QuorumId::Q2, |to| {
+                let shard = self.encoded[self.core.config.symbol_index(to)?].data.clone();
+                Some(ProtoMsg::CasPreWrite { tag: tag(), shard })
+            }),
+            _ => self.core.fan_out(QuorumId::Q3, |_| Some(ProtoMsg::CasFinalizeWrite { tag: tag() })),
         }
-        self.config
-            .quorum_for(self.client_dc, QuorumId::Q1)
-            .iter().copied()
-            .map(|to| Outbound {
-                to,
-                phase: 1,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::CasQuery,
-            })
-            .collect()
-    }
-
-    fn pre_write_messages_to(&self, tag: Tag, shards: &[Shard]) -> Vec<Outbound> {
-        self.config
-            .quorum_for(self.client_dc, QuorumId::Q2)
-            .iter().copied()
-            .filter_map(|to| {
-                let idx = self.config.symbol_index(to)?;
-                Some(Outbound {
-                    to,
-                    phase: 2,
-                    key: self.key.clone(),
-                    epoch: self.epoch,
-                    msg: ProtoMsg::CasPreWrite {
-                        tag,
-                        shard: shards[idx].data.clone(),
-                    },
-                })
-            })
-            .collect()
-    }
-
-    fn pre_write_messages(&mut self, tag: Tag) -> Vec<Outbound> {
-        if self.encoded.is_none() {
-            self.encoded = Some(
-                encode_value(self.value.as_bytes(), self.config.n, self.config.k)
-                    .expect("configuration was validated"),
-            );
-        }
-        let shards = self.encoded.as_deref().expect("filled above");
-        self.pre_write_messages_to(tag, shards)
-    }
-
-    fn finalize_messages(&self, tag: Tag) -> Vec<Outbound> {
-        self.config
-            .quorum_for(self.client_dc, QuorumId::Q3)
-            .iter().copied()
-            .map(|to| Outbound {
-                to,
-                phase: 3,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::CasFinalizeWrite { tag },
-            })
-            .collect()
     }
 
     /// Re-sends the current phase's messages to every DC of the placement — the paper's
@@ -322,68 +239,32 @@ impl CasPut {
     /// *after* it — one PUT, two linearization points. The widening is sticky: later
     /// phases of the resumed operation also target the full placement.
     pub fn resend_widened(&mut self) -> Vec<Outbound> {
-        // After widening, every quorum_for lookup resolves to the full placement, so the
-        // ordinary phase builders produce the widened messages (phase 2 reuses the
-        // memoized codeword instead of re-encoding).
-        widen_preferred_quorums(&mut self.config, self.client_dc);
-        match self.phase {
-            1 => self.start(),
-            2 => {
-                let tag = self.new_tag.expect("phase 2 implies a chosen tag");
-                self.pre_write_messages(tag)
-            }
-            _ => {
-                let tag = self.new_tag.expect("phase 3 implies a chosen tag");
-                self.finalize_messages(tag)
-            }
-        }
+        self.core.widen();
+        self.start()
     }
 
     /// Feeds one reply into the state machine.
     pub fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        if let ProtoReply::OperationFail { new_config } = reply {
-            return OpProgress::Done(OpOutcome::Reconfigured { new_config });
-        }
-        if phase != self.phase {
-            return OpProgress::Pending;
-        }
-        match (self.phase, reply) {
+        let reply = match self.core.screen(from, phase, reply) {
+            Ok(reply) => reply,
+            Err(progress) => return progress,
+        };
+        match (self.core.phase, reply) {
             (1, ProtoReply::TagOnly { tag }) => {
                 self.max_tag = self.max_tag.max(tag);
-                if self.q1.record(from) {
-                    let new_tag = self.max_tag.successor(self.client_id);
-                    self.new_tag = Some(new_tag);
-                    self.phase = 2;
-                    OpProgress::Send(self.pre_write_messages(new_tag))
-                } else {
-                    OpProgress::Pending
+                if !self.core.record(from) {
+                    return OpProgress::Pending;
                 }
+                self.enter_pre_write(self.max_tag.successor(self.client_id));
+                OpProgress::Send(self.start())
             }
-            (2, ProtoReply::Ack) => {
-                if self.q2.record(from) {
-                    self.phase = 3;
-                    OpProgress::Send(self.finalize_messages(self.new_tag.expect("set in phase 1")))
-                } else {
-                    OpProgress::Pending
-                }
+            (2, ProtoReply::Ack) if self.core.record(from) => {
+                self.core.phase = 3;
+                OpProgress::Send(self.start())
             }
-            (3, ProtoReply::Ack) => {
-                if self.q3.record(from) {
-                    OpProgress::Done(OpOutcome::PutOk {
-                        tag: self.new_tag.expect("set in phase 1"),
-                    })
-                } else {
-                    OpProgress::Pending
-                }
-            }
-            (_, ProtoReply::Error(e)) if matches!(e, StoreError::KeyNotFound(_)) => {
-                // Authoritative only from a read quorum; see [`crate::AbdPut::on_reply`].
-                if self.not_found.record(from) {
-                    OpProgress::Done(OpOutcome::Failed(e))
-                } else {
-                    OpProgress::Pending
-                }
-            }
+            (3, ProtoReply::Ack) if self.core.record(from) => OpProgress::Done(OpOutcome::PutOk {
+                tag: self.new_tag.expect("set in phase 1"),
+            }),
             _ => OpProgress::Pending,
         }
     }
@@ -392,23 +273,15 @@ impl CasPut {
 /// Client-side state machine for a CAS GET (2 phases, optional one-phase fast path).
 #[derive(Debug, Clone)]
 pub struct CasGet {
-    key: Key,
-    epoch: ConfigEpoch,
-    config: Configuration,
-    client_dc: DcId,
-    phase: u8,
-    q1: QuorumTracker,
-    q4: QuorumTracker,
+    pub(crate) core: OpCore,
     max_fin_tag: Tag,
     target_tag: Option<Tag>,
     shards: Vec<Shard>,
     /// Targets of the finalize-read phase (needed to detect exhaustion; compared against
-    /// `q4`'s *distinct* responder count, so duplicated replies cannot fake exhaustion).
+    /// the phase's *distinct* responder count, so duplicated replies cannot fake it).
     phase2_targets: usize,
     /// Client-side cache from a previous GET: `(tag, value)` (the optimized-GET fast path).
     cache: Option<(Tag, Value)>,
-    /// Distinct servers that answered `KeyNotFound` (see [`crate::AbdPut`]'s quorum rule).
-    not_found: QuorumTracker,
 }
 
 impl CasGet {
@@ -420,65 +293,28 @@ impl CasGet {
         client_dc: DcId,
         cache: Option<(Tag, Value)>,
     ) -> Self {
-        let q1 = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
-        let q4 = QuorumTracker::new(config.quorums.size(QuorumId::Q4));
-        let not_found = QuorumTracker::new(config.quorums.size(QuorumId::Q1));
+        let needed = [config.quorums.size(QuorumId::Q1), config.quorums.size(QuorumId::Q4)];
         CasGet {
-            key,
-            epoch: config.epoch,
-            config,
-            client_dc,
-            phase: 1,
-            q1,
-            q4,
+            core: OpCore::new(key, config, client_dc, &needed),
             max_fin_tag: Tag::INITIAL,
             target_tag: None,
             shards: Vec::new(),
             phase2_targets: 0,
             cache,
-            not_found,
         }
-    }
-
-    /// The 1-based protocol phase currently collecting replies.
-    pub fn current_phase(&self) -> u8 {
-        self.phase
-    }
-
-    /// `(needed, received)` of the current phase's quorum (timeout diagnostics).
-    pub fn pending_quorum(&self) -> (usize, usize) {
-        let q = if self.phase == 1 { &self.q1 } else { &self.q4 };
-        (q.needed(), q.count())
     }
 
     /// Messages for phase 1 (query for the highest finalized tag).
     pub fn start(&self) -> Vec<Outbound> {
-        self.config
-            .quorum_for(self.client_dc, QuorumId::Q1)
-            .iter().copied()
-            .map(|to| Outbound {
-                to,
-                phase: 1,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::CasQuery,
-            })
-            .collect()
+        self.core.fan_out(QuorumId::Q1, |_| Some(ProtoMsg::CasQuery))
     }
 
-    fn finalize_read_messages(&mut self, tag: Tag) -> Vec<Outbound> {
-        let targets = self.config.quorum_for(self.client_dc, QuorumId::Q4);
-        self.phase2_targets = targets.len();
-        targets
-            .iter().copied()
-            .map(|to| Outbound {
-                to,
-                phase: 2,
-                key: self.key.clone(),
-                epoch: self.epoch,
-                msg: ProtoMsg::CasFinalizeRead { tag },
-            })
-            .collect()
+    /// The finalize-read fan-out for the chosen target tag.
+    fn finalize_read(&mut self) -> Vec<Outbound> {
+        let tag = self.target_tag.expect("phase 2 implies a target tag");
+        let msgs = self.core.fan_out(QuorumId::Q4, |_| Some(ProtoMsg::CasFinalizeRead { tag }));
+        self.phase2_targets = msgs.len();
+        msgs
     }
 
     /// Re-sends the current phase's messages to every DC of the placement (§4.5 timeout
@@ -487,115 +323,63 @@ impl CasGet {
     /// element a chance to answer. The widening is sticky: a phase-1 resume that later
     /// advances to the finalize-read also targets the full placement.
     pub fn resend_widened(&mut self) -> Vec<Outbound> {
-        widen_preferred_quorums(&mut self.config, self.client_dc);
-        match self.phase {
-            1 => self
-                .config
-                .dcs
-                .iter()
-                .copied()
-                .map(|to| Outbound {
-                    to,
-                    phase: 1,
-                    key: self.key.clone(),
-                    epoch: self.epoch,
-                    msg: ProtoMsg::CasQuery,
-                })
-                .collect(),
-            _ => {
-                let tag = self.target_tag.expect("phase 2 implies a target tag");
-                self.phase2_targets = self.config.dcs.len();
-                self.config
-                    .dcs
-                    .iter()
-                    .copied()
-                    .map(|to| Outbound {
-                        to,
-                        phase: 2,
-                        key: self.key.clone(),
-                        epoch: self.epoch,
-                        msg: ProtoMsg::CasFinalizeRead { tag },
-                    })
-                    .collect()
-            }
+        self.core.widen();
+        match self.core.phase {
+            1 => self.start(),
+            _ => self.finalize_read(),
         }
     }
 
     /// Feeds one reply into the state machine.
     pub fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        if let ProtoReply::OperationFail { new_config } = reply {
-            return OpProgress::Done(OpOutcome::Reconfigured { new_config });
-        }
-        if phase != self.phase {
-            return OpProgress::Pending;
-        }
-        match (self.phase, reply) {
+        let reply = match self.core.screen(from, phase, reply) {
+            Ok(reply) => reply,
+            Err(progress) => return progress,
+        };
+        let config = &self.core.config;
+        match (self.core.phase, reply) {
             (1, ProtoReply::TagOnly { tag }) => {
                 self.max_fin_tag = self.max_fin_tag.max(tag);
-                if self.q1.record(from) {
-                    let target = self.max_fin_tag;
-                    // Optimized GET: the cached value is exactly the finalized version the
-                    // second phase would decode.
-                    if let Some((cached_tag, cached_value)) = &self.cache {
-                        if *cached_tag == target {
-                            return OpProgress::Done(OpOutcome::GetOk {
-                                tag: target,
-                                value: cached_value.clone(),
-                                one_phase: true,
-                            });
-                        }
-                    }
-                    self.target_tag = Some(target);
-                    self.phase = 2;
-                    OpProgress::Send(self.finalize_read_messages(target))
-                } else {
-                    OpProgress::Pending
+                if !self.core.record(from) {
+                    return OpProgress::Pending;
                 }
+                let target = self.max_fin_tag;
+                // Optimized GET: the cached value is exactly the finalized version the
+                // second phase would decode.
+                if let Some((_, value)) = self.cache.take().filter(|(tag, _)| *tag == target) {
+                    return OpProgress::Done(OpOutcome::GetOk { tag: target, value, one_phase: true });
+                }
+                self.target_tag = Some(target);
+                self.core.phase = 2;
+                OpProgress::Send(self.finalize_read())
             }
             (2, ProtoReply::CasShard { tag, shard }) => {
                 let target = self.target_tag.expect("phase 2 implies target chosen");
-                if tag == target {
-                    if let Some(data) = shard {
-                        if let Some(idx) = self.config.symbol_index(from) {
-                            // Dedupe by symbol index: a widened re-send can elicit a
-                            // second reply from a DC whose element is already collected.
-                            if !self.shards.iter().any(|s| s.index == idx) {
-                                self.shards.push(Shard::new(idx, data));
-                            }
-                        }
+                if let (true, Some(data), Some(idx)) = (tag == target, shard, config.symbol_index(from)) {
+                    // Dedupe by symbol index: a widened re-send can elicit a second
+                    // reply from a DC whose element is already collected.
+                    if !self.shards.iter().any(|s| s.index == idx) {
+                        self.shards.push(Shard::new(idx, data));
                     }
                 }
-                self.q4.record(from);
-                let have_quorum = self.q4.reached();
-                let have_symbols = self.shards.len() >= self.config.k;
-                if have_quorum && have_symbols {
-                    match decode_value(&self.shards, self.config.n, self.config.k) {
-                        Ok(bytes) => OpProgress::Done(OpOutcome::GetOk {
+                let (n, k) = (config.n, config.k);
+                self.core.record(from);
+                let q4 = self.core.tracker(2);
+                let starved = StoreError::DecodeFailed { have: self.shards.len(), need: k };
+                if q4.reached() && self.shards.len() >= k {
+                    OpProgress::Done(match decode_value(&self.shards, n, k) {
+                        Ok(bytes) => OpOutcome::GetOk {
                             tag: target,
                             value: Value::from(bytes),
                             one_phase: false,
-                        }),
-                        Err(_) => OpProgress::Done(OpOutcome::Failed(StoreError::DecodeFailed {
-                            have: self.shards.len(),
-                            need: self.config.k,
-                        })),
-                    }
-                } else if self.q4.count() >= self.phase2_targets && !have_symbols {
+                        },
+                        Err(_) => OpOutcome::Failed(starved),
+                    })
+                } else if q4.count() >= self.phase2_targets && self.shards.len() < k {
                     // Every contacted server answered (distinct responders, so duplicated
                     // replies can't fake exhaustion) but too few had the symbol; the
-                    // hosting runtime will widen the quorum / retry.
-                    OpProgress::Done(OpOutcome::Failed(StoreError::DecodeFailed {
-                        have: self.shards.len(),
-                        need: self.config.k,
-                    }))
-                } else {
-                    OpProgress::Pending
-                }
-            }
-            (_, ProtoReply::Error(e)) if matches!(e, StoreError::KeyNotFound(_)) => {
-                // Authoritative only from a read quorum; see [`crate::AbdPut::on_reply`].
-                if self.not_found.record(from) {
-                    OpProgress::Done(OpOutcome::Failed(e))
+                    // driver retries with a fresh machine.
+                    OpProgress::Done(OpOutcome::Failed(starved))
                 } else {
                     OpProgress::Pending
                 }

@@ -10,22 +10,26 @@
 //! * [`cas`] — Coded Atomic Storage (Figures 8–9): 3-phase PUT, 2-phase GET over
 //!   Reed–Solomon codeword symbols, optimized GET through a client-side cache, and server
 //!   garbage collection (Appendix F).
-//! * [`reconfig`] — the reconfiguration protocol (Algorithms 1–2, Appendix D): controller,
-//!   server-side blocking/fail-over behaviour and client retry handling.
+//! * [`driver`] — the sans-IO operation driver: one GET/PUT from first message to result,
+//!   with every retry decision (timeout widening, epoch redirects, the attempt budget).
+//! * [`reconfig`] — the reconfiguration protocol (Algorithms 1–2, Appendix D): the
+//!   controller's rounds and the driver that paces them (resends, deadline, finish acks).
 //! * [`server`] — the per-data-center server that hosts per-key, per-epoch protocol state
-//!   and dispatches the messages defined in [`msg`].
+//!   and dispatches the messages defined in [`msg`], and the request-serving loop body
+//!   both server hosts share.
 //! * [`quorum`] — quorum bookkeeping shared by the client-side state machines.
 //! * [`wire`] — the length-prefixed binary codec that puts every message of [`msg`] on a
 //!   real socket (used by the TCP transport and the `legostore-server` binary).
 //!
 //! The state machines never perform I/O: clients emit [`msg::Outbound`] messages and consume
 //! replies via `on_reply`, servers map one inbound message to zero or more replies. The
-//! hosting runtime is responsible for delivery, timeouts and retries.
+//! hosting runtime is responsible for delivery and for telling the drivers what time it is.
 
 #![warn(missing_docs)]
 
 pub mod abd;
 pub mod cas;
+pub mod driver;
 pub mod msg;
 pub mod quorum;
 pub mod reconfig;
@@ -34,6 +38,7 @@ pub mod wire;
 
 pub use abd::{AbdGet, AbdPut};
 pub use cas::{CasGet, CasPut};
+pub use driver::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 pub use msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
 pub use reconfig::{ReconfigController, ReconfigOutcome};
 pub use server::{ControlMsg, DcServer, KeyServerState};

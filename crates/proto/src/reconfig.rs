@@ -11,6 +11,8 @@
 //! emits the first round of messages, [`ReconfigController::on_reply`] consumes replies and
 //! emits follow-up rounds, and the final [`ReconfigOutcome`] carries the `FinishReconfig`
 //! messages for the runtime to deliver after it has updated the metadata service.
+//! [`ReconfigDriver`] wraps it with everything that involves time — the resend cadence, the
+//! give-up deadline, finish-ack tracking — so a hosting runtime only moves its messages.
 
 use crate::msg::{Outbound, ProtoMsg, ProtoReply, ReconfigPayload};
 use crate::quorum::QuorumTracker;
@@ -177,7 +179,7 @@ impl ReconfigController {
     /// resends. Replies are deduplicated per data center by the quorum trackers and
     /// servers handle every round idempotently (duplicate queries re-answer, duplicate
     /// installs merge by tag), so re-driving a round is always safe.
-    pub fn resend_current_round(&mut self) -> Vec<Outbound> {
+    fn resend_current_round(&mut self) -> Vec<Outbound> {
         match self.phase {
             ControllerPhase::Query => self.start(),
             ControllerPhase::Collect => self.collect_messages(),
@@ -189,7 +191,7 @@ impl ReconfigController {
     /// 1-based number of the round currently awaited, matching the `round` field of
     /// [`StoreError::ReconfigStalled`]: 1 = query, 2 = collect, 3 = write-new,
     /// 4 = finish.
-    pub fn round_number(&self) -> u8 {
+    fn round_number(&self) -> u8 {
         match self.phase {
             ControllerPhase::Query => 1,
             ControllerPhase::Collect => 2,
@@ -377,6 +379,126 @@ impl ReconfigController {
             }
             _ => ControllerProgress::Pending,
         }
+    }
+}
+
+/// What the host of a [`ReconfigDriver`] does next.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReconfigStep {
+    /// Keep waiting: for a reply, or until [`ReconfigDriver::wake_ns`] to call
+    /// [`ReconfigDriver::tick`].
+    Wait,
+    /// Send these and keep waiting.
+    Send(Vec<Outbound>),
+    /// A write quorum of the new placement holds the transferred value: publish
+    /// `new_config` in the metadata service — never earlier — then send `finish` to
+    /// release the old placement.
+    Publish {
+        /// The configuration to publish (epoch already bumped).
+        new_config: Box<Configuration>,
+        /// The `FinishReconfig` round.
+        finish: Vec<Outbound>,
+    },
+    /// The reconfiguration is over. `Err` is [`StoreError::ReconfigStalled`]: the
+    /// deadline passed before write-new completed, the metadata still lists the old
+    /// configuration and the old servers re-activate on their epoch lease. A finish
+    /// round that was only partly acknowledged by the deadline is still `Ok`: the
+    /// metadata already points at the new configuration, and an old server that never
+    /// hears the finish re-activates on its lease and redirects from then on.
+    Done(Result<(), StoreError>),
+}
+
+/// Paces a [`ReconfigController`] through faults: every round is idempotent at the
+/// servers, so a round that makes no progress for one operation timeout is re-sent in
+/// full, and the whole transfer gives up at [`ReconfigDriver::DEADLINE_TIMEOUTS`]
+/// timeouts. The host supplies the time with every input and moves the messages.
+#[derive(Debug, Clone)]
+pub struct ReconfigDriver {
+    controller: ReconfigController,
+    op_timeout_ns: u64,
+    resend_at_ns: u64,
+    deadline_ns: u64,
+    /// Finish messages not yet acknowledged (empty until write-new completes).
+    unacked_finish: Vec<Outbound>,
+}
+
+impl ReconfigDriver {
+    /// The controller gives up this many operation timeouts after it started. Servers
+    /// hold their epoch lease for twice as long, so a live controller always finishes
+    /// or stalls out before any server gives up on it.
+    pub const DEADLINE_TIMEOUTS: u64 = 8;
+
+    /// A driver moving `key` from `old` to `new`, started at `now_ns`.
+    pub fn new(key: Key, old: Configuration, new: Configuration, op_timeout_ns: u64, now_ns: u64) -> Self {
+        ReconfigDriver {
+            controller: ReconfigController::new(key, old, new),
+            op_timeout_ns,
+            resend_at_ns: now_ns + op_timeout_ns,
+            deadline_ns: now_ns + op_timeout_ns * Self::DEADLINE_TIMEOUTS,
+            unacked_finish: Vec::new(),
+        }
+    }
+
+    /// The first round's messages.
+    pub fn start(&self) -> Vec<Outbound> {
+        self.controller.start()
+    }
+
+    /// When the host must call [`ReconfigDriver::tick`] if no reply arrives first.
+    pub fn wake_ns(&self) -> u64 {
+        self.resend_at_ns.min(self.deadline_ns)
+    }
+
+    /// Feeds in one reply.
+    pub fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply, now_ns: u64) -> ReconfigStep {
+        if self.controller.phase == ControllerPhase::Done {
+            if phase == PHASE_FINISH {
+                self.unacked_finish.retain(|out| out.to != from);
+                if self.unacked_finish.is_empty() {
+                    return ReconfigStep::Done(Ok(()));
+                }
+            }
+            return ReconfigStep::Wait;
+        }
+        let progress = self.controller.on_reply(from, phase, reply);
+        if progress != ControllerProgress::Pending {
+            self.resend_at_ns = now_ns + self.op_timeout_ns;
+        }
+        match progress {
+            ControllerProgress::Pending => ReconfigStep::Wait,
+            ControllerProgress::Send(msgs) => ReconfigStep::Send(msgs),
+            ControllerProgress::Done(outcome) => {
+                self.unacked_finish = outcome.finish_messages.clone();
+                ReconfigStep::Publish {
+                    new_config: Box::new(outcome.new_config),
+                    finish: outcome.finish_messages,
+                }
+            }
+        }
+    }
+
+    /// Tells the driver the time, at or after [`ReconfigDriver::wake_ns`].
+    pub fn tick(&mut self, now_ns: u64) -> ReconfigStep {
+        let finishing = self.controller.phase == ControllerPhase::Done;
+        if now_ns >= self.deadline_ns {
+            return ReconfigStep::Done(if finishing {
+                Ok(())
+            } else {
+                Err(StoreError::ReconfigStalled {
+                    epoch: self.controller.new.epoch,
+                    round: self.controller.round_number(),
+                })
+            });
+        }
+        if now_ns < self.resend_at_ns {
+            return ReconfigStep::Wait;
+        }
+        self.resend_at_ns = now_ns + self.op_timeout_ns;
+        ReconfigStep::Send(if finishing {
+            self.unacked_finish.clone()
+        } else {
+            self.controller.resend_current_round()
+        })
     }
 }
 

@@ -9,8 +9,9 @@
 
 use crate::abd::AbdKeyState;
 use crate::cas::CasKeyState;
-use crate::msg::{ProtoMsg, ProtoReply, ReconfigPayload};
+use crate::msg::{Outbound, ProtoMsg, ProtoReply, ReconfigPayload, MSG_KIND_NAMES};
 use legostore_erasure::Shard;
+use legostore_obs::{MetricsSnapshot, Obs, ServerMetrics};
 use legostore_types::{ConfigEpoch, Configuration, DcId, Key, ProtocolKind, StoreError, Tag, Value};
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,6 +34,13 @@ pub struct Inbound {
     pub epoch: ConfigEpoch,
     /// Request body.
     pub msg: ProtoMsg,
+}
+
+impl Inbound {
+    /// Wraps a state machine's [`Outbound`] for delivery, replies to be routed to `from`.
+    pub fn new(from: EndpointId, out: Outbound) -> Self {
+        Inbound { from, msg_id: 0, phase: out.phase, key: out.key, epoch: out.epoch, msg: out.msg }
+    }
 }
 
 /// An out-of-band server administration command.
@@ -661,9 +669,9 @@ impl DcServer {
     }
 }
 
-/// Default upper bound on a server's reply-routing table; crossing it should trigger an
-/// eviction of the least-recently-seen half via [`evict_stale_routes`].
-pub const MAX_REPLY_ROUTES: usize = 100_000;
+/// Upper bound on a [`RequestServer`]'s reply-routing table; crossing it evicts the
+/// least-recently-seen half via [`evict_stale_routes`].
+const MAX_REPLY_ROUTES: usize = 100_000;
 
 /// Drops the least-recently-seen reply routes until only `keep` remain.
 ///
@@ -672,7 +680,7 @@ pub const MAX_REPLY_ROUTES: usize = 100_000;
 /// the endpoint last sent a request. Endpoints with recent activity are the ones that may
 /// still receive (possibly deferred) replies; evicting only the stale tail — instead of
 /// clearing the whole table — keeps live operations routable.
-pub fn evict_stale_routes<T>(routes: &mut HashMap<u64, (T, u64)>, keep: usize) {
+fn evict_stale_routes<T>(routes: &mut HashMap<u64, (T, u64)>, keep: usize) {
     if routes.len() <= keep {
         return;
     }
@@ -681,6 +689,117 @@ pub fn evict_stale_routes<T>(routes: &mut HashMap<u64, (T, u64)>, keep: usize) {
     // Stamps are unique (one per inserted request), so this keeps exactly `keep` entries.
     let cutoff = stamps[stamps.len() - keep];
     routes.retain(|_, (_, seen)| *seen >= cutoff);
+}
+
+/// A reply stamped for its way back: the fields of a reply frame, whether the host
+/// puts them on a socket or on a channel.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServedReply {
+    /// Endpoint the reply is addressed to.
+    pub endpoint: EndpointId,
+    /// The serving data center.
+    pub from: DcId,
+    /// Host clock when the reply was handed over.
+    pub sent_at_ns: u64,
+    /// How long [`DcServer::handle_at`] took on the request that produced it.
+    pub service_ns: u64,
+    /// Echo of the request's phase.
+    pub phase: u8,
+    /// Echo of the request's epoch.
+    pub epoch: ConfigEpoch,
+    /// Reply body.
+    pub reply: ProtoReply,
+}
+
+/// The request-serving half of a per-DC server host: the [`DcServer`], its telemetry and
+/// the bounded table that routes replies — possibly deferred ones, flushed long after
+/// their request by a `FinishReconfig` — back to the endpoint that asked. Generic over
+/// the host's route handle `R` (a reply channel in-process, a connection id over TCP);
+/// hosts keep only their receive loop and their way of writing a reply.
+pub struct RequestServer<R> {
+    /// The protocol state. Hosts apply controls and set the epoch lease on it directly.
+    pub server: DcServer,
+    obs: Obs,
+    metrics: ServerMetrics,
+    /// endpoint → (route, stamp of the endpoint's latest request).
+    routes: HashMap<EndpointId, (R, u64)>,
+    stamp: u64,
+}
+
+impl<R> RequestServer<R> {
+    /// A server for `dc` reporting into `obs`.
+    pub fn new(dc: DcId, obs: Obs) -> Self {
+        RequestServer {
+            server: DcServer::new(dc),
+            metrics: ServerMetrics::new(&obs, &MSG_KIND_NAMES),
+            obs,
+            routes: HashMap::new(),
+            stamp: 0,
+        }
+    }
+
+    /// The metric handles (for gauges only the host can feed, e.g. its queue depth).
+    pub fn metrics(&self) -> &ServerMetrics {
+        &self.metrics
+    }
+
+    /// Serves one request that arrived on `route` as `bytes_in` bytes: remembers the
+    /// route, dispatches at `now_ns()` and hands every resulting reply, stamped, to
+    /// `write` with the route of the endpoint it is addressed to. `write` returns the
+    /// bytes it put on the wire, or `None` if the route turned out dead.
+    pub fn serve(
+        &mut self,
+        route: R,
+        inbound: Inbound,
+        bytes_in: u64,
+        now_ns: impl Fn() -> u64,
+        mut write: impl FnMut(&R, ServedReply) -> Option<u64>,
+    ) {
+        self.stamp += 1;
+        self.routes.insert(inbound.from, (route, self.stamp));
+        // Evicting only the least-recently-seen half (not the whole table) keeps the
+        // routes of in-flight operations alive.
+        if self.routes.len() > MAX_REPLY_ROUTES {
+            evict_stale_routes(&mut self.routes, MAX_REPLY_ROUTES / 2);
+        }
+        let (msg_kind, phase) = (inbound.msg.kind_index(), inbound.phase);
+        let handled_at = now_ns();
+        let replies = self.server.handle_at(inbound, handled_at);
+        let service_ns = now_ns().saturating_sub(handled_at);
+        let mut bytes_out = 0;
+        let produced = replies.len() as u64;
+        for r in replies {
+            let Some((route, _)) = self.routes.get(&r.to) else { continue };
+            let served = ServedReply {
+                endpoint: r.to,
+                from: self.server.dc(),
+                sent_at_ns: now_ns(),
+                service_ns,
+                phase: r.phase,
+                epoch: r.epoch,
+                reply: r.reply,
+            };
+            bytes_out += write(route, served).unwrap_or(0);
+        }
+        if self.obs.enabled() {
+            self.metrics.bytes_in.add(bytes_in);
+            self.metrics.bytes_out.add(bytes_out);
+            self.metrics.on_request(msg_kind, phase, service_ns, produced);
+        }
+    }
+
+    /// Forgets every route for which `dead` holds (a closed connection's endpoints).
+    pub fn forget_routes(&mut self, dead: impl Fn(&R) -> bool) {
+        self.routes.retain(|_, (route, _)| !dead(route));
+    }
+
+    /// A stats scrape: refreshes the point-in-time gauges (everything else accumulated
+    /// as requests were served) and snapshots the registry.
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.metrics.keys.set(self.server.key_count() as u64);
+        self.metrics.storage_bytes.set(self.server.storage_bytes());
+        self.obs.snapshot()
+    }
 }
 
 #[cfg(test)]

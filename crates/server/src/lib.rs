@@ -2,10 +2,11 @@
 //! [`legostore_proto::wire`] over real TCP sockets.
 //!
 //! The in-process deployment (`legostore-core`) runs every data center's server as a
-//! thread behind a channel. This crate hosts the *same* [`DcServer`] state machine behind
-//! a `TcpListener` instead, so a geo-distributed cluster can run as one OS process per
-//! data center, exchanging real bytes — the `legostore-server` binary is a thin CLI over
-//! [`serve`], and `Cluster::connect_tcp` on the client side completes the pair.
+//! thread behind a channel. This crate hosts the *same* [`RequestServer`] (and the
+//! `DcServer` inside it) behind a `TcpListener` instead, so a cluster can run as one OS
+//! process per data center, exchanging real bytes — the `legostore-server` binary is a
+//! thin CLI over [`serve`], and `Cluster::connect_tcp` on the client side completes the
+//! pair.
 //!
 //! The server is deliberately simple: a single dispatch loop owns the protocol state
 //! (matching the one-thread-per-DC concurrency model the protocol code was written
@@ -18,9 +19,8 @@
 
 #![warn(missing_docs)]
 
-use legostore_obs::{Gauge, Obs, ObsConfig, ServerMetrics};
-use legostore_proto::msg::MSG_KIND_NAMES;
-use legostore_proto::server::{evict_stale_routes, DcServer, MAX_REPLY_ROUTES};
+use legostore_obs::{Gauge, Obs, ObsConfig};
+use legostore_proto::server::RequestServer;
 use legostore_proto::wire::Frame;
 use legostore_types::DcId;
 use std::collections::HashMap;
@@ -46,8 +46,8 @@ enum Event {
 ///
 /// Every accepted connection may carry requests from many endpoints (a driver process
 /// multiplexes all its clients over one connection per server). Replies go back through
-/// the connection that carried the endpoint's most recent request; the routing table is
-/// bounded by [`MAX_REPLY_ROUTES`] with least-recently-seen eviction, mirroring the
+/// the connection that carried the endpoint's most recent request; the bounded routing
+/// table, the dispatch and the telemetry are [`RequestServer`]'s, shared with the
 /// in-process server loop.
 pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
     let local = listener.local_addr()?;
@@ -62,7 +62,7 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
         ObsConfig::Off => ObsConfig::Metrics,
         level => level,
     });
-    let metrics = ServerMetrics::new(&obs, &MSG_KIND_NAMES);
+    let mut host: RequestServer<u64> = RequestServer::new(dc, obs);
     // Dispatch-queue depth, tracked across the reader/dispatch seam: readers increment
     // as they enqueue (and push the high-water mark), the dispatch loop decrements.
     let queue_depth = Arc::new(AtomicU64::new(0));
@@ -70,13 +70,12 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
     let acceptor = {
         let stop = stop.clone();
         let depth = queue_depth.clone();
-        let depth_max = metrics.queue_depth_max.clone();
+        let depth_max = host.metrics().queue_depth_max.clone();
         std::thread::Builder::new()
             .name(format!("legostore-accept-{dc}"))
             .spawn(move || accept_loop(listener, tx, stop, depth, depth_max))?
     };
 
-    let mut server = DcServer::new(dc);
     // Epoch-lease expiry runs on the same process-local clock as the reply timestamps.
     // Disabled unless configured: a standalone server has no deployment-wide op timeout
     // to derive a default from, so the driver (or operator) must opt in.
@@ -84,12 +83,10 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
     {
-        server.set_epoch_lease_ns(ms.saturating_mul(1_000_000));
+        host.server.set_epoch_lease_ns(ms.saturating_mul(1_000_000));
     }
-    // Write halves of live connections, and endpoint → (connection, last-seen stamp).
+    // Write halves of live connections; replies route by connection id.
     let mut conns: HashMap<u64, TcpStream> = HashMap::new();
-    let mut routes: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut stamp: u64 = 0;
     'dispatch: while let Ok(event) = rx.recv() {
         if matches!(event, Event::Frame(..)) {
             queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -100,57 +97,44 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
             }
             Event::Disconnected(id) => {
                 conns.remove(&id);
-                routes.retain(|_, (conn, _)| *conn != id);
+                host.forget_routes(|conn| *conn == id);
             }
             Event::Frame(_, Frame::Shutdown, _) => break 'dispatch,
-            Event::Frame(_, Frame::Control(ctrl), _) => server.apply_control(ctrl),
+            Event::Frame(_, Frame::Control(ctrl), _) => host.server.apply_control(ctrl),
             Event::Frame(_, Frame::Reply { .. }, _) => {} // clients never send replies
             Event::Frame(_, Frame::StatsReply { .. }, _) => {} // likewise
             Event::Frame(id, Frame::StatsRequest { token }, _) => {
-                // Refresh the point-in-time gauges, then answer on the connection the
-                // scrape arrived on (stats frames bypass the endpoint routing table).
-                metrics.keys.set(server.key_count() as u64);
-                metrics.storage_bytes.set(server.storage_bytes());
-                let frame = Frame::StatsReply { token, dc, snapshot: obs.snapshot() };
+                // Answered on the connection the scrape arrived on (stats frames bypass
+                // the endpoint routing table).
+                let frame = Frame::StatsReply { token, dc, snapshot: host.stats() };
                 if let Some(stream) = conns.get_mut(&id) {
                     let _ = frame.write_to(stream);
                 }
             }
             Event::Frame(id, Frame::Request(inbound), wire_bytes) => {
-                stamp += 1;
-                routes.insert(inbound.from, (id, stamp));
-                if routes.len() > MAX_REPLY_ROUTES {
-                    evict_stale_routes(&mut routes, MAX_REPLY_ROUTES / 2);
-                }
-                metrics.bytes_in.add(wire_bytes);
-                let (msg_kind, phase) = (inbound.msg.kind_index(), inbound.phase);
-                let handled_at = Instant::now();
-                let replies = server.handle_at(inbound, epoch.elapsed().as_nanos() as u64);
-                let service_ns = handled_at.elapsed().as_nanos() as u64;
-                metrics.on_request(msg_kind, phase, service_ns, replies.len() as u64);
-                for r in replies {
-                    let Some(&(conn, _)) = routes.get(&r.to) else {
-                        continue; // the endpoint's connection is gone
-                    };
-                    let Some(stream) = conns.get_mut(&conn) else {
-                        continue;
-                    };
-                    let frame = Frame::Reply {
-                        endpoint: r.to,
-                        from: dc,
-                        sent_at_ns: epoch.elapsed().as_nanos() as u64,
-                        service_ns,
+                let now_ns = || epoch.elapsed().as_nanos() as u64;
+                let mut failed = Vec::new();
+                host.serve(id, inbound, wire_bytes, now_ns, |&conn, r| {
+                    // Encode once: the same buffer is written and counted.
+                    let bytes = Frame::Reply {
+                        endpoint: r.endpoint,
+                        from: r.from,
+                        sent_at_ns: r.sent_at_ns,
+                        service_ns: r.service_ns,
                         phase: r.phase,
                         epoch: r.epoch,
                         reply: r.reply,
-                    };
-                    // Encode once: the same buffer is written and counted.
-                    let bytes = frame.encode();
-                    metrics.bytes_out.add(bytes.len() as u64);
-                    if io::Write::write_all(stream, &bytes).is_err() {
-                        conns.remove(&conn);
-                        routes.retain(|_, (c, _)| *c != conn);
                     }
+                    .encode();
+                    if io::Write::write_all(conns.get_mut(&conn)?, &bytes).is_err() {
+                        failed.push(conn);
+                        return None;
+                    }
+                    Some(bytes.len() as u64)
+                });
+                for conn in failed {
+                    conns.remove(&conn);
+                    host.forget_routes(|c| *c == conn);
                 }
             }
         }

@@ -4,14 +4,11 @@ use crate::net::SimNet;
 use crate::report::{CostMeter, OpRecord, SimReport};
 use legostore_cloud::CloudModel;
 use legostore_lincheck::{recorder::fingerprint, HistoryRecorder};
-use legostore_proto::msg::{OpOutcome, OpProgress, Outbound, ProtoReply};
-use legostore_proto::reconfig::{ControllerProgress, ReconfigController};
+use legostore_proto::msg::{Outbound, ProtoReply};
+use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
 use legostore_proto::server::{DcServer, Inbound};
-use legostore_proto::{AbdGet, AbdPut, CasGet, CasPut};
-use legostore_types::{
-    ClientId, ConfigEpoch, Configuration, DcId, FaultPlan, Key, OpKind, ProtocolKind,
-    Tag, Value,
-};
+use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
+use legostore_types::{ClientId, ConfigEpoch, Configuration, DcId, FaultPlan, Key, OpKind, Tag, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -21,26 +18,21 @@ use std::sync::Arc;
 pub struct SimOptions {
     /// Metadata bytes per protocol message (`o_m`).
     pub metadata_bytes: u64,
-    /// Whether ABD GETs use the optimized one-phase fast path.
+    /// Whether GETs use the optimized one-phase fast paths (ABD replica agreement, CAS
+    /// client-side cache).
     pub optimized_get: bool,
-    /// Whether CAS GETs use the client-side cache fast path.
-    pub cas_get_cache: bool,
     /// Per-attempt operation timeout (virtual ms) before the client widens its quorum to the
-    /// full placement and retries.
+    /// full placement and retries. Servers hold a reconfiguration's epoch lease for 16 of
+    /// these — twice the controller's own give-up horizon — before re-activating the old
+    /// epoch.
     pub op_timeout_ms: f64,
-    /// Maximum number of timeout-driven retries before an operation is reported failed.
+    /// Retries an operation may spend before it is reported failed: its attempt budget is
+    /// `max_timeout_retries + 1`, and every new attempt counts against it, whatever caused
+    /// it (timeout, reconfiguration redirect, retryable failure).
     pub max_timeout_retries: u32,
     /// Data center hosting the reconfiguration controller and the authoritative metadata
     /// (the paper places it in Los Angeles).
     pub controller_dc: DcId,
-    /// Hard stop for the virtual clock (ms); events beyond it are not processed.
-    pub max_time_ms: f64,
-    /// Epoch lease (virtual ms): how long a server keeps requests parked for a
-    /// reconfiguration whose `FinishReconfig` never arrives before re-activating the
-    /// old epoch and draining them there. `None` derives 16 × `op_timeout_ms` — twice
-    /// the controller's own give-up horizon of 8 resends, so a live controller always
-    /// finishes or abandons the transfer before any server gives up on it.
-    pub epoch_lease_ms: Option<f64>,
 }
 
 impl Default for SimOptions {
@@ -48,12 +40,9 @@ impl Default for SimOptions {
         SimOptions {
             metadata_bytes: legostore_cloud::METADATA_BYTES,
             optimized_get: true,
-            cas_get_cache: true,
             op_timeout_ms: 1500.0,
             max_timeout_retries: 2,
             controller_dc: DcId(7), // Los Angeles in the gcp9 model
-            max_time_ms: f64::INFINITY,
-            epoch_lease_ms: None,
         }
     }
 }
@@ -66,78 +55,38 @@ enum TrafficClass {
     Reconfig,
 }
 
-/// Client-side operation state machine (one of the four protocol operations).
-#[derive(Debug, Clone)]
-enum ClientOp {
-    AbdPut(AbdPut),
-    AbdGet(AbdGet),
-    CasPut(CasPut),
-    CasGet(CasGet),
+/// What an operation's driver may ask of the simulator: no clock (no spans are recorded
+/// here), the metadata service, and the GET cache its origin DC's clients share.
+macro_rules! host {
+    ($sim:expr, $origin:expr, $key:expr) => {
+        Host {
+            now_ns: &|| 0,
+            metadata: &|| $sim.metadata.get($key).cloned(),
+            cache: &|| $sim.get_cache.get(&($origin, $key.clone())).cloned(),
+        }
+    };
 }
 
-impl ClientOp {
-    fn start(&self) -> Vec<Outbound> {
-        match self {
-            ClientOp::AbdPut(o) => o.start(),
-            ClientOp::AbdGet(o) => o.start(),
-            ClientOp::CasPut(o) => o.start(),
-            ClientOp::CasGet(o) => o.start(),
-        }
-    }
-
-    /// Re-sends the current phase to every placement DC (§4.5 timeout handling): the
-    /// operation resumes with its chosen tag pinned — a restarted PUT would take effect
-    /// twice (see `AbdPut::resend_widened`).
-    fn resend_widened(&mut self) -> Vec<Outbound> {
-        match self {
-            ClientOp::AbdPut(o) => o.resend_widened(),
-            ClientOp::AbdGet(o) => o.resend_widened(),
-            ClientOp::CasPut(o) => o.resend_widened(),
-            ClientOp::CasGet(o) => o.resend_widened(),
-        }
-    }
-
-    fn on_reply(&mut self, from: DcId, phase: u8, reply: ProtoReply) -> OpProgress {
-        match self {
-            ClientOp::AbdPut(o) => o.on_reply(from, phase, reply),
-            ClientOp::AbdGet(o) => o.on_reply(from, phase, reply),
-            ClientOp::CasPut(o) => o.on_reply(from, phase, reply),
-            ClientOp::CasGet(o) => o.on_reply(from, phase, reply),
-        }
-    }
-
-    /// The tag this PUT committed to in its query phase, if it got that far (`None` for
-    /// GETs). A restart that crosses an epoch must pin it — see [`Simulation::retry_op`].
-    fn chosen_tag(&self) -> Option<Tag> {
-        match self {
-            ClientOp::AbdPut(o) => o.chosen_tag(),
-            ClientOp::CasPut(o) => o.chosen_tag(),
-            ClientOp::AbdGet(_) | ClientOp::CasGet(_) => None,
-        }
-    }
-}
-
+/// One client operation in flight, keyed in [`Simulation::ops`] by the token of its
+/// current attempt's reply route.
 #[derive(Debug, Clone)]
 struct PendingOp {
-    op: ClientOp,
-    origin: DcId,
-    kind: OpKind,
+    driver: OpDriver,
     key: Key,
+    /// Token of the first attempt: the operation's identity in recorded histories.
+    op_id: u64,
     start_ms: f64,
-    value: Option<Value>,
     object_bytes: u64,
-    config: Configuration,
     reconfig_retries: u32,
     timeout_retries: u32,
-    attempt: u32,
-    /// True while a retry has been scheduled but not yet started; replies and timeouts from
-    /// the abandoned attempt are ignored in the meantime.
-    awaiting_retry: bool,
+    /// True between a `Step::Reopen` and the event that opens the next attempt: the
+    /// closed attempt's replies and timer are ignored.
+    closed: bool,
 }
 
 #[derive(Debug, Clone)]
 struct PendingReconfig {
-    controller: ReconfigController,
+    driver: ReconfigDriver,
     key: Key,
     start_ms: f64,
 }
@@ -163,17 +112,15 @@ enum Event {
     },
     OpTimeout {
         token: u64,
-        attempt: u32,
     },
-    ReconfigTimeout {
+    ReconfigTick {
         token: u64,
-        resends: u32,
     },
     StartReconfig {
         key: Key,
         new_config: Configuration,
     },
-    RetryOp {
+    OpenAttempt {
         token: u64,
     },
     SetDcFailed {
@@ -218,7 +165,7 @@ impl Simulation {
     /// Creates a simulator with explicit options.
     pub fn with_options(model: CloudModel, options: SimOptions) -> Self {
         let lease_ns =
-            (options.epoch_lease_ms.unwrap_or(options.op_timeout_ms * 16.0) * 1e6) as u64;
+            (options.op_timeout_ms * 1e6) as u64 * 2 * ReconfigDriver::DEADLINE_TIMEOUTS;
         let servers = model
             .dc_ids()
             .into_iter()
@@ -363,12 +310,9 @@ impl Simulation {
         self.push_event(at_ms, Event::SetDcFailed { dc, failed: false });
     }
 
-    /// Runs the simulation to completion (or to `max_time_ms`) and returns the report.
+    /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> SimReport {
         while let Some(Reverse((t_us, _, id))) = self.events.pop() {
-            if t_us as f64 / 1000.0 > self.options.max_time_ms {
-                break;
-            }
             self.now_us = t_us;
             let event = self.event_payloads.remove(&id).expect("payload exists");
             self.handle_event(event);
@@ -397,7 +341,7 @@ impl Simulation {
         if self.reconfigs.contains_key(&token) {
             TrafficClass::Reconfig
         } else if let Some(op) = self.ops.get(&token) {
-            match op.kind {
+            match op.driver.kind() {
                 OpKind::Get => TrafficClass::Get,
                 OpKind::Put => TrafficClass::Put,
             }
@@ -435,30 +379,24 @@ impl Simulation {
             };
             let delay_ms = self.model.latency_ms(origin, out.to)
                 + self.model.transfer_time_ms(origin, out.to, bytes);
-            let inbound = Inbound {
-                from: token,
-                msg_id: self.seq,
-                phase: out.phase,
-                key: out.key,
-                epoch: out.epoch,
-                msg: out.msg,
-            };
+            let to = out.to;
+            let inbound = Inbound { msg_id: self.seq, ..Inbound::new(token, out) };
             for _ in 1..copies {
                 self.push_event(
                     self.now_ms() + delay_ms,
-                    Event::DeliverToServer { to: out.to, inbound: inbound.clone() },
+                    Event::DeliverToServer { to, inbound: inbound.clone() },
                 );
             }
             self.push_event(
                 self.now_ms() + delay_ms,
-                Event::DeliverToServer { to: out.to, inbound },
+                Event::DeliverToServer { to, inbound },
             );
         }
     }
 
     fn endpoint_dc(&self, token: u64) -> DcId {
         if let Some(op) = self.ops.get(&token) {
-            op.origin
+            op.driver.client_dc()
         } else {
             self.options.controller_dc
         }
@@ -524,15 +462,21 @@ impl Simulation {
                 reply,
             } => {
                 if self.ops.contains_key(&token) {
-                    self.op_reply(token, from, phase, epoch, reply);
-                } else if self.reconfigs.contains_key(&token) {
-                    self.reconfig_reply(token, from, phase, reply);
+                    self.op_input(token, Some((from, phase, epoch, reply)));
+                } else if let Some(rc) = self.reconfigs.get_mut(&token) {
+                    let step = rc.driver.on_reply(from, phase, reply, self.now_us * 1000);
+                    self.reconfig_step(token, step);
                 }
             }
-            Event::OpTimeout { token, attempt } => self.op_timeout(token, attempt),
-            Event::ReconfigTimeout { token, resends } => self.reconfig_timeout(token, resends),
+            Event::OpTimeout { token } => self.op_input(token, None),
+            Event::ReconfigTick { token } => {
+                let Some(rc) = self.reconfigs.get_mut(&token) else { return };
+                let step = rc.driver.tick(self.now_us * 1000);
+                self.reconfig_step(token, step);
+                self.arm_reconfig_tick(token);
+            }
             Event::StartReconfig { key, new_config } => self.start_reconfig(key, new_config),
-            Event::RetryOp { token } => self.retry_op(token),
+            Event::OpenAttempt { token } => self.reopen(token),
             Event::SetDcFailed { dc, failed } => {
                 if let Some(s) = self.servers.get_mut(&dc) {
                     s.set_failed(failed);
@@ -548,79 +492,6 @@ impl Simulation {
         let c = self.metadata.get(key)?.clone();
         self.client_views.insert((origin, key.clone()), c.clone());
         Some(c)
-    }
-
-    fn build_op(
-        &mut self,
-        origin: DcId,
-        kind: OpKind,
-        key: &Key,
-        config: &Configuration,
-        value: Option<&Value>,
-    ) -> ClientOp {
-        let client_id = ClientId(self.next_client_id);
-        self.next_client_id += 1;
-        match (config.protocol, kind) {
-            (ProtocolKind::Abd, OpKind::Put) => ClientOp::AbdPut(AbdPut::new(
-                key.clone(),
-                config.clone(),
-                origin,
-                client_id,
-                value.cloned().unwrap_or_else(Value::empty),
-            )),
-            (ProtocolKind::Abd, OpKind::Get) => ClientOp::AbdGet(AbdGet::new(
-                key.clone(),
-                config.clone(),
-                origin,
-                self.options.optimized_get,
-            )),
-            (ProtocolKind::Cas, OpKind::Put) => ClientOp::CasPut(CasPut::new(
-                key.clone(),
-                config.clone(),
-                origin,
-                client_id,
-                value.cloned().unwrap_or_else(Value::empty),
-            )),
-            (ProtocolKind::Cas, OpKind::Get) => {
-                let cache = if self.options.cas_get_cache {
-                    self.get_cache.get(&(origin, key.clone())).cloned()
-                } else {
-                    None
-                };
-                ClientOp::CasGet(CasGet::new(key.clone(), config.clone(), origin, cache))
-            }
-        }
-    }
-
-    /// Builds a PUT resumed at its write phase with `tag` pinned (cross-epoch restart).
-    fn build_resumed_put(
-        &mut self,
-        origin: DcId,
-        key: &Key,
-        config: &Configuration,
-        tag: Tag,
-        value: &Value,
-    ) -> ClientOp {
-        let client_id = ClientId(self.next_client_id);
-        self.next_client_id += 1;
-        match config.protocol {
-            ProtocolKind::Abd => ClientOp::AbdPut(AbdPut::resume_write(
-                key.clone(),
-                config.clone(),
-                origin,
-                client_id,
-                tag,
-                value.clone(),
-            )),
-            ProtocolKind::Cas => ClientOp::CasPut(CasPut::resume_write(
-                key.clone(),
-                config.clone(),
-                origin,
-                client_id,
-                tag,
-                value.clone(),
-            )),
-        }
     }
 
     fn start_request(&mut self, origin: DcId, kind: OpKind, key: Key, value_size: u64) {
@@ -656,250 +527,159 @@ impl Simulation {
             OpKind::Put => Some(Value::filler(value_size as usize)),
             OpKind::Get => None,
         };
-        let op = self.build_op(origin, kind, &key, &config, value.as_ref());
-        let pending = PendingOp {
-            op,
-            origin,
-            kind,
+        let spec = OpSpec {
+            key: key.clone(),
+            client_dc: origin,
+            client_id: ClientId(self.next_client_id),
+            optimized_get: self.options.optimized_get,
+            max_attempts: self.options.max_timeout_retries + 1,
+        };
+        self.next_client_id += 1;
+        let op = PendingOp {
+            driver: OpDriver::new(spec, config, value, None, &host!(self, origin, &key)),
             key,
+            op_id: token,
             start_ms: self.now_ms(),
-            value,
             object_bytes: value_size,
-            config,
             reconfig_retries: 0,
             timeout_retries: 0,
-            attempt: 0,
-            awaiting_retry: false,
+            closed: false,
         };
-        let msgs = pending.op.start();
-        self.ops.insert(token, pending);
-        self.send_outbound(token, origin, msgs);
-        self.push_event(
-            self.now_ms() + self.options.op_timeout_ms,
-            Event::OpTimeout { token, attempt: 0 },
-        );
+        self.open_attempt(token, op);
     }
 
-    /// Records one successful operation into the history recorder (no-op unless
-    /// [`Simulation::enable_history_recording`] was called). Failed operations are never
-    /// recorded, matching the threaded runtime: an operation without a response has no
-    /// place in a completed-operation history.
-    fn record_history(&mut self, token: u64, key: &Key, kind: OpKind, value_bytes: &[u8]) {
-        let Some(recorder) = &self.recorder else { return };
-        let Some(op) = self.ops.get(&token) else { return };
-        let invoke_us = (op.start_ms * 1000.0).round() as u64;
-        let ret_us = self.now_us.max(invoke_us);
-        let fp = fingerprint(value_bytes);
-        match kind {
-            OpKind::Get => recorder.record_get(key.as_str(), token as u32, fp, invoke_us, ret_us),
-            OpKind::Put => recorder.record_put(key.as_str(), token as u32, fp, invoke_us, ret_us),
+    /// Opens an attempt of `op` on the reply route `route`: the driver's messages and a
+    /// new timer. Replies and timers addressed to an earlier route find nothing.
+    fn open_attempt(&mut self, route: u64, mut op: PendingOp) {
+        op.closed = false;
+        let origin = op.driver.client_dc();
+        let msgs = op.driver.open_attempt(&host!(self, origin, &op.key));
+        self.ops.insert(route, op);
+        self.send_outbound(route, origin, msgs);
+        self.push_event(self.now_ms() + self.options.op_timeout_ms, Event::OpTimeout { token: route });
+    }
+
+    /// Feeds a reply (or, with `None`, the attempt's timeout) to the operation behind
+    /// `token` and does what its driver says.
+    fn op_input(&mut self, token: u64, reply: Option<(DcId, u8, ConfigEpoch, ProtoReply)>) {
+        let Some(op) = self.ops.get_mut(&token).filter(|op| !op.closed) else { return };
+        let origin = op.driver.client_dc();
+        let host = host!(self, origin, &op.key);
+        let step = match reply {
+            Some((from, phase, epoch, reply)) => op.driver.on_reply(from, phase, epoch, 0, reply, &host),
+            None => op.driver.on_timeout(&host),
+        };
+        match step {
+            Step::Wait => {}
+            Step::Send(msgs) => self.send_outbound(token, origin, msgs),
+            Step::Reopen(cause) => {
+                op.closed = true;
+                // Hosts own the modelled pauses: learning the new configuration costs
+                // one RTT to the controller's metadata service.
+                let pause_ms = match cause {
+                    RetryCause::Redirect => {
+                        op.reconfig_retries += 1;
+                        self.model.rtt_ms(origin, self.options.controller_dc).max(1.0)
+                    }
+                    RetryCause::Timeout => {
+                        op.timeout_retries += 1;
+                        0.0
+                    }
+                    RetryCause::EpochMoved | RetryCause::Failure => 0.0,
+                };
+                if matches!(cause, RetryCause::Redirect | RetryCause::EpochMoved) {
+                    self.client_views.insert((origin, op.key.clone()), op.driver.config().clone());
+                }
+                if pause_ms > 0.0 {
+                    self.push_event(self.now_ms() + pause_ms, Event::OpenAttempt { token });
+                } else {
+                    self.reopen(token);
+                }
+            }
+            Step::Done(result) => self.finish_op(token, origin, result.ok()),
         }
     }
 
-    fn finish_op(&mut self, token: u64, ok: bool, one_phase: bool) {
+    /// Moves the closed operation under `token` to a fresh reply route and opens its
+    /// next attempt there.
+    fn reopen(&mut self, token: u64) {
         let Some(op) = self.ops.remove(&token) else { return };
+        self.next_token += 1;
+        self.open_attempt(self.next_token - 1, op);
+    }
+
+    /// Records the finished operation (and, when it succeeded, its history entry and the
+    /// client-side GET cache). Failed operations are never entered into a history,
+    /// matching the threaded runtime: an operation without a response has no place in a
+    /// completed-operation history.
+    fn finish_op(&mut self, token: u64, origin: DcId, done: Option<Completed>) {
+        let Some(op) = self.ops.remove(&token) else { return };
+        let kind = op.driver.kind();
+        if let (Some(recorder), Some(done)) = (&self.recorder, &done) {
+            let invoke_us = (op.start_ms * 1000.0).round() as u64;
+            let ret_us = self.now_us.max(invoke_us);
+            let fp = fingerprint(done.value.as_bytes());
+            let id = op.op_id as u32;
+            match kind {
+                OpKind::Get => recorder.record_get(op.key.as_str(), id, fp, invoke_us, ret_us),
+                OpKind::Put => recorder.record_put(op.key.as_str(), id, fp, invoke_us, ret_us),
+            }
+        }
         self.records.push(OpRecord {
-            origin: op.origin,
-            kind: op.kind,
+            origin,
+            kind,
             key: op.key.0.clone(),
             start_ms: op.start_ms,
             end_ms: self.now_ms(),
-            ok,
-            one_phase,
+            ok: done.is_some(),
+            one_phase: done.as_ref().is_some_and(|d| d.one_phase),
             reconfig_retries: op.reconfig_retries,
             timeout_retries: op.timeout_retries,
             object_bytes: op.object_bytes,
         });
-    }
-
-    fn op_reply(&mut self, token: u64, from: DcId, phase: u8, epoch: ConfigEpoch, reply: ProtoReply) {
-        let Some(op) = self.ops.get_mut(&token) else { return };
-        // Servers stamp every reply with the epoch of the request it answers, so a reply
-        // from another epoch is a straggler of an abandoned attempt — the attempt counter
-        // alone can't catch it, because a resumed PUT keeps its phase numbers across the
-        // restart. Redirects still pass: they echo the (then-current) request epoch.
-        if op.awaiting_retry || op.config.epoch != epoch {
-            return;
+        if let Some(done) = done {
+            self.get_cache.insert((origin, op.key), (done.tag, done.value));
         }
-        let origin = op.origin;
-        let progress = op.op.on_reply(from, phase, reply);
-        match progress {
-            OpProgress::Pending => {}
-            OpProgress::Send(msgs) => self.send_outbound(token, origin, msgs),
-            OpProgress::Done(outcome) => match outcome {
-                OpOutcome::PutOk { tag } => {
-                    let (key, value) = {
-                        let op = self.ops.get(&token).expect("still present");
-                        (op.key.clone(), op.value.clone())
-                    };
-                    if let Some(v) = value {
-                        self.record_history(token, &key, OpKind::Put, v.as_bytes());
-                        self.get_cache.insert((origin, key), (tag, v));
-                    }
-                    self.finish_op(token, true, false);
-                }
-                OpOutcome::GetOk {
-                    tag,
-                    value,
-                    one_phase,
-                } => {
-                    let key = self.ops.get(&token).expect("present").key.clone();
-                    self.record_history(token, &key, OpKind::Get, value.as_bytes());
-                    self.get_cache.insert((origin, key), (tag, value));
-                    self.finish_op(token, true, one_phase);
-                }
-                OpOutcome::Reconfigured { new_config } => {
-                    // The client must learn the new configuration (modeled as one RTT to the
-                    // controller's metadata service) and then restart the operation.
-                    let delay =
-                        self.model.rtt_ms(origin, self.options.controller_dc).max(1.0);
-                    if let Some(op) = self.ops.get_mut(&token) {
-                        op.reconfig_retries += 1;
-                        op.awaiting_retry = true;
-                        op.config = (*new_config).clone();
-                        self.client_views
-                            .insert((origin, op.key.clone()), (*new_config).clone());
-                    }
-                    self.push_event(self.now_ms() + delay, Event::RetryOp { token });
-                }
-                OpOutcome::Failed(err) => {
-                    if err.is_retryable() {
-                        let op_exists = self.ops.get_mut(&token).map(|op| {
-                            op.reconfig_retries += 1;
-                            op.awaiting_retry = true;
-                        });
-                        if op_exists.is_some() {
-                            self.push_event(self.now_ms() + 10.0, Event::RetryOp { token });
-                        }
-                    } else {
-                        self.finish_op(token, false, false);
-                    }
-                }
-            },
-        }
-    }
-
-    /// Restarts a pending operation against its (possibly refreshed) configuration.
-    ///
-    /// A PUT that already chose its tag does not restart from scratch: rebuilding the
-    /// state machine would re-query and install the same value under a fresh tag — one
-    /// write with two linearization points, visible as new→old→new to concurrent
-    /// readers once the old-tagged copy was transferred by a reconfiguration. Instead
-    /// the new attempt resumes at the write phase with the tag pinned; servers at or
-    /// below their transfer floor absorb the replay as a no-op.
-    fn retry_op(&mut self, token: u64) {
-        let Some(op) = self.ops.get(&token) else { return };
-        if op.reconfig_retries + op.timeout_retries > 8 {
-            self.finish_op(token, false, false);
-            return;
-        }
-        let (origin, kind, key, config, value) = (
-            op.origin,
-            op.kind,
-            op.key.clone(),
-            op.config.clone(),
-            op.value.clone(),
-        );
-        let new_op = match (op.op.chosen_tag(), value.as_ref()) {
-            (Some(tag), Some(v)) => self.build_resumed_put(origin, &key, &config, tag, v),
-            _ => self.build_op(origin, kind, &key, &config, value.as_ref()),
-        };
-        let msgs = new_op.start();
-        if let Some(op) = self.ops.get_mut(&token) {
-            op.op = new_op;
-            op.attempt += 1;
-            op.awaiting_retry = false;
-        }
-        let attempt = self.ops.get(&token).map(|o| o.attempt).unwrap_or(0);
-        self.send_outbound(token, origin, msgs);
-        self.push_event(
-            self.now_ms() + self.options.op_timeout_ms,
-            Event::OpTimeout { token, attempt },
-        );
-    }
-
-    fn op_timeout(&mut self, token: u64, attempt: u32) {
-        let Some(op) = self.ops.get_mut(&token) else { return };
-        if op.attempt != attempt || op.awaiting_retry {
-            return; // a newer attempt is in flight or a retry is already scheduled
-        }
-        if op.timeout_retries >= self.options.max_timeout_retries {
-            self.finish_op(token, false, false);
-            return;
-        }
-        // The paper's failure handling (§4.5): *resume* the operation, re-sending its
-        // current phase to every DC of the placement. Resuming — not restarting — is
-        // what keeps a partially-applied PUT's tag pinned; a rebuilt state machine
-        // would re-query and install the same value under a fresh tag, i.e. one write
-        // with two linearization points.
-        op.timeout_retries += 1;
-        op.attempt += 1;
-        let origin = op.origin;
-        let next_attempt = op.attempt;
-        let msgs = op.op.resend_widened();
-        self.send_outbound(token, origin, msgs);
-        self.push_event(
-            self.now_ms() + self.options.op_timeout_ms,
-            Event::OpTimeout { token, attempt: next_attempt },
-        );
     }
 
     fn start_reconfig(&mut self, key: Key, new_config: Configuration) {
         let Some(old) = self.metadata.get(&key).cloned() else { return };
-        let controller = ReconfigController::new(key.clone(), old, new_config);
-        let msgs = controller.start();
+        let op_timeout_ns = (self.options.op_timeout_ms * 1e6) as u64;
+        let driver =
+            ReconfigDriver::new(key.clone(), old, new_config, op_timeout_ns, self.now_us * 1000);
+        let msgs = driver.start();
         let token = self.next_token;
         self.next_token += 1;
-        self.reconfigs.insert(
-            token,
-            PendingReconfig {
-                controller,
-                key,
-                start_ms: self.now_ms(),
-            },
-        );
+        self.reconfigs.insert(token, PendingReconfig { driver, key, start_ms: self.now_ms() });
         self.send_outbound(token, self.options.controller_dc, msgs);
-        self.push_event(
-            self.now_ms() + self.options.op_timeout_ms,
-            Event::ReconfigTimeout { token, resends: 0 },
-        );
+        self.arm_reconfig_tick(token);
     }
 
-    /// Controller fault handling, mirroring `Cluster::reconfigure`: every round is
-    /// idempotent at the servers, so an op-timeout without completion re-sends the
-    /// current round in full. After 8 resends the controller gives up (the threaded
-    /// runtime's `ReconfigStalled`); the metadata still points at the old
-    /// configuration, and the blocked servers re-activate on their epoch lease.
-    fn reconfig_timeout(&mut self, token: u64, resends: u32) {
-        let Some(rc) = self.reconfigs.get_mut(&token) else { return };
-        if resends >= 8 {
-            self.reconfigs.remove(&token);
-            return;
+    /// Schedules the next `tick` of a still-running reconfiguration at its driver's
+    /// wake-up time (rounded up to the event queue's microsecond, never early).
+    fn arm_reconfig_tick(&mut self, token: u64) {
+        if let Some(rc) = self.reconfigs.get(&token) {
+            let wake_us = rc.driver.wake_ns().div_ceil(1000);
+            self.push_event(wake_us as f64 / 1000.0, Event::ReconfigTick { token });
         }
-        let msgs = rc.controller.resend_current_round();
-        self.send_outbound(token, self.options.controller_dc, msgs);
-        self.push_event(
-            self.now_ms() + self.options.op_timeout_ms,
-            Event::ReconfigTimeout { token, resends: resends + 1 },
-        );
     }
 
-    fn reconfig_reply(&mut self, token: u64, from: DcId, phase: u8, reply: ProtoReply) {
-        let Some(rc) = self.reconfigs.get_mut(&token) else { return };
-        match rc.controller.on_reply(from, phase, reply) {
-            ControllerProgress::Pending => {}
-            ControllerProgress::Send(msgs) => {
-                self.send_outbound(token, self.options.controller_dc, msgs)
+    /// Does what the reconfiguration's driver says: this host only moves its messages,
+    /// publishes the metadata when told to, and measures the transfer up to that point.
+    fn reconfig_step(&mut self, token: u64, step: ReconfigStep) {
+        let controller_dc = self.options.controller_dc;
+        match step {
+            ReconfigStep::Wait => {}
+            ReconfigStep::Send(msgs) => self.send_outbound(token, controller_dc, msgs),
+            ReconfigStep::Publish { new_config, finish } => {
+                let rc = self.reconfigs.get(&token).expect("stepped just now");
+                self.reconfig_durations.push(self.now_ms() - rc.start_ms);
+                self.metadata.insert(rc.key.clone(), *new_config);
+                self.send_outbound(token, controller_dc, finish);
             }
-            ControllerProgress::Done(outcome) => {
-                let rc = self.reconfigs.get(&token).expect("present");
-                let start_ms = rc.start_ms;
-                let key = rc.key.clone();
-                // Metadata update happens at the controller; then the finish messages go out.
-                self.metadata.insert(key, outcome.new_config.clone());
-                self.reconfig_durations.push(self.now_ms() - start_ms);
-                let finish = outcome.finish_messages.clone();
-                self.send_outbound(token, self.options.controller_dc, finish);
+            // A stalled transfer leaves the metadata at the old configuration; the
+            // blocked servers re-activate on their epoch lease.
+            ReconfigStep::Done(_) => {
                 self.reconfigs.remove(&token);
             }
         }
@@ -1138,6 +918,37 @@ mod tests {
             slow_mean >= clean_mean + 100.0,
             "slow-DC delay must surface in latency: {slow_mean} vs {clean_mean}"
         );
+    }
+
+    #[test]
+    fn shard_starved_cas_get_is_not_counted_as_a_reconfig_retry() {
+        use legostore_proto::msg::ProtoMsg;
+        let mut sim = Simulation::new(gcp());
+        let config = cas53_config();
+        sim.create_key("k", config.clone(), &Value::filler(1024));
+        // Finalize a tag nobody pre-wrote: every server now reports it as the highest
+        // finalized version but holds no coded element of it, so a GET's finalize-read
+        // gathers zero of the k = 3 symbols — the retryable `DecodeFailed`.
+        let tag = Tag::new(9, ClientId(99));
+        for dc in &config.dcs {
+            sim.servers.get_mut(dc).expect("host").handle(Inbound {
+                from: 0,
+                msg_id: 0,
+                phase: 3,
+                key: Key::from("k"),
+                epoch: config.epoch,
+                msg: ProtoMsg::CasFinalizeWrite { tag },
+            });
+        }
+        sim.schedule_request(0.0, GcpLocation::Virginia.dc(), OpKind::Get, "k", 1024);
+        let report = sim.run();
+        let get = &report.operations[0];
+        // The driver retries at once with a fresh machine until the attempt budget
+        // (max_timeout_retries + 1 = 3) is spent; none of that is a reconfiguration
+        // restart or a timeout, and the counters say so.
+        assert!(!get.ok);
+        assert_eq!((get.reconfig_retries, get.timeout_retries), (0, 0));
+        assert!(get.latency_ms() < SimOptions::default().op_timeout_ms, "{}", get.latency_ms());
     }
 
     #[test]

@@ -168,6 +168,29 @@ fn reconfig_triggers_fire_from_live_ingested_spans() {
 }
 
 #[test]
+fn encode_span_times_the_codec_not_the_constructor() {
+    // A CAS PUT builds its codeword on leaving phase 1, inside the driver step that
+    // completes the query — that step is what the Encode span must cover. On a real
+    // clock, coding 100 KiB under (5,3) cannot take under a microsecond; the span used
+    // to wrap `CasPut::new`, which encodes nothing, and read a few hundred ns.
+    let cluster = Cluster::gcp9(ClusterOptions {
+        latency_scale: 0.002,
+        obs: ObsConfig::Metrics,
+        ..Default::default()
+    });
+    let key = Key::from("bulk");
+    let config = Configuration::cas_default(cas_placement(), 3, 1);
+    cluster.install_key(key.clone(), config, &Value::filler(1));
+    let mut client = cluster.client(GcpLocation::Tokyo.dc());
+    client.put(&key, Value::filler(100 * 1024)).expect("put");
+    let snap = cluster.obs().snapshot();
+    let encode = snap.histogram("client.encode_ns").expect("encode histogram");
+    assert_eq!(encode.count, 1, "one PUT, one encode");
+    assert!(encode.mean() >= 1_000.0, "encode span of {} ns", encode.mean());
+    cluster.shutdown();
+}
+
+#[test]
 fn quorum_unreachable_leaves_a_flight_recorder_timeline() {
     // Crash 2 of 3 ABD hosts — beyond f = 1 — so the client exhausts its attempts and
     // returns the typed verdict. The flight recorder must then hold the story: fault

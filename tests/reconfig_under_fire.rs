@@ -288,9 +288,11 @@ fn sim_reconfig_storm_stays_linearizable_across_seeds() {
         let plan = transfer_plan(&old, &flipped, seed, 12_000.0);
         let mut sim = Simulation::with_options(
             CloudModel::gcp9(),
+            // Eight attempts, like the threaded storm below: every attempt counts
+            // against the one budget, whether a timeout or a redirect ended the last.
             SimOptions {
                 op_timeout_ms: 1_000.0,
-                max_timeout_retries: 4,
+                max_timeout_retries: 7,
                 ..Default::default()
             },
         );
