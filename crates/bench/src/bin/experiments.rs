@@ -35,41 +35,38 @@ impl Settings {
     }
 }
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 16] = [
+    "tables", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig11", "fig12", "fig13",
+    "fig14", "fig15", "kopt", "ec", "gc",
+];
+
+fn usage_error(problem: &str) -> ! {
+    let names = EXPERIMENTS.join("|");
+    eprintln!(
+        "{problem}\nusage: experiments [all|{names}]... [--quick] [--tier smoke|ci|nightly|full]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every argument is checked before anything runs: a typo must not yield a green, empty run.
     let mut tier = Tier::Ci;
-    if args.iter().any(|a| a == "--quick") {
-        tier = Tier::Smoke;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => tier = Tier::Smoke,
+            "--tier" => match args.next().and_then(|v| Tier::parse(&v)) {
+                Some(t) => tier = t,
+                None => usage_error("--tier requires one of: smoke, ci, nightly, full"),
+            },
+            name if name == "all" || EXPERIMENTS.contains(&name) => selected.push(arg),
+            other => usage_error(&format!("unknown argument '{other}'")),
+        }
     }
-    if let Some(i) = args.iter().position(|a| a == "--tier") {
-        let Some(t) = args.get(i + 1).and_then(|v| Tier::parse(v)) else {
-            eprintln!("--tier requires one of: smoke, ci, nightly, full");
-            std::process::exit(2);
-        };
-        tier = t;
-    }
-    let mut skip_next = false;
-    let mut selected: Vec<String> = args
-        .into_iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if a == "--tier" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .collect();
     if selected.is_empty() || selected.iter().any(|a| a == "all") {
-        selected = vec![
-            "tables", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig11", "fig12",
-            "fig13", "fig14", "fig15", "kopt", "ec", "gc",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        selected = EXPERIMENTS.iter().map(|e| e.to_string()).collect();
     }
     let settings = Settings { tier };
     println!(
@@ -217,6 +214,6 @@ fn run_experiment(name: &str, s: &Settings) {
                 "without GC: {v_no} versions, {b_no} bytes/server; with GC every 50 PUTs: {v_gc} versions, {b_gc} bytes/server"
             );
         }
-        other => eprintln!("unknown experiment '{other}' (try: all, tables, table3, fig1..fig15, kopt, ec, gc)"),
+        other => unreachable!("'{other}' passed validation against EXPERIMENTS"),
     }
 }

@@ -1,9 +1,7 @@
 //! Experiment harness regenerating every table and figure of the LEGOStore paper.
 //!
 //! Each experiment is a plain function that returns a structured result with a text
-//! rendering; the `experiments` binary prints them and the Criterion benches time the
-//! scaled-down variants. The mapping from paper artifact to function lives in `DESIGN.md`
-//! (per-experiment index) and the measured outputs are summarized in `EXPERIMENTS.md`.
+//! rendering; the `experiments` binary prints them.
 //!
 //! Optimizer-driven experiments (Figures 1–3, 12–15, Table 3, the `Kopt` model, §4.2.5) are
 //! exact re-evaluations of the paper's cost model on the paper's price/RTT tables.

@@ -153,11 +153,6 @@ impl ReedSolomon {
         self.k
     }
 
-    /// Row of the encoding matrix used to produce symbol `i`.
-    pub fn encode_row(&self, i: usize) -> &[u8] {
-        self.encode_matrix.row(i)
-    }
-
     /// Computes the `n - k` parity symbols for `k` equal-length data shards, writing them
     /// into `parity` (which must hold `n - k` slices of the data shard length).
     ///
@@ -218,35 +213,6 @@ impl ReedSolomon {
             parity_part.iter_mut().map(|p| p.as_mut_slice()).collect();
         self.encode_parity(&data_refs, &mut parity_refs)?;
         Ok(out)
-    }
-
-    /// Encodes only the single codeword symbol with index `index` (0-based).
-    ///
-    /// Useful when a server needs to regenerate its own symbol without materializing all
-    /// `n` symbols.
-    pub fn encode_single(&self, data: &[Vec<u8>], index: usize) -> Result<Vec<u8>, CodecError> {
-        if data.len() != self.k {
-            return Err(CodecError::WrongDataShardCount {
-                have: data.len(),
-                need: self.k,
-            });
-        }
-        if index >= self.n {
-            return Err(CodecError::BadShardIndex(index));
-        }
-        let len = data.first().map(|d| d.len()).unwrap_or(0);
-        if data.iter().any(|d| d.len() != len) {
-            return Err(CodecError::ShardLengthMismatch);
-        }
-        if index < self.k {
-            return Ok(data[index].clone());
-        }
-        let mut shard = vec![0u8; len];
-        let coeffs = self.encode_matrix.row(index);
-        for (j, d) in data.iter().enumerate() {
-            gf256::mul_acc_slice(&mut shard, d, coeffs[j]);
-        }
-        Ok(shard)
     }
 
     /// Validates `shards`, picking the first `k` distinct in-range symbols. Returns the
@@ -353,12 +319,6 @@ impl ReedSolomon {
         }
         Ok(joined.chunks_exact(len).map(|c| c.to_vec()).collect())
     }
-
-    /// Reconstructs *all* `n` codeword symbols from any `k` of them.
-    pub fn reconstruct_all(&self, shards: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>, CodecError> {
-        let data = self.decode_data(shards)?;
-        self.encode(&data)
-    }
 }
 
 #[cfg(test)]
@@ -431,17 +391,6 @@ mod tests {
             rs.encode_parity(&data_refs, &mut short_refs),
             Err(CodecError::ShardLengthMismatch)
         );
-    }
-
-    #[test]
-    fn encode_single_matches_full_encode() {
-        let rs = ReedSolomon::new(7, 4).unwrap();
-        let data = random_data(4, 53, 2);
-        let all = rs.encode(&data).unwrap();
-        for (i, symbol) in all.iter().enumerate() {
-            assert_eq!(&rs.encode_single(&data, i).unwrap(), symbol, "symbol {i}");
-        }
-        assert!(rs.encode_single(&data, 7).is_err());
     }
 
     #[test]
@@ -531,17 +480,6 @@ mod tests {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let data = vec![vec![1u8; 8], vec![2u8; 9]];
         assert_eq!(rs.encode(&data), Err(CodecError::ShardLengthMismatch));
-    }
-
-    #[test]
-    fn reconstruct_all_round_trips() {
-        let rs = ReedSolomon::new(6, 4).unwrap();
-        let data = random_data(4, 40, 6);
-        let shards = rs.encode(&data).unwrap();
-        let subset: Vec<(usize, Vec<u8>)> =
-            [1usize, 3, 4, 5].iter().map(|&i| (i, shards[i].clone())).collect();
-        let rebuilt = rs.reconstruct_all(&subset).unwrap();
-        assert_eq!(rebuilt, shards);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! # Slice kernels
 //!
 //! The encode/decode hot path is [`mul_acc_slice`] / [`mul_slice`]: multiply every byte of a
-//! whole shard by one coefficient `c`. Three kernel tiers implement it, selected once at
-//! runtime (overridable with `LEGOSTORE_GF_KERNEL=scalar|split|simd` for benchmarking):
+//! whole shard by one coefficient `c`. Three kernel tiers implement it:
 //!
 //! * **scalar** — the original byte-at-a-time log/exp loop, kept as the reference oracle
 //!   ([`mul_acc_slice_scalar`], [`mul_slice_scalar`]); every other kernel is proptested to
@@ -22,8 +21,6 @@
 //!   lookups (SSSE3: 16 B/iteration, AVX2: 32 B/iteration), detected at runtime on
 //!   x86_64. This is the kernel that makes coding memory-bound rather than compute-bound
 //!   (~20x the scalar loop on AVX2 hardware).
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The primitive polynomial used to construct the field (without the leading x^8 term the
 /// low byte is 0x1D).
@@ -130,71 +127,13 @@ pub fn pow(a: u8, mut p: u32) -> u8 {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel selection
-// ---------------------------------------------------------------------------
-
-/// Which slice-kernel tier to run. `Simd` falls back to `Split` per call when the CPU
-/// lacks SSSE3 (the detection result is cached inside the SIMD dispatcher).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Byte-at-a-time log/exp loop (the pre-optimization implementation; reference oracle).
-    Scalar,
-    /// Portable split-table kernel over unrolled 8-byte chunks.
-    Split,
-    /// Runtime-detected `pshufb` split-table kernel (AVX2 or SSSE3), split-table fallback.
-    Simd,
-}
-
-const KERNEL_UNSET: u8 = 0;
-const KERNEL_SCALAR: u8 = 1;
-const KERNEL_SPLIT: u8 = 2;
-const KERNEL_SIMD: u8 = 3;
-
-static KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
-
-/// Forces a kernel tier (benchmark harnesses compare tiers; tests pin the oracle).
-pub fn set_kernel(k: Kernel) {
-    let v = match k {
-        Kernel::Scalar => KERNEL_SCALAR,
-        Kernel::Split => KERNEL_SPLIT,
-        Kernel::Simd => KERNEL_SIMD,
-    };
-    KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// The kernel tier currently in effect (resolving the default / `LEGOSTORE_GF_KERNEL` on
-/// first use).
-pub fn active_kernel() -> Kernel {
-    match kernel_tag() {
-        KERNEL_SCALAR => Kernel::Scalar,
-        KERNEL_SPLIT => Kernel::Split,
-        _ => Kernel::Simd,
-    }
-}
-
-#[inline]
-fn kernel_tag() -> u8 {
-    let k = KERNEL.load(Ordering::Relaxed);
-    if k != KERNEL_UNSET {
-        return k;
-    }
-    let resolved = match std::env::var("LEGOSTORE_GF_KERNEL").as_deref() {
-        Ok("scalar") => KERNEL_SCALAR,
-        Ok("split") => KERNEL_SPLIT,
-        _ => KERNEL_SIMD,
-    };
-    KERNEL.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-// ---------------------------------------------------------------------------
 // Scalar reference kernels (the pre-optimization implementation)
 // ---------------------------------------------------------------------------
 
 /// Reference `dst[i] ^= c * src[i]`, byte-at-a-time through the log/exp tables.
 ///
 /// This is the original implementation, kept as the behavioral oracle for the fast
-/// kernels (see the proptests in this module) and as the `baseline` mode of `perfbench`.
+/// kernels (see the proptests in this module).
 pub fn mul_acc_slice_scalar(dst: &mut [u8], src: &[u8], c: u8) {
     debug_assert_eq!(dst.len(), src.len());
     if c == 0 {
@@ -288,64 +227,43 @@ mod simd {
     //! `pshufb`-based split-table kernels. `_mm_shuffle_epi8` performs sixteen (AVX2:
     //! 2×16) parallel lookups into a 16-entry byte table per instruction — exactly the
     //! low/high-nibble split-table algorithm of the portable kernel, 16/32 bytes at a
-    //! time. Safety: every function is gated on the corresponding CPUID feature via
-    //! `is_x86_feature_detected!`, and all memory access goes through unaligned
+    //! time. Safety: the caller of each `unsafe fn` kernel must first have detected its
+    //! CPUID feature with `is_x86_feature_detected!`; all memory access goes through unaligned
     //! load/store intrinsics on in-bounds offsets (`n` is rounded down to the vector
     //! width; the tail is handled by the caller's portable path).
 
     use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const LEVEL_UNKNOWN: u8 = 0;
-    const LEVEL_NONE: u8 = 1;
-    const LEVEL_SSSE3: u8 = 2;
-    const LEVEL_AVX2: u8 = 3;
-
-    static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNKNOWN);
-
-    /// Detected SIMD level, cached after the first query.
-    pub(super) fn level() -> u8 {
-        let l = LEVEL.load(Ordering::Relaxed);
-        if l != LEVEL_UNKNOWN {
-            return l;
-        }
-        let detected = if is_x86_feature_detected!("avx2") {
-            LEVEL_AVX2
-        } else if is_x86_feature_detected!("ssse3") {
-            LEVEL_SSSE3
-        } else {
-            LEVEL_NONE
-        };
-        LEVEL.store(detected, Ordering::Relaxed);
-        detected
-    }
-
-    pub(super) fn available() -> bool {
-        level() >= LEVEL_SSSE3
-    }
 
     /// `dst[i] ^= c·src[i]` for the longest prefix divisible by the vector width;
     /// returns the number of bytes processed.
     pub(super) fn mul_acc_prefix(dst: &mut [u8], src: &[u8], tbl: &[u8; 32]) -> usize {
-        match level() {
-            LEVEL_AVX2 => unsafe { mul_acc_avx2(dst, src, tbl) },
-            LEVEL_SSSE3 => unsafe { mul_acc_ssse3(dst, src, tbl) },
-            _ => 0,
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected.
+            unsafe { mul_acc_avx2(dst, src, tbl) }
+        } else if is_x86_feature_detected!("ssse3") {
+            // SAFETY: SSSE3 was just detected.
+            unsafe { mul_acc_ssse3(dst, src, tbl) }
+        } else {
+            0
         }
     }
 
     /// `dst[i] = c·dst[i]` for the longest prefix divisible by the vector width;
     /// returns the number of bytes processed.
     pub(super) fn mul_prefix(dst: &mut [u8], tbl: &[u8; 32]) -> usize {
-        match level() {
-            LEVEL_AVX2 => unsafe { mul_avx2(dst, tbl) },
-            LEVEL_SSSE3 => unsafe { mul_ssse3(dst, tbl) },
-            _ => 0,
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected.
+            unsafe { mul_avx2(dst, tbl) }
+        } else if is_x86_feature_detected!("ssse3") {
+            // SAFETY: SSSE3 was just detected.
+            unsafe { mul_ssse3(dst, tbl) }
+        } else {
+            0
         }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], tbl: &[u8; 32]) -> usize {
+    pub(super) unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], tbl: &[u8; 32]) -> usize {
         let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(tbl.as_ptr() as *const __m128i));
         let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i));
         let mask = _mm256_set1_epi8(0x0F);
@@ -364,7 +282,7 @@ mod simd {
     }
 
     #[target_feature(enable = "ssse3")]
-    unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], tbl: &[u8; 32]) -> usize {
+    pub(super) unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], tbl: &[u8; 32]) -> usize {
         let lo = _mm_loadu_si128(tbl.as_ptr() as *const __m128i);
         let hi = _mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i);
         let mask = _mm_set1_epi8(0x0F);
@@ -383,7 +301,7 @@ mod simd {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn mul_avx2(dst: &mut [u8], tbl: &[u8; 32]) -> usize {
+    pub(super) unsafe fn mul_avx2(dst: &mut [u8], tbl: &[u8; 32]) -> usize {
         let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(tbl.as_ptr() as *const __m128i));
         let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i));
         let mask = _mm256_set1_epi8(0x0F);
@@ -400,7 +318,7 @@ mod simd {
     }
 
     #[target_feature(enable = "ssse3")]
-    unsafe fn mul_ssse3(dst: &mut [u8], tbl: &[u8; 32]) -> usize {
+    pub(super) unsafe fn mul_ssse3(dst: &mut [u8], tbl: &[u8; 32]) -> usize {
         let lo = _mm_loadu_si128(tbl.as_ptr() as *const __m128i);
         let hi = _mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i);
         let mask = _mm_set1_epi8(0x0F);
@@ -434,24 +352,12 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
         xor_slice(dst, src);
         return;
     }
-    match kernel_tag() {
-        KERNEL_SCALAR => mul_acc_slice_scalar(dst, src, c),
-        KERNEL_SPLIT => mul_acc_slice_split(dst, src, c),
-        _ => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if simd::available() {
-                    let tbl = &split_tables()[c as usize];
-                    let done = simd::mul_acc_prefix(dst, src, tbl);
-                    if done < dst.len() {
-                        mul_acc_slice_split(&mut dst[done..], &src[done..], c);
-                    }
-                    return;
-                }
-            }
-            mul_acc_slice_split(dst, src, c);
-        }
-    }
+    #[cfg(target_arch = "x86_64")]
+    let (dst, src) = {
+        let done = simd::mul_acc_prefix(dst, src, &split_tables()[c as usize]);
+        (&mut dst[done..], &src[done..])
+    };
+    mul_acc_slice_split(dst, src, c);
 }
 
 /// Multiply a slice in place by a constant: `dst[i] = c * dst[i]`.
@@ -465,24 +371,12 @@ pub fn mul_slice(dst: &mut [u8], c: u8) {
         dst.fill(0);
         return;
     }
-    match kernel_tag() {
-        KERNEL_SCALAR => mul_slice_scalar(dst, c),
-        KERNEL_SPLIT => mul_slice_split(dst, c),
-        _ => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if simd::available() {
-                    let tbl = &split_tables()[c as usize];
-                    let done = simd::mul_prefix(dst, tbl);
-                    if done < dst.len() {
-                        mul_slice_split(&mut dst[done..], c);
-                    }
-                    return;
-                }
-            }
-            mul_slice_split(dst, c);
-        }
-    }
+    #[cfg(target_arch = "x86_64")]
+    let dst = {
+        let done = simd::mul_prefix(dst, &split_tables()[c as usize]);
+        &mut dst[done..]
+    };
+    mul_slice_split(dst, c);
 }
 
 #[cfg(test)]
@@ -589,6 +483,48 @@ mod tests {
             let mut dispatched_m = base.clone();
             mul_slice(&mut dispatched_m, c);
             assert_eq!(dispatched_m, expect_m, "dispatched mul c={c}");
+        }
+    }
+
+    /// The dispatcher always prefers AVX2, so on an AVX2 host nothing else reaches the
+    /// SSSE3 kernels: call every kernel the CPU supports directly, finish with the
+    /// split-table tail as the dispatcher does, and compare with the scalar oracle.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_supported_kernel_matches_the_oracle() {
+        type MulAcc = unsafe fn(&mut [u8], &[u8], &[u8; 32]) -> usize;
+        type Mul = unsafe fn(&mut [u8], &[u8; 32]) -> usize;
+        let mut kernels: Vec<(&str, MulAcc, Mul)> = Vec::new();
+        if is_x86_feature_detected!("ssse3") {
+            kernels.push(("ssse3", simd::mul_acc_ssse3, simd::mul_ssse3));
+        }
+        if is_x86_feature_detected!("avx2") {
+            kernels.push(("avx2", simd::mul_acc_avx2, simd::mul_avx2));
+        }
+        let src: Vec<u8> = (0..997).map(|i| (i * 131 + 17) as u8).collect();
+        let base: Vec<u8> = (0..997).map(|i| (i * 37 + 5) as u8).collect();
+        for (name, mul_acc, mul) in kernels {
+            for c in 0..=255u8 {
+                let tbl = &split_tables()[c as usize];
+                for offset in 0..17 {
+                    let (src, base) = (&src[offset..], &base[offset..]);
+                    let mut expect = base.to_vec();
+                    mul_acc_slice_scalar(&mut expect, src, c);
+                    let mut got = base.to_vec();
+                    // SAFETY: the kernel's CPU feature was detected above.
+                    let done = unsafe { mul_acc(&mut got, src, tbl) };
+                    mul_acc_slice_split(&mut got[done..], &src[done..], c);
+                    assert_eq!(got, expect, "{name} mul_acc c={c} offset={offset}");
+
+                    let mut expect_m = base.to_vec();
+                    mul_slice_scalar(&mut expect_m, c);
+                    let mut got_m = base.to_vec();
+                    // SAFETY: the kernel's CPU feature was detected above.
+                    let done = unsafe { mul(&mut got_m, tbl) };
+                    mul_slice_split(&mut got_m[done..], c);
+                    assert_eq!(got_m, expect_m, "{name} mul c={c} offset={offset}");
+                }
+            }
         }
     }
 

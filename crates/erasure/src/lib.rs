@@ -11,17 +11,14 @@
 //! * [`gf256`] — arithmetic in the finite field GF(2^8) with the polynomial `0x11D`
 //!   (the field used by most storage RS implementations). Bulk multiply-accumulate runs
 //!   through tiered kernels — scalar log/exp oracle, portable split-table, and
-//!   runtime-detected SSSE3/AVX2 `pshufb` — selectable via [`gf256::set_kernel`] or the
-//!   `LEGOSTORE_GF_KERNEL` environment variable.
+//!   runtime-detected SSSE3/AVX2 `pshufb`.
 //! * [`matrix`] — small dense matrices over GF(2^8) with Gauss–Jordan inversion.
 //! * [`codec`] — the systematic Reed–Solomon encoder/decoder ([`ReedSolomon`]), with a
 //!   process-wide `(n, k)` codec cache ([`ReedSolomon::cached`]) and per-codec memoized
 //!   decode sub-matrix inverses.
 //! * [`shares`] — conversion between application values and fixed-size shards, including
 //!   the length header and padding handling ([`encode_value`], [`decode_value`]). Encoding
-//!   produces all `n` symbols as zero-copy windows into one shared buffer; the
-//!   pre-optimization paths survive as [`encode_value_reference`] /
-//!   [`decode_value_reference`] for baseline measurement by the perf harness.
+//!   produces all `n` symbols as zero-copy windows into one shared buffer.
 
 pub mod codec;
 pub mod gf256;
@@ -29,6 +26,4 @@ pub mod matrix;
 pub mod shares;
 
 pub use codec::{CodecError, ReedSolomon};
-pub use shares::{
-    decode_value, decode_value_reference, encode_value, encode_value_reference, shard_len, Shard,
-};
+pub use shares::{decode_value, encode_value, shard_len, Shard};

@@ -15,10 +15,6 @@
 //! `n` symbols out to `n` data centers clones refcounts, never bytes. [`decode_value`]
 //! borrows shard bytes in place, reassembles into a pooled per-thread scratch buffer, and
 //! performs a single exact-size copy out.
-//!
-//! The pre-optimization paths are kept as [`encode_value_reference`] /
-//! [`decode_value_reference`] so the perf harness can measure the baseline and the current
-//! implementation in the same binary.
 
 use crate::codec::{CodecError, ReedSolomon};
 use bytes::Bytes;
@@ -113,8 +109,9 @@ pub fn decode_value(shards: &[Shard], n: usize, k: usize) -> Result<Vec<u8>, Cod
         }
         let mut len_bytes = [0u8; LEN_HEADER];
         len_bytes.copy_from_slice(&joined[..LEN_HEADER]);
-        let value_len = u64::from_le_bytes(len_bytes) as usize;
-        if joined.len() < LEN_HEADER + value_len {
+        // The header is network-supplied: compare without adding, so no value overflows.
+        let value_len = usize::try_from(u64::from_le_bytes(len_bytes)).unwrap_or(usize::MAX);
+        if value_len > joined.len() - LEN_HEADER {
             return Err(CodecError::ShardLengthMismatch);
         }
         let value = joined[LEN_HEADER..LEN_HEADER + value_len].to_vec();
@@ -123,57 +120,6 @@ pub fn decode_value(shards: &[Shard], n: usize, k: usize) -> Result<Vec<u8>, Cod
         }
         Ok(value)
     })
-}
-
-/// Pre-optimization [`encode_value`]: constructs the codec per call and materializes every
-/// shard as its own `Vec<u8>`.
-///
-/// Kept (not as dead code — the perf harness runs it) so `perfbench` can measure the
-/// baseline and the optimized path in the same binary. Combine with
-/// [`crate::gf256::set_kernel`]`(`[`crate::gf256::Kernel::Scalar`]`)` to reproduce the
-/// full pre-change configuration.
-pub fn encode_value_reference(value: &[u8], n: usize, k: usize) -> Result<Vec<Shard>, CodecError> {
-    let rs = ReedSolomon::new(n, k)?;
-    let slen = shard_len(value.len(), k);
-    let mut padded = Vec::with_capacity(slen * k);
-    padded.extend_from_slice(&(value.len() as u64).to_le_bytes());
-    padded.extend_from_slice(value);
-    padded.resize(slen * k, 0);
-    let data: Vec<Vec<u8>> = padded.chunks(slen).map(|c| c.to_vec()).collect();
-    debug_assert_eq!(data.len(), k);
-    let symbols = rs.encode(&data)?;
-    Ok(symbols
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| Shard::new(i, d))
-        .collect())
-}
-
-/// Pre-optimization [`decode_value`]: constructs the codec per call (so every decode that
-/// touches parity re-inverts the sub-matrix) and deep-copies each shard before decoding.
-///
-/// See [`encode_value_reference`] for why this is kept.
-pub fn decode_value_reference(shards: &[Shard], n: usize, k: usize) -> Result<Vec<u8>, CodecError> {
-    let rs = ReedSolomon::new(n, k)?;
-    let pairs: Vec<(usize, Vec<u8>)> = shards
-        .iter()
-        .map(|s| (s.index, s.data.to_vec()))
-        .collect();
-    let data = rs.decode_data(&pairs)?;
-    let mut joined = Vec::with_capacity(data.len() * data.first().map(|d| d.len()).unwrap_or(0));
-    for d in &data {
-        joined.extend_from_slice(d);
-    }
-    if joined.len() < LEN_HEADER {
-        return Err(CodecError::ShardLengthMismatch);
-    }
-    let mut len_bytes = [0u8; LEN_HEADER];
-    len_bytes.copy_from_slice(&joined[..LEN_HEADER]);
-    let value_len = u64::from_le_bytes(len_bytes) as usize;
-    if joined.len() < LEN_HEADER + value_len {
-        return Err(CodecError::ShardLengthMismatch);
-    }
-    Ok(joined[LEN_HEADER..LEN_HEADER + value_len].to_vec())
 }
 
 #[cfg(test)]
@@ -258,19 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn reference_paths_agree_with_fast_paths() {
-        for &(n, k) in &[(5usize, 3usize), (4, 2), (8, 1), (6, 5)] {
-            for len in [0usize, 1, 129, 2048] {
-                let value: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
-                let fast = encode_value(&value, n, k).unwrap();
-                let slow = encode_value_reference(&value, n, k).unwrap();
-                assert_eq!(fast, slow, "encode mismatch n={n} k={k} len={len}");
-                let from_fast = decode_value(&fast[n - k..], n, k).unwrap();
-                let from_slow = decode_value_reference(&fast[n - k..], n, k).unwrap();
-                assert_eq!(from_fast, value);
-                assert_eq!(from_slow, value);
-            }
-        }
+    fn hostile_length_header_is_an_error_not_a_panic() {
+        // One k=1 shard whose 8-byte header claims 2^64-1 value bytes.
+        assert_eq!(
+            decode_value(&[Shard::new(0, vec![0xFF; 16])], 3, 1),
+            Err(CodecError::ShardLengthMismatch)
+        );
     }
 
     /// FNV-1a 64 over all shard bytes concatenated in index order.
@@ -316,8 +255,6 @@ mod tests {
             let value = filler(len);
             let fast = fingerprint(&encode_value(&value, n, k).unwrap());
             assert_eq!(fast, want, "fast encode fingerprint n={n} k={k} len={len}");
-            let slow = fingerprint(&encode_value_reference(&value, n, k).unwrap());
-            assert_eq!(slow, want, "reference encode fingerprint n={n} k={k} len={len}");
         }
     }
 

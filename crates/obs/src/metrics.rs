@@ -189,19 +189,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice of exact samples.
-///
-/// Same definition `perfbench` uses for its `*_p50_ms` fields
-/// (`index = round((len - 1) · p)`), exposed here so the golden tests can pin both
-/// percentile definitions side by side.
-pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Name-keyed home of a component's metrics.
 ///
 /// `counter`/`gauge`/`histogram` return shared handles: the first call for a name

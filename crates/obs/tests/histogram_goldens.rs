@@ -1,12 +1,10 @@
-//! Golden tests pinning the histogram/percentile arithmetic.
+//! Golden tests pinning the histogram arithmetic.
 //!
-//! Two percentile definitions coexist in the workspace: `perfbench` computes
-//! nearest-rank percentiles over exact samples, while metric histograms estimate
-//! quantiles from log₂ buckets with in-bucket linear interpolation. Both are pinned
-//! here with hand-computed goldens so future BENCH field changes can't silently skew
-//! reported percentiles.
+//! Metric histograms estimate quantiles from log₂ buckets with in-bucket linear
+//! interpolation; hand-computed goldens pin the estimate so a change to the buckets
+//! can't silently skew reported percentiles.
 
-use legostore_obs::{bucket_bounds, bucket_index, percentile_sorted, Histogram};
+use legostore_obs::{bucket_bounds, bucket_index, Histogram};
 
 #[test]
 fn log2_bucket_boundaries_are_exact() {
@@ -79,23 +77,6 @@ fn empty_histogram_quantiles_are_zero() {
     let s = Histogram::default().snapshot();
     assert_eq!(s.quantile(0.5), 0.0);
     assert_eq!(s.mean(), 0.0);
-    assert_eq!(percentile_sorted(&[], 0.5), 0);
-}
-
-#[test]
-fn nearest_rank_percentile_matches_perfbench_definition() {
-    // perfbench: index = round((len - 1) * p) into the ascending-sorted samples.
-    let five = [10u64, 20, 30, 40, 50];
-    assert_eq!(percentile_sorted(&five, 0.0), 10);
-    assert_eq!(percentile_sorted(&five, 0.50), 30); // round(4 * 0.50) = 2
-    assert_eq!(percentile_sorted(&five, 0.99), 50); // round(4 * 0.99) = 4
-    assert_eq!(percentile_sorted(&five, 1.0), 50);
-
-    let four = [10u64, 20, 30, 40];
-    assert_eq!(percentile_sorted(&four, 0.50), 30); // round(3 * 0.50) = round(1.5) = 2
-    assert_eq!(percentile_sorted(&four, 0.25), 20); // round(0.75) = 1
-
-    assert_eq!(percentile_sorted(&[42], 0.99), 42);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Minimal API-compatible subset of the `bytes` crate for offline builds.
 //!
-//! [`Bytes`] is an immutable, cheaply clonable byte buffer backed by `Arc<[u8]>` plus a
+//! [`Bytes`] is an immutable, cheaply clonable byte buffer backed by `Arc<Vec<u8>>` plus a
 //! `[start, end)` window. Cloning bumps a refcount; no byte data is copied. [`Bytes::slice`]
 //! returns a narrowed view sharing the same allocation. This mirrors the two properties the
 //! workspace relies on: the quorum protocols hand one `Bytes` handle per replica / per
