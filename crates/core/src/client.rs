@@ -10,10 +10,10 @@
 
 use crate::cluster::ClusterInner;
 use crate::inbox::DelayedInbox;
-use crate::transport::{Endpoint, ReplyEnvelope};
+use crate::transport::Endpoint;
 use legostore_lincheck::recorder::fingerprint;
 use legostore_obs::{OpRecord, OpSpan, SpanEventKind};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound, ServedReply};
 use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 use legostore_types::{
     ClientId, Configuration, DcId, Key, OpKind, StoreError, StoreResult, Tag, Value,
@@ -257,7 +257,7 @@ impl StoreClient {
             // are discarded at the source (and cannot hold a virtual clock back).
             let endpoint = cluster.transport.open_endpoint();
             let deadline_ns = clock.now_ns() + cluster.options.op_timeout.as_nanos() as u64;
-            let mut inbox: DelayedInbox<ReplyEnvelope> = DelayedInbox::new();
+            let mut inbox: DelayedInbox<ServedReply> = DelayedInbox::new();
             let mut outbound = driver.open_attempt(host);
             let cause = loop {
                 for out in outbound.drain(..) {
@@ -343,7 +343,7 @@ impl StoreClient {
     }
 
     /// Buffers `env` in `inbox` at its modeled arrival instant.
-    fn buffer_reply(&self, inbox: &mut DelayedInbox<ReplyEnvelope>, env: ReplyEnvelope) {
+    fn buffer_reply(&self, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
         self.cluster.buffer_reply(self.dc, inbox, env);
     }
 
@@ -354,9 +354,9 @@ impl StoreClient {
     fn wait_for_reply(
         &mut self,
         endpoint: &Endpoint,
-        inbox: &mut DelayedInbox<ReplyEnvelope>,
+        inbox: &mut DelayedInbox<ServedReply>,
         deadline_ns: u64,
-    ) -> Option<ReplyEnvelope> {
+    ) -> Option<ServedReply> {
         let clock = self.cluster.clock().clone();
         loop {
             // Drain anything already delivered into the delayed inbox.

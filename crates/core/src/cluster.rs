@@ -10,14 +10,12 @@
 
 use crate::clock::{Clock, ClockedReceiver};
 use crate::inbox::DelayedInbox;
-use crate::transport::{
-    InProcTransport, LinkPolicy, ReplyEnvelope, ServerMsg, TcpTransport, Transport,
-};
+use crate::transport::{InProcTransport, LinkPolicy, ServerMsg, TcpTransport, Transport};
 use legostore_cloud::CloudModel;
 use legostore_lincheck::HistoryRecorder;
 use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound, RequestServer};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound, RequestServer, ServedReply};
 use legostore_types::{
     Configuration, DcId, FaultPlan, Key, StoreError, StoreResult, Tag, Value,
 };
@@ -138,8 +136,8 @@ impl ClusterInner {
     pub(crate) fn buffer_reply(
         &self,
         at: DcId,
-        inbox: &mut DelayedInbox<ReplyEnvelope>,
-        env: ReplyEnvelope,
+        inbox: &mut DelayedInbox<ServedReply>,
+        env: ServedReply,
     ) {
         self.transport.buffer_reply(at, inbox, env);
     }
@@ -400,7 +398,7 @@ impl Cluster {
         let op_timeout_ns = self.inner.options.op_timeout.as_nanos() as u64;
         let mut driver = ReconfigDriver::new(key.clone(), old, new_config, op_timeout_ns, started_ns);
         let endpoint = self.inner.transport.open_endpoint();
-        let mut inbox: DelayedInbox<ReplyEnvelope> = DelayedInbox::new();
+        let mut inbox: DelayedInbox<ServedReply> = DelayedInbox::new();
         let mut outbound = driver.start();
         loop {
             for out in outbound.drain(..) {
@@ -489,16 +487,7 @@ fn server_loop(
                 let bytes_in = inbound.msg.wire_size(metadata_bytes);
                 host.serve(reply_to, inbound, bytes_in, || clock.now_ns(), |route, r| {
                     let bytes = r.reply.wire_size(metadata_bytes);
-                    let sent = route.send(ReplyEnvelope {
-                        endpoint: r.endpoint,
-                        from: r.from,
-                        sent_at_ns: r.sent_at_ns,
-                        service_ns: r.service_ns,
-                        phase: r.phase,
-                        epoch: r.epoch,
-                        reply: r.reply,
-                    });
-                    sent.is_ok().then_some(bytes)
+                    route.send(r).is_ok().then_some(bytes)
                 });
             }
         }

@@ -37,4 +37,5 @@ pub mod transport;
 pub use client::StoreClient;
 pub use clock::Clock;
 pub use cluster::{Cluster, ClusterOptions, ClusterStats};
-pub use transport::{Endpoint, ReplyEnvelope, Transport};
+pub use legostore_proto::server::ServedReply;
+pub use transport::{Endpoint, Transport};

@@ -30,12 +30,9 @@ use crate::clock::{Clock, ClockedReceiver, ClockedSender};
 use crate::inbox::DelayedInbox;
 use legostore_cloud::CloudModel;
 use legostore_obs::{Counter, MetricsSnapshot, Obs};
-use legostore_proto::msg::ProtoReply;
-use legostore_proto::server::{ControlMsg, Inbound};
+use legostore_proto::server::{ControlMsg, Inbound, ServedReply};
 use legostore_proto::wire::Frame;
-use legostore_types::{
-    ConfigEpoch, DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult,
-};
+use legostore_types::{DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
@@ -43,38 +40,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A reply traveling back to a client or to the controller.
-#[derive(Debug, Clone)]
-pub struct ReplyEnvelope {
-    /// The endpoint (operation attempt) this reply is for.
-    pub endpoint: u64,
-    /// Server data center that produced the reply.
-    pub from: DcId,
-    /// Clock timestamp ([`Clock::now_ns`]) at which the reply entered this process.
-    /// In-process transports stamp it at the server; the TCP transport re-stamps on
-    /// arrival, because the sending process's clock is not comparable to ours.
-    pub sent_at_ns: u64,
-    /// Server-reported processing duration for the request this reply answers, in the
-    /// server's own clock. A *duration* stays meaningful across processes even though
-    /// the server's timestamps do not, so clients can split round-trip time into
-    /// network and service components.
-    pub service_ns: u64,
-    /// Echoed protocol phase.
-    pub phase: u8,
-    /// Configuration epoch of the request this reply answers. Clients discard replies
-    /// stamped with an epoch other than the one their current attempt runs in: after a
-    /// reconfiguration redirect the endpoint id alone cannot tell a live reply from a
-    /// straggler solicited before the move.
-    pub epoch: ConfigEpoch,
-    /// Reply body.
-    pub reply: ProtoReply,
-}
-
 /// A message to an in-process per-DC server thread.
 pub(crate) enum ServerMsg {
     /// A protocol request plus the channel its replies route back on.
     Request {
-        reply_to: ClockedSender<ReplyEnvelope>,
+        reply_to: ClockedSender<ServedReply>,
         inbound: Inbound,
     },
     /// An out-of-band administration command.
@@ -88,7 +58,7 @@ pub(crate) enum ServerMsg {
 }
 
 /// Demux table mapping live endpoint ids to their reply queues (TCP transport only).
-type ReplyRoutes = Arc<Mutex<HashMap<u64, ClockedSender<ReplyEnvelope>>>>;
+type ReplyRoutes = Arc<Mutex<HashMap<u64, ClockedSender<ServedReply>>>>;
 
 /// Pending stats scrapes keyed by token (TCP transport only): the reader thread routes
 /// each `StatsReply` frame to the scraping thread that sent the matching request.
@@ -104,8 +74,8 @@ const STATS_TIMEOUT: Duration = Duration::from_secs(10);
 /// route — so replies to finished attempts are discarded at the source.
 pub struct Endpoint {
     id: u64,
-    tx: ClockedSender<ReplyEnvelope>,
-    rx: ClockedReceiver<ReplyEnvelope>,
+    tx: ClockedSender<ServedReply>,
+    rx: ClockedReceiver<ServedReply>,
     /// TCP demux table this endpoint is registered in, if any (in-process endpoints route
     /// via the per-request reply channel instead).
     registry: Option<ReplyRoutes>,
@@ -119,17 +89,17 @@ impl Endpoint {
 
     /// A sender for routing replies to this endpoint (the in-process transport attaches
     /// one to every request).
-    pub(crate) fn reply_sender(&self) -> ClockedSender<ReplyEnvelope> {
+    pub(crate) fn reply_sender(&self) -> ClockedSender<ServedReply> {
         self.tx.clone()
     }
 
     /// Non-blocking receive of the next delivered reply.
-    pub fn try_recv(&self) -> Option<ReplyEnvelope> {
+    pub fn try_recv(&self) -> Option<ServedReply> {
         self.rx.try_recv().ok()
     }
 
     /// Blocking receive until `deadline_ns` ([`Clock::now_ns`] domain).
-    pub fn recv_deadline_ns(&self, deadline_ns: u64) -> Option<ReplyEnvelope> {
+    pub fn recv_deadline_ns(&self, deadline_ns: u64) -> Option<ServedReply> {
         self.rx.recv_deadline_ns(deadline_ns).ok()
     }
 }
@@ -166,7 +136,7 @@ pub trait Transport: Send + Sync {
 
     /// Buffers `env` in `inbox` at its modeled arrival instant for a consumer at `at`,
     /// applying the reply-leg fault verdict (drop / delay / duplicate).
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ReplyEnvelope>, env: ReplyEnvelope);
+    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply);
 
     /// Sends an out-of-band administration command to the server at `to`. Unknown
     /// destinations are ignored (best-effort, like the drivers' admin paths).
@@ -270,8 +240,8 @@ impl LinkPolicy {
     pub(crate) fn buffer_reply(
         &self,
         at: DcId,
-        inbox: &mut DelayedInbox<ReplyEnvelope>,
-        env: ReplyEnvelope,
+        inbox: &mut DelayedInbox<ServedReply>,
+        env: ServedReply,
     ) {
         let Some((copies, extra_ms)) = self.verdict(env.from, at).deliveries() else {
             if self.obs.enabled() {
@@ -356,7 +326,7 @@ impl Transport for InProcTransport {
             .map_err(|_| StoreError::Transport(format!("server {to} has shut down")))
     }
 
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ReplyEnvelope>, env: ReplyEnvelope) {
+    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
         self.links.buffer_reply(at, inbox, env);
     }
 
@@ -518,7 +488,7 @@ fn reader_loop(
                 // Re-stamp the arrival instant with our clock (the server's clock is
                 // another process's); `service_ns` is a duration, so it survives the
                 // process boundary untouched.
-                let _ = route.send(ReplyEnvelope {
+                let _ = route.send(ServedReply {
                     endpoint,
                     from,
                     sent_at_ns: clock.now_ns(),
@@ -566,7 +536,7 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ReplyEnvelope>, env: ReplyEnvelope) {
+    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
         self.links.buffer_reply(at, inbox, env);
     }
 

@@ -699,7 +699,8 @@ pub struct ServedReply {
     pub endpoint: EndpointId,
     /// The serving data center.
     pub from: DcId,
-    /// Host clock when the reply was handed over.
+    /// Host clock when the reply was handed over. A receiver in another process re-stamps
+    /// it on arrival, because the two clocks are not comparable.
     pub sent_at_ns: u64,
     /// How long [`DcServer::handle_at`] took on the request that produced it.
     pub service_ns: u64,

@@ -7,17 +7,27 @@
 //! * A **frame** on the wire is `u32` little-endian payload length followed by that many
 //!   payload bytes. The length covers the payload only (not itself) and is capped at
 //!   [`MAX_FRAME_BYTES`].
-//! * The payload starts with a one-byte frame kind ([`Frame`]), then the body.
+//! * The payload is one [`Frame`], encoded by the two rules below.
+//! * A **struct** is its fields, in the order its `wire!` description lists them, with
+//!   nothing in between. An **enum** is a one-byte discriminant (the number its
+//!   description gives the variant) followed by that variant's fields the same way.
 //! * All integers are fixed-width little-endian. Booleans are one byte (0/1). There are no
 //!   floats anywhere in the message types.
 //! * Byte strings and UTF-8 strings are `u32` length-prefixed. `usize` fields travel as
 //!   `u64` so the format is identical across platforms.
-//! * `Option<T>` is a presence byte (0/1) followed by `T` when present.
+//! * `Option<T>` is a presence byte (0/1) followed by `T` when present. `Box<T>` is `T`.
+//! * Sequences are a `u64` element count followed by the elements; maps are a `u64` entry
+//!   count followed by `key, value` pairs in ascending key order. The one exception is the
+//!   stats snapshot ([`MetricsSnapshot`]), whose three maps and per-histogram bucket lists
+//!   carry `u32` counts.
 //!
 //! Decoding is **zero-copy for payloads**: every `Bytes` field (ABD values, CAS codeword
 //! symbols) comes back as a [`Bytes::slice`] window into the single frame buffer, so a
 //! decoded 1 MiB shard shares the frame's allocation instead of being copied out
 //! (`shims/bytes` frame reuse). Everything else (keys, configurations) is small and owned.
+//! Decoding never trusts the bytes: boxed values may nest at most 16 deep (a
+//! `StoreError::QuorumUnreachable` chain is the only recursive shape), so a hostile frame
+//! cannot exhaust the decoding thread's stack.
 //!
 //! The golden-fingerprint tests in `crates/proto/tests/wire_goldens.rs` pin the encoding of
 //! every variant: any byte-level change is a wire-format break and must be made
@@ -38,6 +48,11 @@ use std::io::{self, Read, Write};
 /// (the paper's workloads top out at 10 MB values) with generous headroom; small enough
 /// that a corrupt or hostile length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
+/// Deepest chain of `Box`es a frame may carry. Legitimate frames nest at most once (a
+/// client's `QuorumUnreachable` wrapping its last attempt's error); the cap bounds the
+/// decoder's recursion so a hostile frame cannot overflow its stack.
+const MAX_NESTING: usize = 16;
 
 /// Errors produced while encoding to or decoding from the wire.
 #[derive(Debug)]
@@ -68,6 +83,8 @@ pub enum WireError {
     },
     /// A string field held invalid UTF-8.
     BadUtf8,
+    /// Boxed values nest more than 16 deep.
+    TooDeep,
     /// The underlying socket or stream failed.
     Io(io::Error),
 }
@@ -88,6 +105,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap")
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::TooDeep => write!(f, "values nest deeper than {MAX_NESTING} levels"),
             WireError::Io(e) => write!(f, "wire I/O error: {e}"),
         }
     }
@@ -159,82 +177,30 @@ pub enum Frame {
     },
 }
 
-const FRAME_REQUEST: u8 = 1;
-const FRAME_REPLY: u8 = 2;
-const FRAME_CONTROL: u8 = 3;
-const FRAME_SHUTDOWN: u8 = 4;
-const FRAME_STATS_REQUEST: u8 = 5;
-const FRAME_STATS_REPLY: u8 = 6;
-
 impl Frame {
     /// Encodes the frame, including its 4-byte length prefix, into a fresh buffer.
     ///
     /// The buffer is written to a socket with a single `write_all`, which keeps concurrent
     /// senders on a shared connection frame-atomic (serialize writers externally).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Frame::Request(inbound) => {
-                w.u8(FRAME_REQUEST);
-                put_inbound(&mut w, inbound);
-            }
-            Frame::Reply { endpoint, from, sent_at_ns, service_ns, phase, epoch, reply } => {
-                w.u8(FRAME_REPLY);
-                w.u64(*endpoint);
-                w.u16(from.0);
-                w.u64(*sent_at_ns);
-                w.u64(*service_ns);
-                w.u8(*phase);
-                w.u64(epoch.0);
-                put_reply(&mut w, reply);
-            }
-            Frame::Control(ctrl) => {
-                w.u8(FRAME_CONTROL);
-                put_control(&mut w, ctrl);
-            }
-            Frame::Shutdown => w.u8(FRAME_SHUTDOWN),
-            Frame::StatsRequest { token } => {
-                w.u8(FRAME_STATS_REQUEST);
-                w.u64(*token);
-            }
-            Frame::StatsReply { token, dc, snapshot } => {
-                w.u8(FRAME_STATS_REPLY);
-                w.u64(*token);
-                w.u16(dc.0);
-                put_snapshot(&mut w, snapshot);
-            }
-        }
-        w.into_framed()
+        // The first four bytes are reserved for the length prefix, backfilled below.
+        let mut w = vec![0u8; 4];
+        self.put(&mut w);
+        let len = (w.len() - 4) as u32;
+        w[..4].copy_from_slice(&len.to_le_bytes());
+        w
     }
 
     /// Decodes one frame from its payload bytes (the length prefix already stripped).
     ///
     /// Every `Bytes` payload in the result is a zero-copy window into `payload`.
     pub fn decode(payload: Bytes) -> WireResult<Frame> {
-        let mut r = Reader::new(payload);
-        let frame = match r.u8()? {
-            FRAME_REQUEST => Frame::Request(get_inbound(&mut r)?),
-            FRAME_REPLY => Frame::Reply {
-                endpoint: r.u64()?,
-                from: DcId(r.u16()?),
-                sent_at_ns: r.u64()?,
-                service_ns: r.u64()?,
-                phase: r.u8()?,
-                epoch: ConfigEpoch(r.u64()?),
-                reply: get_reply(&mut r)?,
-            },
-            FRAME_CONTROL => Frame::Control(get_control(&mut r)?),
-            FRAME_SHUTDOWN => Frame::Shutdown,
-            FRAME_STATS_REQUEST => Frame::StatsRequest { token: r.u64()? },
-            FRAME_STATS_REPLY => Frame::StatsReply {
-                token: r.u64()?,
-                dc: DcId(r.u16()?),
-                snapshot: get_snapshot(&mut r)?,
-            },
-            tag => return Err(WireError::UnknownTag { what: "Frame", tag }),
-        };
-        r.finish()?;
-        Ok(frame)
+        let mut r = Reader { frame: payload, pos: 0, depth: 0 };
+        let frame = Frame::get(&mut r)?;
+        match r.frame.len() - r.pos {
+            0 => Ok(frame),
+            extra => Err(WireError::TrailingBytes { extra }),
+        }
     }
 
     /// Reads one length-prefixed frame from a stream.
@@ -276,70 +242,25 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writer / reader
+// The codec: one trait, hand impls for primitives and containers
 // ---------------------------------------------------------------------------
 
-struct Writer {
-    // The first four bytes are reserved for the length prefix.
-    buf: Vec<u8>,
+/// A type with a wire encoding: `put` appends it, `get` reads it back.
+trait Wire: Sized {
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut Reader) -> WireResult<Self>;
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: vec![0u8; 4] }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Backfills the length prefix and returns the finished frame.
-    fn into_framed(mut self) -> Vec<u8> {
-        let len = (self.buf.len() - 4) as u32;
-        self.buf[..4].copy_from_slice(&len.to_le_bytes());
-        self.buf
-    }
-}
-
+/// Decoding cursor over one frame's payload.
 struct Reader {
     frame: Bytes,
     pos: usize,
+    /// `Box`es currently being decoded (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Reader {
-    fn new(frame: Bytes) -> Self {
-        Reader { frame, pos: 0 }
-    }
-
+    #[inline]
     fn take(&mut self, n: usize) -> WireResult<&[u8]> {
         let have = self.frame.len() - self.pos;
         if n > have {
@@ -349,490 +270,336 @@ impl Reader {
         self.pos += n;
         Ok(out)
     }
+}
 
-    fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut Reader) -> WireResult<Self> {
+                const N: usize = std::mem::size_of::<$t>();
+                let mut le = [0u8; N];
+                le.copy_from_slice(r.take(N)?);
+                Ok(<$t>::from_le_bytes(le))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u16, u32, u64);
+
+impl Wire for usize {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (*self as u64).put(w);
     }
-
-    fn u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        Ok(u64::get(r)? as usize)
     }
+}
 
-    fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+impl Wire for bool {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self as u8);
     }
-
-    fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn usize(&mut self) -> WireResult<usize> {
-        Ok(self.u64()? as usize)
-    }
-
-    fn bool(&mut self) -> WireResult<bool> {
-        match self.u8()? {
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
             tag => Err(WireError::UnknownTag { what: "bool", tag }),
         }
     }
+}
 
+impl Wire for Bytes {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u32).put(w);
+        w.extend_from_slice(self);
+    }
     /// Zero-copy: the returned `Bytes` is a window into the frame buffer.
-    fn bytes(&mut self) -> WireResult<Bytes> {
-        let n = self.u32()? as usize;
-        let have = self.frame.len() - self.pos;
-        if n > have {
-            return Err(WireError::Truncated { need: n, have });
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let n = u32::get(r)? as usize;
+        let start = r.pos;
+        r.take(n)?;
+        Ok(r.frame.slice(start..r.pos))
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.len() as u32).put(w);
+        w.extend_from_slice(self.as_bytes());
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let n = u32::get(r)? as usize;
+        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (**self).put(w);
+    }
+    /// The only recursive indirection in the message types, so the one place nesting is
+    /// bounded.
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        if r.depth == MAX_NESTING {
+            return Err(WireError::TooDeep);
         }
-        let out = self.frame.slice(self.pos..self.pos + n);
-        self.pos += n;
+        r.depth += 1;
+        let inner = T::get(r);
+        r.depth -= 1;
+        Ok(Box::new(inner?))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        self.len().put(w);
+        for v in self {
+            v.put(w);
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let n = usize::get(r)?;
+        // The count is untrusted: reserve a bounded amount and let truncation end the loop.
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
         Ok(out)
     }
+}
 
-    fn string(&mut self) -> WireResult<String> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn finish(self) -> WireResult<()> {
-        let extra = self.frame.len() - self.pos;
-        if extra != 0 {
-            return Err(WireError::TrailingBytes { extra });
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        self.len().put(w);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
         }
-        Ok(())
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let mut out = BTreeMap::new();
+        for _ in 0..usize::get(r)? {
+            out.insert(K::get(r)?, V::get(r)?);
+        }
+        Ok(out)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Domain types
-// ---------------------------------------------------------------------------
-
-fn put_tag(w: &mut Writer, tag: Tag) {
-    w.u64(tag.seq);
-    w.u32(tag.client.0);
-}
-
-fn get_tag(r: &mut Reader) -> WireResult<Tag> {
-    Ok(Tag::new(r.u64()?, ClientId(r.u32()?)))
-}
-
-fn put_key(w: &mut Writer, key: &Key) {
-    w.str(key.as_str());
-}
-
-fn get_key(r: &mut Reader) -> WireResult<Key> {
-    Ok(Key::new(r.string()?))
-}
-
-fn put_config(w: &mut Writer, c: &Configuration) {
-    w.u8(match c.protocol {
-        ProtocolKind::Abd => 0,
-        ProtocolKind::Cas => 1,
-    });
-    w.usize(c.n);
-    w.usize(c.k);
-    let [q1, q2, q3, q4] = c.quorums.sizes();
-    w.usize(q1);
-    w.usize(q2);
-    w.usize(q3);
-    w.usize(q4);
-    w.usize(c.dcs.len());
-    for dc in &c.dcs {
-        w.u16(dc.0);
+/// The four quorum sizes; the field is private to `legostore-types`.
+impl Wire for QuorumSpec {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        for q in self.sizes() {
+            q.put(w);
+        }
     }
-    w.usize(c.f);
-    w.u64(c.epoch.0);
-    w.usize(c.preferred_quorums.len());
-    for (client, quorums) in &c.preferred_quorums {
-        w.u16(client.0);
-        w.usize(quorums.len());
-        for quorum in quorums {
-            w.usize(quorum.len());
-            for dc in quorum {
-                w.u16(dc.0);
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        Ok(QuorumSpec::cas(usize::get(r)?, usize::get(r)?, usize::get(r)?, usize::get(r)?))
+    }
+}
+
+/// Counts in `u32`, unlike every other sequence and map (see the module docs).
+impl Wire for MetricsSnapshot {
+    fn put(&self, w: &mut Vec<u8>) {
+        for map in [&self.counters, &self.gauges] {
+            (map.len() as u32).put(w);
+            for (name, v) in map {
+                name.put(w);
+                v.put(w);
+            }
+        }
+        (self.histograms.len() as u32).put(w);
+        for (name, h) in &self.histograms {
+            name.put(w);
+            h.count.put(w);
+            h.sum.put(w);
+            (h.buckets.len() as u32).put(w);
+            for (idx, n) in &h.buckets {
+                idx.put(w);
+                n.put(w);
             }
         }
     }
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let mut s = MetricsSnapshot::default();
+        for map in [&mut s.counters, &mut s.gauges] {
+            for _ in 0..u32::get(r)? {
+                map.insert(String::get(r)?, u64::get(r)?);
+            }
+        }
+        for _ in 0..u32::get(r)? {
+            let (name, count, sum) = (String::get(r)?, u64::get(r)?, u64::get(r)?);
+            let n = u32::get(r)? as usize;
+            let mut buckets = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                buckets.push((u8::get(r)?, u64::get(r)?));
+            }
+            s.histograms.insert(name, HistogramSnapshot { count, sum, buckets });
+        }
+        Ok(s)
+    }
 }
 
-fn get_config(r: &mut Reader) -> WireResult<Configuration> {
-    let protocol = match r.u8()? {
-        0 => ProtocolKind::Abd,
-        1 => ProtocolKind::Cas,
-        tag => return Err(WireError::UnknownTag { what: "ProtocolKind", tag }),
+// ---------------------------------------------------------------------------
+// Message types: one field list each, driving both directions
+// ---------------------------------------------------------------------------
+
+/// Implements [`Wire`] for each described type from its field list. A struct is written
+/// `struct T(a, b);` or `struct T { a, b };` and encodes its fields in the listed order;
+/// an enum is written `enum E { 0 => V(a), 1 => W { b }, 2 => U {} }` and encodes the
+/// variant's number as one byte, then its fields. The list doubles as the destructuring
+/// pattern and the constructor, so a field missing from it does not compile.
+macro_rules! wire {
+    () => {};
+    (struct $t:ident $fields:tt; $($rest:tt)*) => {
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                let $t $fields = self;
+                wire!(@put w $fields);
+            }
+            #[inline]
+            fn get(r: &mut Reader) -> WireResult<Self> {
+                wire!(@get r $fields);
+                Ok($t $fields)
+            }
+        }
+        wire!($($rest)*);
     };
-    let n = r.usize()?;
-    let k = r.usize()?;
-    let (q1, q2, q3, q4) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
-    let quorums = QuorumSpec::cas(q1, q2, q3, q4);
-    let dc_count = r.usize()?;
-    let mut dcs = Vec::with_capacity(dc_count.min(1024));
-    for _ in 0..dc_count {
-        dcs.push(DcId(r.u16()?));
-    }
-    let f = r.usize()?;
-    let epoch = ConfigEpoch(r.u64()?);
-    let pref_count = r.usize()?;
-    let mut preferred_quorums = BTreeMap::new();
-    for _ in 0..pref_count {
-        let client = DcId(r.u16()?);
-        let list_count = r.usize()?;
-        let mut lists = Vec::with_capacity(list_count.min(1024));
-        for _ in 0..list_count {
-            let member_count = r.usize()?;
-            let mut members = Vec::with_capacity(member_count.min(1024));
-            for _ in 0..member_count {
-                members.push(DcId(r.u16()?));
-            }
-            lists.push(members);
-        }
-        preferred_quorums.insert(client, lists);
-    }
-    Ok(Configuration { protocol, n, k, quorums, dcs, f, epoch, preferred_quorums })
-}
-
-fn put_error(w: &mut Writer, e: &StoreError) {
-    match e {
-        StoreError::KeyAlreadyExists(key) => {
-            w.u8(0);
-            put_key(w, key);
-        }
-        StoreError::KeyNotFound(key) => {
-            w.u8(1);
-            put_key(w, key);
-        }
-        StoreError::QuorumTimeout { needed, received } => {
-            w.u8(2);
-            w.usize(*needed);
-            w.usize(*received);
-        }
-        StoreError::QuorumUnreachable { attempts, last } => {
-            w.u8(3);
-            w.u32(*attempts);
-            put_error(w, last);
-        }
-        StoreError::TooManyFailures { failed, tolerated } => {
-            w.u8(4);
-            w.usize(*failed);
-            w.usize(*tolerated);
-        }
-        StoreError::StaleConfiguration { observed, current } => {
-            w.u8(5);
-            w.u64(observed.0);
-            w.u64(current.0);
-        }
-        StoreError::OperationFailedByReconfig { new_epoch } => {
-            w.u8(6);
-            w.u64(new_epoch.0);
-        }
-        StoreError::InvalidConfiguration(msg) => {
-            w.u8(7);
-            w.str(msg);
-        }
-        StoreError::DecodeFailed { have, need } => {
-            w.u8(8);
-            w.usize(*have);
-            w.usize(*need);
-        }
-        StoreError::NotAHost { dc, key } => {
-            w.u8(9);
-            w.u16(dc.0);
-            put_key(w, key);
-        }
-        StoreError::MetadataUnavailable(key) => {
-            w.u8(10);
-            put_key(w, key);
-        }
-        StoreError::Transport(msg) => {
-            w.u8(11);
-            w.str(msg);
-        }
-        StoreError::Internal(msg) => {
-            w.u8(12);
-            w.str(msg);
-        }
-        StoreError::ReconfigStalled { epoch, round } => {
-            w.u8(13);
-            w.u64(epoch.0);
-            w.u8(*round);
-        }
-    }
-}
-
-fn get_error(r: &mut Reader) -> WireResult<StoreError> {
-    Ok(match r.u8()? {
-        0 => StoreError::KeyAlreadyExists(get_key(r)?),
-        1 => StoreError::KeyNotFound(get_key(r)?),
-        2 => StoreError::QuorumTimeout { needed: r.usize()?, received: r.usize()? },
-        3 => StoreError::QuorumUnreachable {
-            attempts: r.u32()?,
-            last: Box::new(get_error(r)?),
-        },
-        4 => StoreError::TooManyFailures { failed: r.usize()?, tolerated: r.usize()? },
-        5 => StoreError::StaleConfiguration {
-            observed: ConfigEpoch(r.u64()?),
-            current: ConfigEpoch(r.u64()?),
-        },
-        6 => StoreError::OperationFailedByReconfig { new_epoch: ConfigEpoch(r.u64()?) },
-        7 => StoreError::InvalidConfiguration(r.string()?),
-        8 => StoreError::DecodeFailed { have: r.usize()?, need: r.usize()? },
-        9 => StoreError::NotAHost { dc: DcId(r.u16()?), key: get_key(r)? },
-        10 => StoreError::MetadataUnavailable(get_key(r)?),
-        11 => StoreError::Transport(r.string()?),
-        12 => StoreError::Internal(r.string()?),
-        13 => StoreError::ReconfigStalled { epoch: ConfigEpoch(r.u64()?), round: r.u8()? },
-        tag => return Err(WireError::UnknownTag { what: "StoreError", tag }),
-    })
-}
-
-fn put_payload(w: &mut Writer, p: &ReconfigPayload) {
-    match p {
-        ReconfigPayload::Value(v) => {
-            w.u8(0);
-            w.bytes(v.as_bytes());
-        }
-        ReconfigPayload::Shard(s) => {
-            w.u8(1);
-            w.bytes(s);
-        }
-    }
-}
-
-fn get_payload(r: &mut Reader) -> WireResult<ReconfigPayload> {
-    Ok(match r.u8()? {
-        0 => ReconfigPayload::Value(Value::new(r.bytes()?)),
-        1 => ReconfigPayload::Shard(r.bytes()?),
-        tag => return Err(WireError::UnknownTag { what: "ReconfigPayload", tag }),
-    })
-}
-
-fn put_msg(w: &mut Writer, m: &ProtoMsg) {
-    match m {
-        ProtoMsg::AbdReadQuery => w.u8(0),
-        ProtoMsg::AbdWriteQuery => w.u8(1),
-        ProtoMsg::AbdWrite { tag, value } => {
-            w.u8(2);
-            put_tag(w, *tag);
-            w.bytes(value.as_bytes());
-        }
-        ProtoMsg::CasQuery => w.u8(3),
-        ProtoMsg::CasPreWrite { tag, shard } => {
-            w.u8(4);
-            put_tag(w, *tag);
-            w.bytes(shard);
-        }
-        ProtoMsg::CasFinalizeWrite { tag } => {
-            w.u8(5);
-            put_tag(w, *tag);
-        }
-        ProtoMsg::CasFinalizeRead { tag } => {
-            w.u8(6);
-            put_tag(w, *tag);
-        }
-        ProtoMsg::ReconfigQuery { new_config } => {
-            w.u8(7);
-            put_config(w, new_config);
-        }
-        ProtoMsg::ReconfigGet { tag } => {
-            w.u8(8);
-            put_tag(w, *tag);
-        }
-        ProtoMsg::ReconfigWrite { tag, data, config } => {
-            w.u8(9);
-            put_tag(w, *tag);
-            put_payload(w, data);
-            put_config(w, config);
-        }
-        ProtoMsg::FinishReconfig { highest_tag, new_config } => {
-            w.u8(10);
-            put_tag(w, *highest_tag);
-            put_config(w, new_config);
-        }
-    }
-}
-
-fn get_msg(r: &mut Reader) -> WireResult<ProtoMsg> {
-    Ok(match r.u8()? {
-        0 => ProtoMsg::AbdReadQuery,
-        1 => ProtoMsg::AbdWriteQuery,
-        2 => ProtoMsg::AbdWrite { tag: get_tag(r)?, value: Value::new(r.bytes()?) },
-        3 => ProtoMsg::CasQuery,
-        4 => ProtoMsg::CasPreWrite { tag: get_tag(r)?, shard: r.bytes()? },
-        5 => ProtoMsg::CasFinalizeWrite { tag: get_tag(r)? },
-        6 => ProtoMsg::CasFinalizeRead { tag: get_tag(r)? },
-        7 => ProtoMsg::ReconfigQuery { new_config: Box::new(get_config(r)?) },
-        8 => ProtoMsg::ReconfigGet { tag: get_tag(r)? },
-        9 => ProtoMsg::ReconfigWrite {
-            tag: get_tag(r)?,
-            data: get_payload(r)?,
-            config: Box::new(get_config(r)?),
-        },
-        10 => ProtoMsg::FinishReconfig {
-            highest_tag: get_tag(r)?,
-            new_config: Box::new(get_config(r)?),
-        },
-        tag => return Err(WireError::UnknownTag { what: "ProtoMsg", tag }),
-    })
-}
-
-fn put_reply(w: &mut Writer, reply: &ProtoReply) {
-    match reply {
-        ProtoReply::AbdTagValue { tag, value } => {
-            w.u8(0);
-            put_tag(w, *tag);
-            w.bytes(value.as_bytes());
-        }
-        ProtoReply::TagOnly { tag } => {
-            w.u8(1);
-            put_tag(w, *tag);
-        }
-        ProtoReply::Ack => w.u8(2),
-        ProtoReply::CasShard { tag, shard } => {
-            w.u8(3);
-            put_tag(w, *tag);
-            match shard {
-                None => w.bool(false),
-                Some(s) => {
-                    w.bool(true);
-                    w.bytes(s);
+    (enum $e:ident { $($tag:literal => $v:ident $fields:tt),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $e {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($e::$v $fields => {
+                        w.push($tag);
+                        wire!(@put w $fields);
+                    })*
                 }
             }
+            #[inline]
+            fn get(r: &mut Reader) -> WireResult<Self> {
+                Ok(match u8::get(r)? {
+                    $($tag => {
+                        wire!(@get r $fields);
+                        $e::$v $fields
+                    })*
+                    tag => return Err(WireError::UnknownTag { what: stringify!($e), tag }),
+                })
+            }
         }
-        ProtoReply::OperationFail { new_config } => {
-            w.u8(4);
-            put_config(w, new_config);
-        }
-        ProtoReply::Error(e) => {
-            w.u8(5);
-            put_error(w, e);
-        }
-    }
+        wire!($($rest)*);
+    };
+    (@put $w:ident ($($f:ident),*)) => { $($f.put($w);)* };
+    (@put $w:ident {$($f:ident),*}) => { $($f.put($w);)* };
+    (@get $r:ident ($($f:ident),*)) => { $(let $f = Wire::get($r)?;)* };
+    (@get $r:ident {$($f:ident),*}) => { $(let $f = Wire::get($r)?;)* };
 }
 
-fn get_reply(r: &mut Reader) -> WireResult<ProtoReply> {
-    Ok(match r.u8()? {
-        0 => ProtoReply::AbdTagValue { tag: get_tag(r)?, value: Value::new(r.bytes()?) },
-        1 => ProtoReply::TagOnly { tag: get_tag(r)? },
-        2 => ProtoReply::Ack,
-        3 => {
-            let tag = get_tag(r)?;
-            let shard = if r.bool()? { Some(r.bytes()?) } else { None };
-            ProtoReply::CasShard { tag, shard }
-        }
-        4 => ProtoReply::OperationFail { new_config: Box::new(get_config(r)?) },
-        5 => ProtoReply::Error(get_error(r)?),
-        tag => return Err(WireError::UnknownTag { what: "ProtoReply", tag }),
-    })
-}
+wire! {
+    struct DcId(id);
+    struct ClientId(id);
+    struct ConfigEpoch(e);
+    struct Key(name);
+    struct Value(bytes);
+    struct Tag { seq, client };
+    struct Configuration { protocol, n, k, quorums, dcs, f, epoch, preferred_quorums };
+    struct Inbound { from, msg_id, phase, key, epoch, msg };
 
-fn put_inbound(w: &mut Writer, inbound: &Inbound) {
-    w.u64(inbound.from);
-    w.u64(inbound.msg_id);
-    w.u8(inbound.phase);
-    put_key(w, &inbound.key);
-    w.u64(inbound.epoch.0);
-    put_msg(w, &inbound.msg);
-}
+    enum ProtocolKind { 0 => Abd {}, 1 => Cas {} }
 
-fn get_inbound(r: &mut Reader) -> WireResult<Inbound> {
-    Ok(Inbound {
-        from: r.u64()?,
-        msg_id: r.u64()?,
-        phase: r.u8()?,
-        key: get_key(r)?,
-        epoch: ConfigEpoch(r.u64()?),
-        msg: get_msg(r)?,
-    })
-}
+    enum ReconfigPayload { 0 => Value(v), 1 => Shard(s) }
 
-fn put_snapshot(w: &mut Writer, s: &MetricsSnapshot) {
-    w.u32(s.counters.len() as u32);
-    for (name, v) in &s.counters {
-        w.str(name);
-        w.u64(*v);
+    enum ProtoMsg {
+        0 => AbdReadQuery {},
+        1 => AbdWriteQuery {},
+        2 => AbdWrite { tag, value },
+        3 => CasQuery {},
+        4 => CasPreWrite { tag, shard },
+        5 => CasFinalizeWrite { tag },
+        6 => CasFinalizeRead { tag },
+        7 => ReconfigQuery { new_config },
+        8 => ReconfigGet { tag },
+        9 => ReconfigWrite { tag, data, config },
+        10 => FinishReconfig { highest_tag, new_config },
     }
-    w.u32(s.gauges.len() as u32);
-    for (name, v) in &s.gauges {
-        w.str(name);
-        w.u64(*v);
-    }
-    w.u32(s.histograms.len() as u32);
-    for (name, h) in &s.histograms {
-        w.str(name);
-        w.u64(h.count);
-        w.u64(h.sum);
-        w.u32(h.buckets.len() as u32);
-        for (idx, n) in &h.buckets {
-            w.u8(*idx);
-            w.u64(*n);
-        }
-    }
-}
 
-fn get_snapshot(r: &mut Reader) -> WireResult<MetricsSnapshot> {
-    let mut snapshot = MetricsSnapshot::default();
-    for _ in 0..r.u32()? {
-        let name = r.string()?;
-        snapshot.counters.insert(name, r.u64()?);
+    enum ProtoReply {
+        0 => AbdTagValue { tag, value },
+        1 => TagOnly { tag },
+        2 => Ack {},
+        3 => CasShard { tag, shard },
+        4 => OperationFail { new_config },
+        5 => Error(e),
     }
-    for _ in 0..r.u32()? {
-        let name = r.string()?;
-        snapshot.gauges.insert(name, r.u64()?);
-    }
-    for _ in 0..r.u32()? {
-        let name = r.string()?;
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let bucket_count = r.u32()? as usize;
-        let mut buckets = Vec::with_capacity(bucket_count.min(1024));
-        for _ in 0..bucket_count {
-            let idx = r.u8()?;
-            buckets.push((idx, r.u64()?));
-        }
-        snapshot.histograms.insert(name, HistogramSnapshot { count, sum, buckets });
-    }
-    Ok(snapshot)
-}
 
-fn put_control(w: &mut Writer, ctrl: &ControlMsg) {
-    match ctrl {
-        ControlMsg::InstallKey { key, config, tag, payload } => {
-            w.u8(0);
-            put_key(w, key);
-            put_config(w, config);
-            put_tag(w, *tag);
-            put_payload(w, payload);
-        }
-        ControlMsg::RemoveKey(key) => {
-            w.u8(1);
-            put_key(w, key);
-        }
-        ControlMsg::SetFailed(failed) => {
-            w.u8(2);
-            w.bool(*failed);
-        }
-        ControlMsg::GarbageCollect(keep) => {
-            w.u8(3);
-            w.usize(*keep);
-        }
+    enum StoreError {
+        0 => KeyAlreadyExists(key),
+        1 => KeyNotFound(key),
+        2 => QuorumTimeout { needed, received },
+        3 => QuorumUnreachable { attempts, last },
+        4 => TooManyFailures { failed, tolerated },
+        5 => StaleConfiguration { observed, current },
+        6 => OperationFailedByReconfig { new_epoch },
+        7 => InvalidConfiguration(msg),
+        8 => DecodeFailed { have, need },
+        9 => NotAHost { dc, key },
+        10 => MetadataUnavailable(key),
+        11 => Transport(msg),
+        12 => Internal(msg),
+        13 => ReconfigStalled { epoch, round },
     }
-}
 
-fn get_control(r: &mut Reader) -> WireResult<ControlMsg> {
-    Ok(match r.u8()? {
-        0 => ControlMsg::InstallKey {
-            key: get_key(r)?,
-            config: get_config(r)?,
-            tag: get_tag(r)?,
-            payload: get_payload(r)?,
-        },
-        1 => ControlMsg::RemoveKey(get_key(r)?),
-        2 => ControlMsg::SetFailed(r.bool()?),
-        3 => ControlMsg::GarbageCollect(r.usize()?),
-        tag => return Err(WireError::UnknownTag { what: "ControlMsg", tag }),
-    })
+    enum ControlMsg {
+        0 => InstallKey { key, config, tag, payload },
+        1 => RemoveKey(key),
+        2 => SetFailed(failed),
+        3 => GarbageCollect(keep),
+    }
+
+    enum Frame {
+        1 => Request(inbound),
+        2 => Reply { endpoint, from, sent_at_ns, service_ns, phase, epoch, reply },
+        3 => Control(ctrl),
+        4 => Shutdown {},
+        5 => StatsRequest { token },
+        6 => StatsReply { token, dc, snapshot },
+    }
 }
 
 #[cfg(test)]
@@ -998,8 +765,8 @@ mod tests {
         // Unknown frame kind.
         let err = Frame::decode(Bytes::from(vec![0xFFu8])).unwrap_err();
         assert!(matches!(err, WireError::UnknownTag { what: "Frame", .. }), "{err}");
-        // Truncated field.
-        let err = Frame::decode(Bytes::from(vec![FRAME_REPLY, 1, 2])).unwrap_err();
+        // Truncated field (kind 2 is a reply).
+        let err = Frame::decode(Bytes::from(vec![2u8, 1, 2])).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }), "{err}");
         // Trailing garbage after a complete frame.
         let mut shutdown = Frame::Shutdown.encode()[4..].to_vec();
@@ -1014,5 +781,49 @@ mod tests {
         let mut stream = io::Cursor::new(vec![10u8, 0, 0, 0, 1, 2]);
         let err = Frame::read_from(&mut stream).unwrap_err();
         assert!(matches!(err, WireError::Io(_)), "{err}");
+    }
+
+    /// The payload of a zeroed reply frame whose body is `depth` nested
+    /// `QuorumUnreachable`s around a `QuorumTimeout`, built byte by byte: a value nested
+    /// that deep cannot be built, encoded or dropped without recursing as deep itself.
+    fn nested_error_reply(depth: usize) -> Bytes {
+        let mut p = vec![2u8]; // kind: Reply
+        p.extend_from_slice(&[0; 8 + 2 + 8 + 8 + 1 + 8]); // endpoint .. epoch
+        p.push(5); // ProtoReply::Error
+        for _ in 0..depth {
+            p.push(3); // QuorumUnreachable
+            p.extend_from_slice(&4u32.to_le_bytes()); // attempts
+        }
+        p.push(2); // QuorumTimeout
+        p.extend_from_slice(&[0; 16]);
+        Bytes::from(p)
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_without_exhausting_the_stack() {
+        let mut expected = StoreError::QuorumTimeout { needed: 0, received: 0 };
+        for _ in 0..MAX_NESTING {
+            expected = StoreError::QuorumUnreachable { attempts: 4, last: Box::new(expected) };
+        }
+        let expected = Frame::Reply {
+            endpoint: 0,
+            from: DcId(0),
+            sent_at_ns: 0,
+            service_ns: 0,
+            phase: 0,
+            epoch: ConfigEpoch(0),
+            reply: ProtoReply::Error(expected),
+        };
+        assert_eq!(nested_error_reply(MAX_NESTING), expected.encode()[4..]);
+        // A spawned thread has the default stack a server connection thread gets.
+        std::thread::spawn(move || {
+            assert_eq!(Frame::decode(nested_error_reply(MAX_NESTING)).unwrap(), expected);
+            for depth in [20_000, MAX_NESTING + 1] {
+                let err = Frame::decode(nested_error_reply(depth)).unwrap_err();
+                assert!(matches!(err, WireError::TooDeep), "depth {depth}: {err}");
+            }
+        })
+        .join()
+        .expect("decoding stays within the thread's stack");
     }
 }

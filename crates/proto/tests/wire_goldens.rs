@@ -573,3 +573,35 @@ proptest! {
         prop_assert!(Frame::read_from(&mut cursor).unwrap().is_none());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every catalog frame, truncated at every offset, with random bytes flipped, or with
+    /// a random suffix, is decoded or rejected — never a panic — both through `decode`
+    /// and through the stream reader.
+    #[test]
+    fn mutated_frames_never_panic(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        for (_, frame) in catalog() {
+            let encoded = frame.encode();
+            let mut mutants: Vec<Vec<u8>> =
+                (0..encoded.len()).map(|n| encoded[..n].to_vec()).collect();
+            for _ in 0..8 {
+                let mut flipped = encoded.clone();
+                for _ in 0..=rng.below(3) {
+                    let i = rng.below(flipped.len() as u64) as usize;
+                    flipped[i] ^= 1 + rng.below(255) as u8;
+                }
+                mutants.push(flipped);
+            }
+            let mut suffixed = encoded.clone();
+            suffixed.extend_from_slice(&rng.bytes(64));
+            mutants.push(suffixed);
+            for bytes in mutants {
+                let _ = Frame::decode(Bytes::from(bytes[bytes.len().min(4)..].to_vec()));
+                let _ = Frame::read_from(&mut std::io::Cursor::new(bytes));
+            }
+        }
+    }
+}

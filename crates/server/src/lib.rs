@@ -318,6 +318,60 @@ mod tests {
         handle.join().expect("join").expect("serve ok");
     }
 
+    /// A reply frame nesting 20 000 `QuorumUnreachable`s (100 058 bytes, built by hand)
+    /// costs connection A its connection, not the server process: connection B is still
+    /// served and `Shutdown` still joins.
+    #[test]
+    fn hostile_nesting_drops_one_connection_not_the_server() {
+        let dc = DcId(0);
+        let (addr, handle) = spawn_server_thread(dc).expect("spawn");
+        let mut hostile = TcpStream::connect(addr).expect("connect A");
+        let mut payload = vec![2u8]; // kind: Reply
+        payload.extend_from_slice(&[0; 8 + 2 + 8 + 8 + 1 + 8]); // endpoint .. epoch
+        payload.push(5); // ProtoReply::Error
+        for _ in 0..20_000 {
+            payload.extend_from_slice(&[3, 4, 0, 0, 0]); // QuorumUnreachable, attempts
+        }
+        payload.push(2); // QuorumTimeout
+        payload.extend_from_slice(&[0; 16]);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        assert_eq!(frame.len(), 100_058);
+        io::Write::write_all(&mut hostile, &frame).expect("send hostile frame");
+        // The server drops the connection once it rejects the frame.
+        assert!(!matches!(Frame::read_from(&mut hostile), Ok(Some(_))));
+
+        let mut conn = TcpStream::connect(addr).expect("connect B");
+        let config = Configuration::abd_majority(vec![dc, DcId(1), DcId(2)], 1);
+        Frame::Control(ControlMsg::InstallKey {
+            key: Key::from("k"),
+            config: config.clone(),
+            tag: Tag::INITIAL,
+            payload: ReconfigPayload::Value(Value::from("v")),
+        })
+        .write_to(&mut conn)
+        .expect("install");
+        Frame::Request(Inbound {
+            from: 7,
+            msg_id: 0,
+            phase: 1,
+            key: Key::from("k"),
+            epoch: config.epoch,
+            msg: ProtoMsg::AbdReadQuery,
+        })
+        .write_to(&mut conn)
+        .expect("query");
+        let reply = Frame::read_from(&mut conn).expect("read").expect("not eof");
+        let Frame::Reply { endpoint: 7, reply: ProtoReply::AbdTagValue { value, .. }, .. } = reply
+        else {
+            panic!("expected an AbdTagValue reply, got {reply:?}");
+        };
+        assert_eq!(value, Value::from("v"));
+
+        Frame::Shutdown.write_to(&mut conn).expect("shutdown");
+        handle.join().expect("join").expect("serve ok");
+    }
+
     #[test]
     fn server_binary_is_discoverable_via_env_override() {
         std::env::set_var("LEGOSTORE_SERVER_BIN", "/tmp/somewhere/legostore-server");
