@@ -125,7 +125,8 @@ pub trait Transport: Send + Sync {
 
     /// Sends one protocol request from `from` to the server at `to`, with replies routed
     /// to `endpoint`. A fault-dropped request returns `Ok(())` — the network gives no
-    /// failure signal; the client only notices via its attempt timeout.
+    /// failure signal; the client only notices via its attempt timeout. Over TCP, a
+    /// failed write to a known peer (its server exited) is dropped the same way.
     fn send_request(
         &self,
         from: DcId,
@@ -230,6 +231,20 @@ impl LinkPolicy {
             );
         }
         deliveries
+    }
+
+    /// Drop accounting for a request whose write to a known peer failed (its server
+    /// exited or reset the connection): a dead peer is a lossy link, not an error, so
+    /// the caller sees `Ok(())` and the client notices only through its attempt timeout.
+    pub(crate) fn request_lost(&self, from: DcId, to: DcId, err: &std::io::Error) {
+        if self.obs.enabled() {
+            self.drops_request.inc();
+            self.obs.flight().record(
+                self.clock.now_ns(),
+                0,
+                format!("write to {to} failed ({err}); dropped request {from} -> {to}"),
+            );
+        }
     }
 
     /// Shared reply-leg implementation of [`Transport::buffer_reply`]: a faulted link
@@ -442,12 +457,14 @@ impl TcpTransport {
         })
     }
 
+    fn peer(&self, to: DcId) -> StoreResult<&Mutex<TcpStream>> {
+        self.peers
+            .get(&to)
+            .ok_or_else(|| StoreError::Transport(format!("unknown data center {to}")))
+    }
+
     fn write_frame(&self, to: DcId, frame: &Frame) -> StoreResult<()> {
-        let Some(peer) = self.peers.get(&to) else {
-            return Err(StoreError::Transport(format!("unknown data center {to}")));
-        };
-        let mut stream = peer.lock();
-        frame.write_to(&mut *stream).map_err(transport_err)
+        frame.write_to(&mut *self.peer(to)?.lock()).map_err(transport_err)
     }
 }
 
@@ -529,9 +546,13 @@ impl Transport for TcpTransport {
         let Some((copies, _)) = self.links.request_deliveries(from, to) else {
             return Ok(());
         };
+        let peer = self.peer(to)?;
         let frame = Frame::Request(inbound);
         for _ in 0..copies {
-            self.write_frame(to, &frame)?;
+            if let Err(e) = frame.write_to(&mut *peer.lock()) {
+                self.links.request_lost(from, to, &e);
+                break;
+            }
         }
         Ok(())
     }

@@ -21,8 +21,8 @@ use legostore_types::{
 };
 use proptest::prelude::*;
 
-/// FNV-1a 64 over the full encoded frame (length prefix included), matching
-/// `legostore_lincheck::recorder::fingerprint`.
+/// FNV-1a 64 over the full encoded frame (length prefix included), pinned here so the
+/// goldens never move with any other crate's hash.
 fn fingerprint(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {

@@ -5,12 +5,13 @@
 
 use legostore_core::{Clock, Cluster, ClusterOptions};
 use legostore_cloud::CloudModelBuilder;
+use legostore_proto::wire::Frame;
 use legostore_server::spawn_server_thread;
 use legostore_types::{
     Configuration, DcId, FaultEvent, FaultKind, FaultPlan, Key, StoreError, Value,
 };
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -148,6 +149,62 @@ fn fault_plan_over_sockets_stays_linearizable_within_f() {
         for handle in handles {
             handle.join().expect("server thread").expect("server exits cleanly");
         }
+    }
+}
+
+/// Stops one server process the way an operator would: a raw `Shutdown` frame on its own
+/// connection, then waits for its serve loop to exit.
+fn stop_server(addr: SocketAddr, handle: JoinHandle<std::io::Result<()>>) {
+    let mut conn = TcpStream::connect(addr).expect("connect to stop");
+    Frame::Shutdown.write_to(&mut conn).expect("send shutdown");
+    handle.join().expect("server thread").expect("server exits cleanly");
+}
+
+/// A server that really exits (no fault plan involved) is a dead link, not an error:
+/// writes to its closed socket are dropped requests, so within `f` every operation and a
+/// reconfiguration still complete, and beyond `f` the client gives up with the typed
+/// `QuorumUnreachable`, never a `Transport` error.
+#[test]
+fn exited_server_is_a_dropped_link_not_a_failed_operation() {
+    let (addrs, handles) = spawn_servers(4);
+    let mut handles: Vec<Option<_>> = handles.into_iter().map(Some).collect();
+    let model = CloudModelBuilder::uniform(4).build();
+    let options = ClusterOptions {
+        // DC 1 is in DC 0's preferred quorum {0, 1}: every operation pays one attempt
+        // timeout before the widened re-send completes on {0, 2}.
+        op_timeout: Duration::from_millis(40),
+        ..tcp_options()
+    };
+    let cluster = Cluster::connect_tcp(model, options, &addrs).expect("connect");
+    let abd = Configuration::abd_majority(vec![DcId(0), DcId(1), DcId(2)], 1);
+    let (key, doomed) = (Key::from("survivor"), Key::from("doomed"));
+    cluster.install_key(key.clone(), abd.clone(), &Value::from("v0"));
+    cluster.install_key(doomed.clone(), abd, &Value::from("d0"));
+
+    stop_server(addrs[&DcId(1)], handles[1].take().expect("DC 1 running"));
+    let mut client = cluster.client(DcId(0));
+    for i in 0..50u32 {
+        let value = Value::from(format!("v{i}").as_str());
+        client.put(&key, value.clone()).unwrap_or_else(|e| panic!("put #{i}: {e}"));
+        assert_eq!(client.get(&key).unwrap_or_else(|e| panic!("get #{i}: {e}")), value);
+    }
+    let moved = Configuration::abd_majority(vec![DcId(0), DcId(2), DcId(3)], 1);
+    cluster.reconfigure(key.clone(), moved).expect("reconfigure away from the dead DC");
+    assert_eq!(client.get(&key).expect("get after reconfig"), Value::from("v49"));
+
+    stop_server(addrs[&DcId(2)], handles[2].take().expect("DC 2 running"));
+    let put = client.put(&doomed, Value::from("d1"));
+    assert!(
+        matches!(put, Err(StoreError::QuorumUnreachable { .. })),
+        "expected QuorumUnreachable, got {put:?}"
+    );
+
+    let failures = cluster.recorder().check_all();
+    assert!(failures.is_empty(), "history not linearizable: {failures:?}");
+    assert_eq!(cluster.recorder().len(key.as_str()), 101);
+    cluster.shutdown();
+    for handle in handles.into_iter().flatten() {
+        handle.join().expect("server thread").expect("server exits cleanly");
     }
 }
 
