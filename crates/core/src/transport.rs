@@ -35,6 +35,7 @@ use legostore_proto::wire::Frame;
 use legostore_types::{DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -464,7 +465,8 @@ impl TcpTransport {
     }
 
     fn write_frame(&self, to: DcId, frame: &Frame) -> StoreResult<()> {
-        frame.write_to(&mut *self.peer(to)?.lock()).map_err(transport_err)
+        let bytes = frame.encode();
+        self.peer(to)?.lock().write_all(&bytes).map_err(transport_err)
     }
 }
 
@@ -547,9 +549,10 @@ impl Transport for TcpTransport {
             return Ok(());
         };
         let peer = self.peer(to)?;
-        let frame = Frame::Request(inbound);
+        // Encoded once, outside the lock: duplicate copies resend the same bytes.
+        let bytes = Frame::Request(inbound).encode();
         for _ in 0..copies {
-            if let Err(e) = frame.write_to(&mut *peer.lock()) {
+            if let Err(e) = peer.lock().write_all(&bytes) {
                 self.links.request_lost(from, to, &e);
                 break;
             }

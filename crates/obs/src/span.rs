@@ -287,9 +287,9 @@ pub struct ServerMetrics {
     pub bytes_in: Arc<Counter>,
     /// Bytes sent, wire framing included (`server.bytes_out`).
     pub bytes_out: Arc<Counter>,
-    /// Peak depth of the dispatch queue (`server.queue_depth_max`; TCP server only —
-    /// the in-process queue length is scheduling-dependent and would break virtual-time
-    /// snapshot determinism).
+    /// Peak number of connection threads holding or waiting for the per-DC state lock
+    /// (`server.queue_depth_max`; TCP server only — the in-process queue length is
+    /// scheduling-dependent and would break virtual-time snapshot determinism).
     pub queue_depth_max: Arc<Gauge>,
     /// Keys currently hosted (`server.keys`, refreshed when stats are scraped).
     pub keys: Arc<Gauge>,

@@ -739,7 +739,7 @@ impl<R> RequestServer<R> {
         }
     }
 
-    /// The metric handles (for gauges only the host can feed, e.g. its queue depth).
+    /// The metric handles (for gauges only the host can feed, e.g. its lock contention).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
     }

@@ -49,6 +49,10 @@ use std::io::{self, Read, Write};
 /// that a corrupt or hostile length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
+/// The first allocation [`Frame::read_from_counted`] makes for a payload; it doubles
+/// from there only as bytes actually arrive.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Deepest chain of `Box`es a frame may carry. Legitimate frames nest at most once (a
 /// client's `QuorumUnreachable` wrapping its last attempt's error); the cap bounds the
 /// decoder's recursion so a hostile frame cannot overflow its stack.
@@ -230,8 +234,17 @@ impl Frame {
         if len > MAX_FRAME_BYTES {
             return Err(WireError::FrameTooLarge { len });
         }
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload)?;
+        // Memory follows the bytes received, not the untrusted prefix: the buffer grows by
+        // what has already arrived (at least `READ_CHUNK`), so a frame of up to 64 KiB is
+        // one allocation and one `read_exact`, and a lying prefix pins one chunk.
+        let mut payload = Vec::new();
+        while payload.len() < len {
+            let start = payload.len();
+            let end = len.min(start + start.max(READ_CHUNK));
+            payload.reserve_exact(end - start);
+            payload.resize(end, 0);
+            stream.read_exact(&mut payload[start..])?;
+        }
         Frame::decode(Bytes::from(payload)).map(|f| Some((f, 4 + len as u64)))
     }
 
@@ -781,6 +794,32 @@ mod tests {
         let mut stream = io::Cursor::new(vec![10u8, 0, 0, 0, 1, 2]);
         let err = Frame::read_from(&mut stream).unwrap_err();
         assert!(matches!(err, WireError::Io(_)), "{err}");
+    }
+
+    /// A lying length prefix pins memory for the bytes that arrived, not for the prefix:
+    /// a `MAX_FRAME_BYTES` prefix followed by 10 bytes and EOF fails as a short read
+    /// without the reader ever being asked to fill more than one 64 KiB chunk.
+    #[test]
+    fn lying_length_prefix_allocates_by_bytes_received() {
+        struct Recording {
+            inner: io::Cursor<Vec<u8>>,
+            largest: usize,
+        }
+        impl Read for Recording {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.inner.read(buf)
+            }
+        }
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7; 10]);
+        let mut stream = Recording { inner: io::Cursor::new(bytes), largest: 0 };
+        let err = Frame::read_from_counted(&mut stream).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+        assert!(stream.largest <= 64 * 1024, "asked to fill {} bytes", stream.largest);
     }
 
     /// The payload of a zeroed reply frame whose body is `depth` nested

@@ -8,14 +8,16 @@
 //! thin CLI over [`serve`], and `Cluster::connect_tcp` on the client side completes the
 //! pair.
 //!
-//! The server is deliberately simple: a single dispatch loop owns the protocol state
-//! (matching the one-thread-per-DC concurrency model the protocol code was written
-//! against), an acceptor thread turns incoming connections into per-connection reader
-//! threads, and every reader funnels decoded [`Frame`]s into the dispatch loop over a
-//! channel. Replies are routed back through the connection that carried the endpoint's
-//! most recent request, exactly like the in-process server routes replies through each
-//! request's reply channel. A `Shutdown` frame from any connection stops the server —
-//! deployments that outlive their drivers can simply not send one.
+//! The server is deliberately simple: one thread per connection, every one serving the
+//! same per-DC state under one lock (the one-request-at-a-time model the protocol code was
+//! written against). A connection thread decodes a frame off its socket, locks the state,
+//! serves the frame and writes the replies, then unlocks: no thread hand-off lies between
+//! a request's bytes and its reply's. Replies are routed back through the connection that
+//! carried the endpoint's most recent request, exactly like the in-process server routes
+//! replies through each request's reply channel — so a deferred reply flushed by a
+//! `FinishReconfig` can leave on another connection than the one being served. A
+//! `Shutdown` frame from any connection stops the server — deployments that outlive their
+//! drivers can simply not send one.
 
 #![warn(missing_docs)]
 
@@ -24,37 +26,50 @@ use legostore_proto::server::RequestServer;
 use legostore_proto::wire::Frame;
 use legostore_types::DcId;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// What the acceptor and reader threads feed the dispatch loop.
-enum Event {
-    /// A new client connection (the write half the dispatch loop replies through).
-    Connected(u64, TcpStream),
-    /// One decoded frame from connection `.0`, plus its size on the wire in bytes.
-    Frame(u64, Frame, u64),
-    /// Connection `.0` reached EOF or failed; its routes are dead.
-    Disconnected(u64),
+/// The per-DC state every connection thread serves under the one lock.
+struct State {
+    host: RequestServer<u64>,
+    /// Write halves of the registered connections; replies route by connection id.
+    conns: HashMap<u64, TcpStream>,
+    /// Set by a `Shutdown` frame; no connection is registered or served after it.
+    stop: bool,
+}
+
+/// What [`serve`] and its connection threads share.
+struct Shared {
+    state: Mutex<State>,
+    /// Connection threads holding or waiting for `state`, and the peak of that count.
+    contending: AtomicU64,
+    contending_max: Arc<Gauge>,
+    /// Reply timestamps are process-local nanoseconds since this instant; receivers
+    /// re-stamp on arrival (cross-process clocks are not comparable).
+    epoch: Instant,
+    /// The listener's own address: a `Shutdown` connects to it to unblock `accept`.
+    local: SocketAddr,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("a connection thread panicked while serving")
+    }
 }
 
 /// Runs a LEGOStore data-center server on `listener` until a client sends a `Shutdown`
-/// frame (or the listener fails). Blocks the calling thread for the server's lifetime.
+/// frame, which closes every connection; returns once every connection thread is joined.
 ///
-/// Every accepted connection may carry requests from many endpoints (a driver process
-/// multiplexes all its clients over one connection per server). Replies go back through
-/// the connection that carried the endpoint's most recent request; the bounded routing
-/// table, the dispatch and the telemetry are [`RequestServer`]'s, shared with the
-/// in-process server loop.
+/// The calling thread only accepts. Each connection thread serves frames one at a time
+/// under the per-DC lock, and every write happens under it, so frames never interleave on
+/// a socket. The bounded routing table, the dispatch and the telemetry are
+/// [`RequestServer`]'s, shared with the in-process server loop.
 pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
     let local = listener.local_addr()?;
-    // Reply timestamps are process-local nanoseconds; receivers re-stamp on arrival
-    // (cross-process clocks are not comparable), so the epoch choice is arbitrary.
-    let epoch = Instant::now();
-    let stop = Arc::new(AtomicBool::new(false));
     // A standalone server always keeps at least metric counting on: it is per-process
     // state a remote driver can only see through a stats scrape, and the cost is a few
     // atomic adds per request. `LEGOSTORE_TRACE=1` raises the level further.
@@ -63,19 +78,6 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
         level => level,
     });
     let mut host: RequestServer<u64> = RequestServer::new(dc, obs);
-    // Dispatch-queue depth, tracked across the reader/dispatch seam: readers increment
-    // as they enqueue (and push the high-water mark), the dispatch loop decrements.
-    let queue_depth = Arc::new(AtomicU64::new(0));
-    let (tx, rx) = mpsc::channel::<Event>();
-    let acceptor = {
-        let stop = stop.clone();
-        let depth = queue_depth.clone();
-        let depth_max = host.metrics().queue_depth_max.clone();
-        std::thread::Builder::new()
-            .name(format!("legostore-accept-{dc}"))
-            .spawn(move || accept_loop(listener, tx, stop, depth, depth_max))?
-    };
-
     // Epoch-lease expiry runs on the same process-local clock as the reply timestamps.
     // Disabled unless configured: a standalone server has no deployment-wide op timeout
     // to derive a default from, so the driver (or operator) must opt in.
@@ -85,34 +87,90 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
     {
         host.server.set_epoch_lease_ns(ms.saturating_mul(1_000_000));
     }
-    // Write halves of live connections; replies route by connection id.
-    let mut conns: HashMap<u64, TcpStream> = HashMap::new();
-    'dispatch: while let Ok(event) = rx.recv() {
-        if matches!(event, Event::Frame(..)) {
-            queue_depth.fetch_sub(1, Ordering::Relaxed);
+    let shared = Arc::new(Shared {
+        contending: AtomicU64::new(0),
+        contending_max: host.metrics().queue_depth_max.clone(),
+        state: Mutex::new(State { host, conns: HashMap::new(), stop: false }),
+        epoch: Instant::now(),
+        local,
+    });
+
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, conn) in (1u64..).zip(listener.incoming()) {
+        let Ok(stream) = conn else { continue };
+        let _ = stream.set_nodelay(true);
+        let Ok(write_half) = stream.try_clone() else { continue };
+        // Registered under the lock that holds the stop flag: a connection racing a
+        // `Shutdown` is either closed by it or never served, so every thread spawned
+        // here is one the shutdown unblocks.
+        {
+            let mut state = shared.lock();
+            if state.stop {
+                break;
+            }
+            state.conns.insert(id, write_half);
         }
-        match event {
-            Event::Connected(id, stream) => {
-                conns.insert(id, stream);
+        // Exited connection threads are let go, so their stacks do not pile up.
+        threads.retain(|t| !t.is_finished());
+        let conn_shared = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("legostore-conn-{id}"))
+            .spawn(move || serve_connection(id, stream, &conn_shared));
+        match spawned {
+            Ok(t) => threads.push(t),
+            Err(_) => shared.lock().drop_conn(id),
+        }
+    }
+    for t in threads {
+        let _ = t.join();
+    }
+    Ok(())
+}
+
+/// Serves connection `id` until EOF, a wire error or shutdown, one frame at a time under
+/// the state lock.
+fn serve_connection(id: u64, mut stream: TcpStream, shared: &Shared) {
+    while let Ok(Some((frame, wire_bytes))) = Frame::read_from_counted(&mut stream) {
+        shared.contending_max.maximize(shared.contending.fetch_add(1, Ordering::Relaxed) + 1);
+        let mut state = shared.lock();
+        let shutdown = !state.stop && matches!(frame, Frame::Shutdown);
+        if !state.stop {
+            state.serve_frame(id, frame, wire_bytes, shared);
+        }
+        drop(state);
+        shared.contending.fetch_sub(1, Ordering::Relaxed);
+        if shutdown {
+            // Unblocks `accept`. Outside the lock: `serve` takes it to register what it
+            // accepts.
+            let _ = TcpStream::connect(shared.local);
+        }
+    }
+    shared.lock().drop_conn(id);
+}
+
+impl State {
+    /// Serves one frame that arrived on connection `id` as `wire_bytes` bytes.
+    fn serve_frame(&mut self, id: u64, frame: Frame, wire_bytes: u64, shared: &Shared) {
+        match frame {
+            Frame::Shutdown => {
+                self.stop = true;
+                for stream in self.conns.values() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
             }
-            Event::Disconnected(id) => {
-                conns.remove(&id);
-                host.forget_routes(|conn| *conn == id);
-            }
-            Event::Frame(_, Frame::Shutdown, _) => break 'dispatch,
-            Event::Frame(_, Frame::Control(ctrl), _) => host.server.apply_control(ctrl),
-            Event::Frame(_, Frame::Reply { .. }, _) => {} // clients never send replies
-            Event::Frame(_, Frame::StatsReply { .. }, _) => {} // likewise
-            Event::Frame(id, Frame::StatsRequest { token }, _) => {
+            Frame::Control(ctrl) => self.host.server.apply_control(ctrl),
+            Frame::StatsRequest { token } => {
                 // Answered on the connection the scrape arrived on (stats frames bypass
                 // the endpoint routing table).
-                let frame = Frame::StatsReply { token, dc, snapshot: host.stats() };
-                if let Some(stream) = conns.get_mut(&id) {
+                let (dc, snapshot) = (self.host.server.dc(), self.host.stats());
+                let frame = Frame::StatsReply { token, dc, snapshot };
+                if let Some(stream) = self.conns.get_mut(&id) {
                     let _ = frame.write_to(stream);
                 }
             }
-            Event::Frame(id, Frame::Request(inbound), wire_bytes) => {
-                let now_ns = || epoch.elapsed().as_nanos() as u64;
+            Frame::Request(inbound) => {
+                let now_ns = || shared.epoch.elapsed().as_nanos() as u64;
+                let State { host, conns, .. } = self;
                 let mut failed = Vec::new();
                 host.serve(id, inbound, wire_bytes, now_ns, |&conn, r| {
                     // Encode once: the same buffer is written and counted.
@@ -126,92 +184,26 @@ pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
                         reply: r.reply,
                     }
                     .encode();
-                    if io::Write::write_all(conns.get_mut(&conn)?, &bytes).is_err() {
+                    if conns.get_mut(&conn)?.write_all(&bytes).is_err() {
                         failed.push(conn);
                         return None;
                     }
                     Some(bytes.len() as u64)
                 });
                 for conn in failed {
-                    conns.remove(&conn);
-                    host.forget_routes(|c| *c == conn);
+                    self.drop_conn(conn);
                 }
             }
+            Frame::Reply { .. } | Frame::StatsReply { .. } => {} // clients never send these
         }
     }
 
-    // Teardown: stop the acceptor (a dummy self-connection unblocks its accept), close
-    // every connection so the reader threads see EOF, and join them all via the acceptor.
-    stop.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(local);
-    for stream in conns.values() {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    drop(rx);
-    let _ = acceptor.join();
-    Ok(())
-}
-
-/// Accepts connections, registering each with the dispatch loop and spawning its reader.
-/// Joins every reader before returning, so [`serve`] owns the whole thread tree.
-fn accept_loop(
-    listener: TcpListener,
-    tx: mpsc::Sender<Event>,
-    stop: Arc<AtomicBool>,
-    depth: Arc<AtomicU64>,
-    depth_max: Arc<Gauge>,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_id: u64 = 1;
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
+    /// Closes connection `id` (its thread then reads EOF) and forgets its routes.
+    fn drop_conn(&mut self, id: u64) {
+        if let Some(stream) = self.conns.remove(&id) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_nodelay(true);
-        let Ok(read_half) = stream.try_clone() else { continue };
-        let id = next_id;
-        next_id += 1;
-        if tx.send(Event::Connected(id, stream)).is_err() {
-            break; // the dispatch loop is gone
-        }
-        let tx = tx.clone();
-        let depth = depth.clone();
-        let depth_max = depth_max.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("legostore-conn-{id}"))
-            .spawn(move || read_loop(id, read_half, tx, depth, depth_max));
-        match handle {
-            Ok(h) => readers.push(h),
-            Err(_) => break,
-        }
-    }
-    for handle in readers {
-        let _ = handle.join();
-    }
-}
-
-/// Decodes frames off one connection until EOF, error, or dispatch-loop shutdown.
-fn read_loop(
-    id: u64,
-    mut stream: TcpStream,
-    tx: mpsc::Sender<Event>,
-    depth: Arc<AtomicU64>,
-    depth_max: Arc<Gauge>,
-) {
-    loop {
-        match Frame::read_from_counted(&mut stream) {
-            Ok(Some((frame, wire_bytes))) => {
-                depth_max.maximize(depth.fetch_add(1, Ordering::Relaxed) + 1);
-                if tx.send(Event::Frame(id, frame, wire_bytes)).is_err() {
-                    return;
-                }
-            }
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Event::Disconnected(id));
-                return;
-            }
-        }
+        self.host.forget_routes(|conn| *conn == id);
     }
 }
 
