@@ -13,8 +13,10 @@
 //!   clock tracks every participant (server threads, clients inside an operation, the
 //!   reconfiguration controller) plus every message still in flight between them, and
 //!   when *all* participants are quiescent it jumps straight to the next scheduled
-//!   wake-up instant, waking the threads whose deadline arrived (coordinated via a
-//!   condvar). Modeled multi-second RTT waits collapse to microseconds of real time
+//!   wake-up instant. Wake-ups are targeted: every waiter parks on a condvar of its
+//!   own (a channel's receiver on the channel's, a sleeper on a fresh one), so a send
+//!   wakes only its receiver and a jump wakes only the threads whose deadline is the
+//!   new instant. Modeled multi-second RTT waits collapse to microseconds of real time
 //!   while preserving the arrival *order* and the relative timestamps of every event,
 //!   so latency accounting and linearizability histories come out the same — and
 //!   scheduler jitter no longer leaks into `now_ns`, which makes sequential workloads
@@ -215,9 +217,10 @@ impl Clock {
     /// clock counts every undelivered message as in-flight and refuses to advance past it.
     pub(crate) fn channel<T>(&self) -> (ClockedSender<T>, ClockedReceiver<T>) {
         let (tx, rx) = crossbeam::channel::unbounded();
+        let wake = self.is_virtual().then(|| Arc::new(Condvar::new()));
         (
-            ClockedSender { tx, clock: self.clone() },
-            ClockedReceiver { rx: Some(rx), clock: self.clone() },
+            ClockedSender { tx, clock: self.clone(), wake: wake.clone() },
+            ClockedReceiver { rx: Some(rx), clock: self.clone(), wake },
         )
     }
 
@@ -244,7 +247,7 @@ impl Drop for ClockGuard {
             let mut s = v.lock();
             s.busy -= 1;
             change_thread_depth(v, -1);
-            v.advance_if_quiescent(&mut s);
+            s.advance_if_quiescent();
         }
     }
 }
@@ -253,6 +256,8 @@ impl Drop for ClockGuard {
 pub(crate) struct ClockedSender<T> {
     tx: Sender<T>,
     clock: Clock,
+    /// The receiver's wake-up, shared by the whole channel; `None` on a real clock.
+    wake: Option<Arc<Condvar>>,
 }
 
 impl<T> Clone for ClockedSender<T> {
@@ -260,25 +265,26 @@ impl<T> Clone for ClockedSender<T> {
         ClockedSender {
             tx: self.tx.clone(),
             clock: self.clock.clone(),
+            wake: self.wake.clone(),
         }
     }
 }
 
 impl<T> ClockedSender<T> {
     /// Sends `msg`, marking it in-flight on a virtual clock until the receiver picks it up
-    /// (or drains it on drop). The send and the in-flight accounting happen under the
-    /// clock lock so a waiting receiver can never observe the notification without the
-    /// message.
+    /// (or drains it on drop), and wakes that receiver only. The send, the in-flight
+    /// accounting and the notification happen under the clock lock so a waiting receiver
+    /// can never observe the notification without the message.
     pub(crate) fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        match self.clock.virtual_clock() {
-            None => self.tx.send(msg),
-            Some(v) => {
+        match (self.clock.virtual_clock(), &self.wake) {
+            (Some(v), Some(wake)) => {
                 let mut s = v.lock();
                 self.tx.send(msg)?;
                 s.in_flight += 1;
-                v.cond.notify_all();
+                wake.notify_all();
                 Ok(())
             }
+            _ => self.tx.send(msg),
         }
     }
 }
@@ -293,11 +299,18 @@ pub(crate) struct ClockedReceiver<T> {
     /// can slip between the final drain and the disconnect.
     rx: Option<Receiver<T>>,
     clock: Clock,
+    /// The condvar this receiver parks on; `None` on a real clock.
+    wake: Option<Arc<Condvar>>,
 }
 
 impl<T> ClockedReceiver<T> {
     fn rx(&self) -> &Receiver<T> {
         self.rx.as_ref().expect("receiver present until drop")
+    }
+
+    /// The virtual clock and this channel's wake-up, or `None` on a real clock.
+    fn virtual_wake(&self) -> Option<(&Arc<VirtualClock>, &Arc<Condvar>)> {
+        Some((self.clock.virtual_clock()?, self.wake.as_ref()?))
     }
 
     /// Non-blocking receive.
@@ -318,10 +331,15 @@ impl<T> ClockedReceiver<T> {
     /// Blocking receive with no deadline (used by server threads, which wait for work
     /// indefinitely). On a virtual clock the calling participant is counted as quiescent
     /// while it waits but registers no wake-up: only a message can resume it.
+    ///
+    /// On a virtual clock a disconnect does not wake the waiter either, so a sender that
+    /// drops while the receiver is parked leaves it parked. Nothing relies on that
+    /// wake-up: every endpoint owns a sender of its own channel, and in-process servers
+    /// exit on `ServerMsg::Shutdown`, not on a disconnect.
     pub(crate) fn recv(&self) -> Result<T, RecvError> {
-        match self.clock.virtual_clock() {
+        match self.virtual_wake() {
             None => self.rx().recv(),
-            Some(v) => {
+            Some((v, wake)) => {
                 // This thread contributed `depth` busy increments to *this* clock; while it
                 // is parked here, all of them must be released or time could never advance.
                 let depth = thread_depth(v);
@@ -336,8 +354,8 @@ impl<T> ClockedReceiver<T> {
                         Err(TryRecvError::Empty) => {}
                     }
                     s.busy -= depth;
-                    v.advance_if_quiescent(&mut s);
-                    s = v.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+                    s.advance_if_quiescent();
+                    s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
                     s.busy += depth;
                 }
             }
@@ -348,13 +366,13 @@ impl<T> ClockedReceiver<T> {
     /// clock the deadline is registered as a pending wake-up, so an unreachable quorum
     /// times out at the modeled instant without any wall-clock wait.
     pub(crate) fn recv_deadline_ns(&self, deadline_ns: u64) -> Result<T, RecvTimeoutError> {
-        match self.clock.virtual_clock() {
+        match self.virtual_wake() {
             None => {
                 let timeout = Duration::from_nanos(deadline_ns.saturating_sub(self.clock.now_ns()))
                     .max(MIN_REAL_WAIT);
                 self.rx().recv_timeout(timeout)
             }
-            Some(v) => {
+            Some((v, wake)) => {
                 let depth = thread_depth(v);
                 let mut s = v.lock();
                 loop {
@@ -370,15 +388,15 @@ impl<T> ClockedReceiver<T> {
                         return Err(RecvTimeoutError::Timeout);
                     }
                     s.busy -= depth;
-                    *s.sleepers.entry(deadline_ns).or_insert(0) += 1;
-                    v.advance_if_quiescent(&mut s);
+                    s.add_sleeper(deadline_ns, wake);
+                    s.advance_if_quiescent();
                     // Re-check after the advance: it may have jumped to *our own*
                     // deadline, in which case its notification already fired and waiting
                     // would sleep forever.
                     if s.now_ns < deadline_ns {
-                        s = v.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+                        s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
                     }
-                    s.remove_sleeper(deadline_ns);
+                    s.remove_sleeper(deadline_ns, wake);
                     s.busy += depth;
                 }
             }
@@ -398,16 +416,16 @@ impl<T> Drop for ClockedReceiver<T> {
                 // before us (its message was just drained) or will observe the disconnect.
                 drop(rx);
             }
-            v.advance_if_quiescent(&mut s);
+            s.advance_if_quiescent();
         }
     }
 }
 
-/// Shared state of a virtual clock.
+/// Shared state of a virtual clock. Waiters park on condvars of their own (see
+/// [`VirtualState::sleepers`]), all paired with this one mutex.
 #[derive(Default)]
 struct VirtualClock {
     state: Mutex<VirtualState>,
-    cond: Condvar,
 }
 
 #[derive(Default)]
@@ -419,16 +437,37 @@ struct VirtualState {
     busy: usize,
     /// Messages sent through a [`ClockedSender`] and not yet received.
     in_flight: usize,
-    /// Pending wake-up instants of blocked threads (deadline → waiter count).
-    sleepers: BTreeMap<u64, usize>,
+    /// Pending wake-up instants of blocked threads (deadline → the condvars they wait
+    /// on). A notified sleeper keeps its entry until it runs again, so the smallest
+    /// deadline is then `<= now_ns` and blocks the next jump until the sleeper is back.
+    sleepers: BTreeMap<u64, Vec<Arc<Condvar>>>,
 }
 
 impl VirtualState {
-    fn remove_sleeper(&mut self, deadline_ns: u64) {
-        if let Some(count) = self.sleepers.get_mut(&deadline_ns) {
-            *count -= 1;
-            if *count == 0 {
+    fn add_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Condvar>) {
+        self.sleepers.entry(deadline_ns).or_default().push(wake.clone());
+    }
+
+    fn remove_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Condvar>) {
+        if let Some(waiters) = self.sleepers.get_mut(&deadline_ns) {
+            if let Some(i) = waiters.iter().position(|w| Arc::ptr_eq(w, wake)) {
+                waiters.swap_remove(i);
+            }
+            if waiters.is_empty() {
                 self.sleepers.remove(&deadline_ns);
+            }
+        }
+    }
+    /// The advance rule: once no participant is running and no message is undelivered,
+    /// jump logical time to the earliest pending wake-up and wake exactly the waiters
+    /// registered at that instant.
+    fn advance_if_quiescent(&mut self) {
+        if self.busy == 0 && self.in_flight == 0 {
+            if let Some((&at, waiters)) = self.sleepers.first_key_value() {
+                if at > self.now_ns {
+                    self.now_ns = at;
+                    waiters.iter().for_each(|w| w.notify_all());
+                }
             }
         }
     }
@@ -439,32 +478,20 @@ impl VirtualClock {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The advance rule: once no participant is running and no message is undelivered,
-    /// jump logical time to the earliest pending wake-up and wake everyone to re-check.
-    fn advance_if_quiescent(&self, s: &mut VirtualState) {
-        if s.busy == 0 && s.in_flight == 0 {
-            if let Some((&wake, _)) = s.sleepers.iter().next() {
-                if wake > s.now_ns {
-                    s.now_ns = wake;
-                    self.cond.notify_all();
-                }
-            }
-        }
-    }
-
     fn sleep_until(&self, deadline_ns: u64) {
         let depth = thread_depth(self);
         let mut s = self.lock();
         if s.now_ns >= deadline_ns {
             return;
         }
+        let wake = Arc::new(Condvar::new());
         s.busy -= depth;
-        *s.sleepers.entry(deadline_ns).or_insert(0) += 1;
-        self.advance_if_quiescent(&mut s);
+        s.add_sleeper(deadline_ns, &wake);
+        s.advance_if_quiescent();
         while s.now_ns < deadline_ns {
-            s = self.cond.wait(s).unwrap_or_else(|e| e.into_inner());
+            s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
         }
-        s.remove_sleeper(deadline_ns);
+        s.remove_sleeper(deadline_ns, &wake);
         s.busy += depth;
     }
 }
@@ -580,9 +607,205 @@ mod tests {
         let (tx, rx) = clock.channel::<u32>();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        drop(rx); // must un-count both, or the clock would wedge
-        clock.sleep_until_ns(99);
-        assert_eq!(clock.now_ns(), 99);
+        let sleeper = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                clock.sleep_until_ns(99);
+                clock.now_ns()
+            })
+        };
+        wait_for_state(&clock, |s| s.sleepers.contains_key(&99));
+        assert_eq!(clock.now_ns(), 0, "in-flight messages hold time still");
+        // Must un-count both and make the jump, or the parked sleeper would wedge.
+        drop(rx);
+        assert_eq!(sleeper.join().unwrap(), 99);
         assert!(tx.send(3).is_err(), "channel is disconnected");
+    }
+
+    /// Spins until `done` holds for `clock`'s state (another thread's transition that has
+    /// no observable signal of its own, e.g. parking inside a wait primitive).
+    fn wait_for_state(clock: &Clock, done: impl Fn(&VirtualState) -> bool) {
+        let v = clock.virtual_clock().expect("virtual clock");
+        while !done(&v.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The calling thread's voluntary context switches so far.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("proc status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("voluntary_ctxt_switches line")
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_send_wakes_only_its_receiver() {
+        const BYSTANDERS: usize = 8;
+        const ROUND_TRIPS: u32 = 1_000;
+        let clock = Clock::virtual_time();
+        let entered = Arc::new(std::sync::Barrier::new(BYSTANDERS + 1));
+        let mut releases = Vec::new();
+        let mut bystanders = Vec::new();
+        for _ in 0..BYSTANDERS {
+            let (tx, rx) = clock.channel::<()>();
+            releases.push(tx);
+            let (clock, entered) = (clock.clone(), entered.clone());
+            bystanders.push(std::thread::spawn(move || {
+                let _participant = clock.enter();
+                entered.wait();
+                let before = voluntary_switches();
+                rx.recv().unwrap();
+                voluntary_switches() - before
+            }));
+        }
+        // Every bystander has entered; once none is busy, all of them are parked.
+        entered.wait();
+        wait_for_state(&clock, |s| s.busy == 0);
+
+        let (ping_tx, ping_rx) = clock.channel::<u32>();
+        let (pong_tx, pong_rx) = clock.channel::<u32>();
+        let ponger = std::thread::spawn(move || {
+            for _ in 0..ROUND_TRIPS {
+                pong_tx.send(ping_rx.recv().unwrap()).unwrap();
+            }
+        });
+        for i in 0..ROUND_TRIPS {
+            ping_tx.send(i).unwrap();
+            assert_eq!(pong_rx.recv().unwrap(), i);
+        }
+        ponger.join().unwrap();
+
+        for tx in &releases {
+            tx.send(()).unwrap();
+        }
+        let switches: Vec<u64> = bystanders.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(
+            switches.iter().all(|&n| n < 20),
+            "bystanders woke during {ROUND_TRIPS} unrelated round trips: {switches:?} switches"
+        );
+    }
+
+    #[test]
+    fn sleepers_at_one_instant_all_wake_there() {
+        let clock = Clock::virtual_time();
+        let participant = clock.enter(); // holds time still until both are parked
+        let sleepers: Vec<_> = (0..2)
+            .map(|_| {
+                let clock = clock.clone();
+                std::thread::spawn(move || {
+                    clock.sleep_until_ns(1_000);
+                    clock.now_ns()
+                })
+            })
+            .collect();
+        wait_for_state(&clock, |s| s.sleepers.get(&1_000).is_some_and(|w| w.len() == 2));
+        drop(participant); // the last participant's guard drop makes the jump
+        for sleeper in sleepers {
+            assert_eq!(sleeper.join().unwrap(), 1_000);
+        }
+        assert_eq!(clock.now_ns(), 1_000);
+        assert!(clock.virtual_clock().unwrap().lock().sleepers.is_empty());
+    }
+
+    #[test]
+    fn deadline_fires_while_a_bystander_stays_parked() {
+        let clock = Clock::virtual_time();
+        let (release, parked_rx) = clock.channel::<u32>();
+        let bystander = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let _participant = clock.enter();
+                parked_rx.recv().unwrap()
+            })
+        };
+        let (_tx, rx) = clock.channel::<u32>();
+        assert!(matches!(rx.recv_deadline_ns(1_000), Err(RecvTimeoutError::Timeout)));
+        assert_eq!(clock.now_ns(), 1_000);
+        // The jump to 1 000 did not resume the bystander: it is still parked in `recv`.
+        wait_for_state(&clock, |s| s.busy == 0);
+        assert!(!bystander.is_finished());
+        release.send(7).unwrap();
+        assert_eq!(bystander.join().unwrap(), 7);
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the stress schedule.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Seeded send / `recv_deadline_ns` / sleep rounds over shared channels. A thread
+    /// publishes its channel's sender only while it is receiving, so nothing is ever
+    /// queued to a thread that sleeps (a parked sleeper would never drain it). Returns how
+    /// many messages were delivered.
+    fn stress(clock: &Clock, threads: usize, rounds: u32, seed: u64) -> usize {
+        type Slots = Mutex<Vec<Option<ClockedSender<u64>>>>;
+        let slots: Arc<Slots> = Arc::new(Mutex::new((0..threads).map(|_| None).collect()));
+        let handles: Vec<_> = (0..threads)
+            .map(|me| {
+                let (clock, slots) = (clock.clone(), slots.clone());
+                std::thread::spawn(move || {
+                    let _participant = clock.enter();
+                    let mut rng = seed ^ (me as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                    let mut last = clock.now_ns();
+                    let mut delivered = 0;
+                    for _ in 0..rounds {
+                        let (op, arg) = (splitmix(&mut rng) % 3, splitmix(&mut rng));
+                        match op {
+                            0 => {
+                                let peer = arg as usize % threads;
+                                if let Some(tx) = &slots.lock().unwrap()[peer] {
+                                    let _ = tx.send(arg);
+                                }
+                            }
+                            1 => {
+                                let (tx, rx) = clock.channel();
+                                slots.lock().unwrap()[me] = Some(tx);
+                                let deadline = clock.now_ns() + 1 + arg % 1_000;
+                                while rx.recv_deadline_ns(deadline).is_ok() {
+                                    delivered += 1;
+                                }
+                                slots.lock().unwrap()[me] = None;
+                            }
+                            _ => clock.sleep(Duration::from_nanos(1 + arg % 1_000)),
+                        }
+                        let now = clock.now_ns();
+                        assert!(now >= last, "thread {me}: time went back {last} -> {now}");
+                        last = now;
+                    }
+                    delivered
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    }
+
+    #[test]
+    fn seeded_stress_loses_no_wake_up() {
+        let clock = Clock::virtual_time();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| stress(&clock, 8, 2_000, 0x5EED));
+                let _ = done_tx.send(outcome.ok());
+            });
+        }
+        // A lost wake-up parks a thread forever; fail on a watchdog instead of hanging.
+        let delivered = match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(delivered) => delivered.expect("a stress thread panicked (see above)"),
+            Err(_) => panic!("stress did not finish within 60 s: a wake-up was lost"),
+        };
+        assert!(delivered > 0 && clock.now_ns() > 0);
+        let s = clock.virtual_clock().unwrap().lock();
+        assert!(s.busy == 0 && s.in_flight == 0 && s.sleepers.is_empty());
     }
 }

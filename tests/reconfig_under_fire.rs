@@ -14,7 +14,7 @@
 //!   forever — the epoch lease re-activates the old epoch deterministically.
 //!
 //! Knobs: `LEGOSTORE_FAULT_ITERS=<n>` widens the threaded-runtime seed sweep (CI's
-//! `faults` job runs 100); the discrete-event simulator sweeps [`SIM_SEEDS`] seeds
+//! `faults` job runs 300); the discrete-event simulator sweeps [`SIM_SEEDS`] seeds
 //! regardless, so the combined default already exceeds 200 seeded schedules.
 
 use legostore::lincheck::recorder::fingerprint;
