@@ -179,6 +179,11 @@ pub struct DcServer {
     /// `u64::MAX` disables expiry (the default — hosting runtimes opt in with a lease
     /// derived from their clock and the controller's deadline).
     lease_ns: u64,
+    /// A lower bound on `since_ns + lease_ns` (saturating) over every `Blocked` state:
+    /// below it no lease can have expired, so [`DcServer::expire_leases`] skips the
+    /// sweep. A key that finishes or re-arms leaves the bound too early, which only
+    /// costs one extra sweep.
+    next_expiry_ns: u64,
 }
 
 impl DcServer {
@@ -189,6 +194,7 @@ impl DcServer {
             keys: HashMap::new(),
             failed: false,
             lease_ns: u64::MAX,
+            next_expiry_ns: u64::MAX,
         }
     }
 
@@ -203,6 +209,8 @@ impl DcServer {
     /// still-live single controller.
     pub fn set_epoch_lease_ns(&mut self, lease_ns: u64) {
         self.lease_ns = lease_ns;
+        // Keys may already be blocked: the next message sweeps and re-derives the bound.
+        self.next_expiry_ns = 0;
     }
 
     /// The data center this server runs in.
@@ -322,11 +330,12 @@ impl DcServer {
     /// Handles one inbound request at server-clock time `now_ns`, producing zero or
     /// more replies.
     ///
-    /// Before dispatching, expired epoch leases across *all* hosted keys are
-    /// collected: any key still `Blocked` past the lease re-activates in its old
-    /// epoch and its deferred requests are served (their replies are returned
-    /// alongside the current request's). Expiry is driven by message arrival, which
-    /// is sufficient: a deferred client's own timeout resend is itself a message.
+    /// Before dispatching, expired epoch leases are collected (see
+    /// [`DcServer::expire_leases`]): any key still `Blocked` past the lease
+    /// re-activates in its old epoch and its deferred requests are served (their
+    /// replies are returned alongside the current request's). Expiry is driven by
+    /// message arrival, which is sufficient: a deferred client's own timeout resend is
+    /// itself a message. Until the earliest lease end passes this costs one comparison.
     pub fn handle_at(&mut self, inbound: Inbound, now_ns: u64) -> Vec<Reply> {
         if self.failed {
             return Vec::new();
@@ -414,25 +423,34 @@ impl DcServer {
         };
         let finished = matches!(inbound.msg, ProtoMsg::FinishReconfig { .. });
         replies.extend(Self::handle_at_state(self.dc, state, inbound, now_ns));
+        if let KeyStatus::Blocked { since_ns, .. } = &state.status {
+            self.next_expiry_ns = self.next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
+        }
         if finished {
             Self::prune_retired(epochs);
         }
         replies
     }
 
-    /// Sweeps every hosted key for an expired epoch lease, re-activating the old
-    /// epoch and serving the parked requests. Returns the replies for those requests.
+    /// Re-activates the old epoch of every key whose epoch lease expired and serves
+    /// its parked requests. Returns the replies for those requests.
+    ///
+    /// Returns at once while `now_ns` is below the earliest lease end of any blocked
+    /// key. Otherwise it sweeps every hosted key and re-derives that bound from the
+    /// keys still blocked.
     pub fn expire_leases(&mut self, now_ns: u64) -> Vec<Reply> {
-        if self.lease_ns == u64::MAX {
+        if self.lease_ns == u64::MAX || now_ns < self.next_expiry_ns {
             return Vec::new();
         }
         let mut replies = Vec::new();
+        let mut next_expiry_ns = u64::MAX;
         for epochs in self.keys.values_mut() {
             for state in epochs.values_mut() {
                 let KeyStatus::Blocked { since_ns, new_config, .. } = &state.status else {
                     continue;
                 };
                 if now_ns.saturating_sub(*since_ns) < self.lease_ns {
+                    next_expiry_ns = next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
                     continue;
                 }
                 // The controller went silent past the lease: its FinishReconfig (if it
@@ -448,8 +466,12 @@ impl DcServer {
                 for parked in deferred {
                     replies.extend(Self::handle_at_state(self.dc, state, parked, now_ns));
                 }
+                if let KeyStatus::Blocked { since_ns, .. } = &state.status {
+                    next_expiry_ns = next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
+                }
             }
         }
+        self.next_expiry_ns = next_expiry_ns;
         replies
     }
 
@@ -1023,6 +1045,120 @@ mod tests {
         s.handle_at(inbound(2, ConfigEpoch(0), reconfig_query(1)), 900_000);
         let replies = s.handle_at(inbound(3, ConfigEpoch(0), ProtoMsg::AbdReadQuery), 1_500_000);
         assert!(replies.is_empty(), "lease re-armed; still blocked and deferring");
+    }
+
+    /// `inbound`, addressed to `key` instead of `k`.
+    fn inbound_for(key: &str, msg_id: u64, msg: ProtoMsg) -> Inbound {
+        Inbound { key: Key::from(key), ..inbound(msg_id, ConfigEpoch(0), msg) }
+    }
+
+    /// A server hosting the ABD keys `names` at epoch 0, with a 1 ms epoch lease.
+    fn abd_server_with_keys(names: &[&str]) -> DcServer {
+        let mut s = DcServer::new(DcId(0));
+        for name in names {
+            s.install_key(
+                Key::from(*name),
+                Configuration::abd_majority(dcs(3), 1),
+                Tag::INITIAL,
+                ReconfigPayload::Value(Value::from("init")),
+            );
+        }
+        s.set_epoch_lease_ns(1_000_000);
+        s
+    }
+
+    /// Blocks `key` with a `ReconfigQuery` at `now_ns` and parks a write (`msg_id`) on it.
+    fn block_with_parked_write(s: &mut DcServer, key: &str, msg_id: u64, now_ns: u64) {
+        s.handle_at(inbound_for(key, msg_id - 1, reconfig_query(1)), now_ns);
+        let write = ProtoMsg::AbdWrite { tag: Tag::new(1, ClientId(3)), value: Value::from("w") };
+        assert!(s.handle_at(inbound_for(key, msg_id, write), now_ns).is_empty(), "parked");
+    }
+
+    /// The ids of the replies to a read of the never-blocked key `c` at `now_ns`,
+    /// other than the read's own.
+    fn unparked_by_read_at(s: &mut DcServer, now_ns: u64) -> Vec<u64> {
+        let replies = s.handle_at(inbound_for("c", 99, ProtoMsg::AbdReadQuery), now_ns);
+        assert!(replies.iter().any(|r| r.msg_id == 99), "the read itself is served");
+        replies.iter().map(|r| r.msg_id).filter(|id| *id != 99).collect()
+    }
+
+    #[test]
+    fn leases_of_two_keys_expire_at_their_own_deadlines() {
+        let mut s = abd_server_with_keys(&["a", "b", "c"]);
+        block_with_parked_write(&mut s, "a", 2, 0);
+        block_with_parked_write(&mut s, "b", 12, 500_000);
+        assert_eq!(unparked_by_read_at(&mut s, 999_999), Vec::<u64>::new());
+        assert_eq!(unparked_by_read_at(&mut s, 1_000_000), vec![2], "only a's lease ended");
+        assert_eq!(unparked_by_read_at(&mut s, 1_499_999), Vec::<u64>::new());
+        assert_eq!(unparked_by_read_at(&mut s, 1_500_000), vec![12]);
+        assert_eq!(unparked_by_read_at(&mut s, 5_000_000), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn finished_key_leaves_no_phantom_expiry() {
+        let mut s = abd_server_with_keys(&["a", "b", "c"]);
+        block_with_parked_write(&mut s, "a", 2, 0);
+        let mut new_config = Configuration::abd_majority(dcs(3), 1);
+        new_config.epoch = ConfigEpoch(1);
+        let finish = ProtoMsg::FinishReconfig {
+            highest_tag: Tag::new(1, ClientId(3)),
+            new_config: Box::new(new_config),
+        };
+        let replies = s.handle_at(inbound_for("a", 3, finish), 100_000);
+        assert!(replies.iter().any(|r| r.msg_id == 2), "the finish flushes a's write");
+        let a = s.key_state(&Key::from("a"), ConfigEpoch(0)).unwrap();
+        assert!(matches!(a.status, KeyStatus::Retired { .. }));
+        block_with_parked_write(&mut s, "b", 12, 500_000);
+        // Past a's stale lease end, before b's: nothing expires, and the sweep this
+        // triggers tightens the bound to b's lease end.
+        assert_eq!(unparked_by_read_at(&mut s, 1_200_000), Vec::<u64>::new());
+        assert_eq!(s.next_expiry_ns, 1_500_000);
+        assert_eq!(unparked_by_read_at(&mut s, 1_499_999), Vec::<u64>::new());
+        assert_eq!(unparked_by_read_at(&mut s, 1_500_000), vec![12]);
+    }
+
+    #[test]
+    fn lease_set_after_a_key_blocked_still_expires_it() {
+        let mut s = abd_server_with_keys(&["a", "c"]);
+        s.set_epoch_lease_ns(u64::MAX);
+        block_with_parked_write(&mut s, "a", 2, 0);
+        assert_eq!(unparked_by_read_at(&mut s, 10_000_000), Vec::<u64>::new(), "no lease");
+        s.set_epoch_lease_ns(1_000_000);
+        assert_eq!(unparked_by_read_at(&mut s, 10_000_000), vec![2]);
+    }
+
+    /// Median nanoseconds per `AbdReadQuery` over 5 rounds of 2 000, on a server hosting
+    /// `hosted` ABD keys with the lease set and no key blocked. The reads cycle over the
+    /// same 20 keys whatever `hosted` is.
+    fn median_read_ns(hosted: usize) -> f64 {
+        let names: Vec<String> = (0..hosted).map(|i| format!("k{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut s = abd_server_with_keys(&names);
+        let reads: Vec<Inbound> =
+            (0..20).map(|i| inbound_for(names[i], 1, ProtoMsg::AbdReadQuery)).collect();
+        let mut now_ns = 0;
+        let mut rounds: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for i in 0..2_000 {
+                    now_ns += 1_000;
+                    let replies = s.handle_at(reads[i % reads.len()].clone(), now_ns);
+                    assert_eq!(replies.len(), 1);
+                }
+                start.elapsed().as_nanos() as f64 / 2_000.0
+            })
+            .collect();
+        rounds.sort_by(f64::total_cmp);
+        rounds[2]
+    }
+
+    #[test]
+    fn handle_at_cost_does_not_grow_with_hosted_keys() {
+        let few = median_read_ns(20);
+        let many = median_read_ns(20_000);
+        let ratio = many / few;
+        println!("handle_at: {few:.0} ns/msg at 20 keys, {many:.0} ns/msg at 20 000 ({ratio:.1}x)");
+        assert!(ratio < 10.0, "per-message cost grows with hosted keys: {ratio:.1}x");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!    processes.
 //! 2. **Seeded round-trip property tests**: pseudo-random frames drawn from the full
 //!    message space must decode back to exactly the value that was encoded.
+//! 3. **No-panic property tests**: mutated catalog frames and arbitrary byte strings are
+//!    decoded or rejected with a `WireError`, never a panic.
 
 use bytes::Bytes;
 use legostore_proto::msg::{ProtoMsg, ProtoReply, ReconfigPayload};
@@ -602,6 +604,30 @@ proptest! {
                 let _ = Frame::decode(Bytes::from(bytes[bytes.len().min(4)..].to_vec()));
                 let _ = Frame::read_from(&mut std::io::Cursor::new(bytes));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random byte strings of 0–2 KiB are decoded or rejected — never a panic — through
+    /// `decode`, and through the stream reader both bare (the first four bytes read as a
+    /// length prefix) and behind a length prefix that matches them. Every other string
+    /// starts with a valid frame tag, so decoding gets past the first byte.
+    #[test]
+    fn arbitrary_bytes_never_panic(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        for tagged in [false, true] {
+            let mut bytes = rng.bytes(2048).to_vec();
+            if tagged && !bytes.is_empty() {
+                bytes[0] = 1 + rng.below(6) as u8;
+            }
+            let _ = Frame::decode(Bytes::from(bytes.clone()));
+            let _ = Frame::read_from(&mut std::io::Cursor::new(bytes.clone()));
+            let mut prefixed = (bytes.len() as u32).to_le_bytes().to_vec();
+            prefixed.extend_from_slice(&bytes);
+            let _ = Frame::read_from(&mut std::io::Cursor::new(prefixed));
         }
     }
 }
