@@ -129,15 +129,69 @@ enum Event {
     },
 }
 
+/// The pending events, popped in `(instant_us, seq)` order, where `seq` numbers the
+/// pushes. Each event sits in one of two sources, and [`EventQueue::pop`] takes the
+/// smaller of their two heads:
+/// - the *agenda*: what was scheduled before the run, sorted once by
+///   [`EventQueue::start`] and consumed from its end;
+/// - the *heap*: everything raised during the run (deliveries, operation timeouts,
+///   reconfiguration ticks, reopen pauses). It orders small entries that index a
+///   free-listed slab of payloads.
+#[derive(Default)]
+struct EventQueue {
+    /// Pushes so far: the tie-breaker among equal instants, and the `msg_id` that
+    /// `send_outbound` gives a message.
+    seq: u64,
+    /// Descending by `(instant_us, seq)` once started, so the next event is the last.
+    agenda: Vec<(u64, u64, Event)>,
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    slab: Vec<Option<Event>>,
+    free: Vec<usize>,
+}
+
+impl EventQueue {
+    /// Adds a pre-run event to the agenda. All of them come before [`EventQueue::start`].
+    fn schedule(&mut self, at_us: u64, event: Event) {
+        self.seq += 1;
+        self.agenda.push((at_us, self.seq, event));
+    }
+
+    /// Sorts the agenda; call it once, after the last [`EventQueue::schedule`].
+    fn start(&mut self) {
+        self.agenda.sort_unstable_by_key(|&(at_us, seq, _)| Reverse((at_us, seq)));
+    }
+
+    fn push(&mut self, at_us: u64, event: Event) {
+        self.seq += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            self.slab.len() - 1
+        });
+        self.slab[slot] = Some(event);
+        self.heap.push(Reverse((at_us, self.seq, slot)));
+    }
+
+    /// Removes and returns the earliest event as `(instant_us, seq, event)`.
+    fn pop(&mut self) -> Option<(u64, u64, Event)> {
+        const NONE: (u64, u64) = (u64::MAX, u64::MAX);
+        let agenda = self.agenda.last().map_or(NONE, |&(at_us, seq, _)| (at_us, seq));
+        let heap = self.heap.peek().map_or(NONE, |&Reverse((at_us, seq, _))| (at_us, seq));
+        if agenda < heap {
+            self.agenda.pop()
+        } else {
+            let Reverse((at_us, seq, slot)) = self.heap.pop()?;
+            self.free.push(slot);
+            Some((at_us, seq, self.slab[slot].take().expect("a queued slot holds its event")))
+        }
+    }
+}
+
 /// The simulator.
 pub struct Simulation {
     model: CloudModel,
     options: SimOptions,
     now_us: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    event_payloads: HashMap<usize, Event>,
-    next_event_id: usize,
+    queue: EventQueue,
     servers: HashMap<DcId, DcServer>,
     ops: HashMap<u64, PendingOp>,
     reconfigs: HashMap<u64, PendingReconfig>,
@@ -179,10 +233,7 @@ impl Simulation {
             model,
             options,
             now_us: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
-            event_payloads: HashMap::new(),
-            next_event_id: 0,
+            queue: EventQueue::default(),
             servers,
             ops: HashMap::new(),
             reconfigs: HashMap::new(),
@@ -258,7 +309,7 @@ impl Simulation {
         key: impl Into<Key>,
         value_size: u64,
     ) {
-        self.push_event(
+        self.schedule_event(
             at_ms,
             Event::StartRequest {
                 origin,
@@ -291,7 +342,7 @@ impl Simulation {
     /// Schedules a reconfiguration of `key` to `new_config` at `at_ms` (the controller reads
     /// the old configuration from the metadata service when the event fires).
     pub fn schedule_reconfig(&mut self, at_ms: f64, key: impl Into<Key>, new_config: Configuration) {
-        self.push_event(
+        self.schedule_event(
             at_ms,
             Event::StartReconfig {
                 key: key.into(),
@@ -302,19 +353,24 @@ impl Simulation {
 
     /// Schedules a whole-DC failure at `at_ms`.
     pub fn schedule_failure(&mut self, at_ms: f64, dc: DcId) {
-        self.push_event(at_ms, Event::SetDcFailed { dc, failed: true });
+        self.schedule_event(at_ms, Event::SetDcFailed { dc, failed: true });
     }
 
     /// Schedules a DC recovery at `at_ms`.
     pub fn schedule_recovery(&mut self, at_ms: f64, dc: DcId) {
-        self.push_event(at_ms, Event::SetDcFailed { dc, failed: false });
+        self.schedule_event(at_ms, Event::SetDcFailed { dc, failed: false });
     }
 
     /// Runs the simulation to completion and returns the report.
+    ///
+    /// Events are handled in `(instant, seq)` order, `seq` being the order in which they
+    /// were pushed, so equal instants keep the order of the `schedule_*` calls and of the
+    /// sends. The events scheduled before the run are sorted once, here, rather than
+    /// each paying for a place in a heap.
     pub fn run(mut self) -> SimReport {
-        while let Some(Reverse((t_us, _, id))) = self.events.pop() {
+        self.queue.start();
+        while let Some((t_us, _, event)) = self.queue.pop() {
             self.now_us = t_us;
-            let event = self.event_payloads.remove(&id).expect("payload exists");
             self.handle_event(event);
         }
         SimReport {
@@ -328,13 +384,20 @@ impl Simulation {
 
     // ---- internals ----
 
+    /// The event queue's microsecond for `at_ms` (negative times clamp to 0).
+    fn instant_us(at_ms: f64) -> u64 {
+        (at_ms.max(0.0) * 1000.0).round() as u64
+    }
+
+    /// Queues a pre-run event on the agenda.
+    fn schedule_event(&mut self, at_ms: f64, event: Event) {
+        self.queue.schedule(Self::instant_us(at_ms), event);
+    }
+
+    /// Queues an event raised during the run (a delivery, an operation timeout, a
+    /// reconfiguration tick or a reopen pause) on the heap.
     fn push_event(&mut self, at_ms: f64, event: Event) {
-        let at_us = (at_ms.max(0.0) * 1000.0).round() as u64;
-        let id = self.next_event_id;
-        self.next_event_id += 1;
-        self.seq += 1;
-        self.event_payloads.insert(id, event);
-        self.events.push(Reverse((at_us, self.seq, id)));
+        self.queue.push(Self::instant_us(at_ms), event);
     }
 
     fn class_of(&self, token: u64) -> TrafficClass {
@@ -380,7 +443,7 @@ impl Simulation {
             let delay_ms = self.model.latency_ms(origin, out.to)
                 + self.model.transfer_time_ms(origin, out.to, bytes);
             let to = out.to;
-            let inbound = Inbound { msg_id: self.seq, ..Inbound::new(token, out) };
+            let inbound = Inbound { msg_id: self.queue.seq, ..Inbound::new(token, out) };
             for _ in 1..copies {
                 self.push_event(
                     self.now_ms() + delay_ms,
@@ -949,6 +1012,75 @@ mod tests {
         assert!(!get.ok);
         assert_eq!((get.reconfig_retries, get.timeout_retries), (0, 0));
         assert!(get.latency_ms() < SimOptions::default().op_timeout_ms, "{}", get.latency_ms());
+    }
+
+    /// SplitMix64, the generator behind the workspace's `StdRng` shim.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn event_queue_pops_in_the_order_of_one_binary_heap() {
+        const AGENDA: u64 = 0;
+        const HEAP: u64 = 1;
+        // Instants on a 1 ms grid a few steps apart, so equal instants are common.
+        let push = |queue: &mut EventQueue, rng: &mut SplitMix64, now_us: u64, source: u64| {
+            let event = Event::OpenAttempt { token: source };
+            let at_us = if source == AGENDA {
+                let at_us = rng.below(50) * 1_000;
+                queue.schedule(at_us, event);
+                at_us
+            } else {
+                let at_us = now_us + rng.below(4) * 1_000;
+                queue.push(at_us, event);
+                at_us
+            };
+            Reverse((at_us, queue.seq))
+        };
+
+        let mut rng = SplitMix64(36);
+        let mut queue = EventQueue::default();
+        let mut reference = BinaryHeap::new();
+        // Before the run: the agenda out of time order, interleaved with heap pushes.
+        for _ in 0..3_000 {
+            let source = rng.below(2);
+            reference.push(push(&mut queue, &mut rng, 0, source));
+        }
+        queue.start();
+        let (mut now_us, mut last_source, mut cross_source_ties, mut pops) = (0, AGENDA, 0, 0);
+        for step in 0.. {
+            let draining = step >= 15_000;
+            if draining && reference.is_empty() {
+                break;
+            }
+            if draining || rng.below(2) == 0 {
+                let popped = queue.pop();
+                assert_eq!(
+                    popped.as_ref().map(|&(at_us, seq, _)| (at_us, seq)),
+                    reference.pop().map(|Reverse(entry)| entry),
+                    "pop {pops}"
+                );
+                let Some((at_us, _, Event::OpenAttempt { token: source })) = popped else { continue };
+                pops += 1;
+                if at_us == now_us && source != last_source {
+                    cross_source_ties += 1;
+                }
+                (now_us, last_source) = (at_us, source);
+            } else {
+                reference.push(push(&mut queue, &mut rng, now_us, HEAP));
+            }
+        }
+        assert!(queue.pop().is_none());
+        assert!(pops >= 10_000, "{pops}");
+        assert!(cross_source_ties >= 100, "{cross_source_ties}");
     }
 
     #[test]
