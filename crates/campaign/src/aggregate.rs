@@ -8,6 +8,7 @@
 //! FNV-1a digest of the CSV body that regression tooling can pin.
 
 use crate::outcome::{fnv1a, RunOutcome};
+use legostore_obs::escape_json;
 use std::collections::BTreeMap;
 
 /// Version of the report schema; bumped whenever a column or JSON field changes
@@ -78,20 +79,6 @@ fn median_of(values: impl Iterator<Item = f64>) -> f64 {
     let mut v: Vec<f64> = values.collect();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     median(&v)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Aggregator {
@@ -202,7 +189,7 @@ impl CampaignReport {
         let failed = self.failures();
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"schema_version\": {REPORT_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"tier\": \"{}\",\n", json_escape(&self.tier)));
+        out.push_str(&format!("  \"tier\": \"{}\",\n", escape_json(&self.tier)));
         out.push_str(&format!("  \"cells\": {},\n", self.rows.len()));
         out.push_str(&format!("  \"passed\": {},\n", self.rows.len() - failed.len()));
         out.push_str(&format!("  \"failed\": {},\n", failed.len()));
@@ -215,9 +202,9 @@ impl CampaignReport {
                  \"median_p99_ms\": {:.3}, \"median_ops_per_sec\": {:.3}, \
                  \"mean_availability\": {:.6}, \"total_cost_usd\": {:.9}, \
                  \"reconfigs\": {}}}{}\n",
-                json_escape(&g.family),
-                json_escape(&g.protocol),
-                json_escape(&g.placement),
+                escape_json(&g.family),
+                escape_json(&g.protocol),
+                escape_json(&g.placement),
                 g.cells,
                 g.failed,
                 g.median_p50_ms,
@@ -233,10 +220,10 @@ impl CampaignReport {
         out.push_str("  \"failures\": [\n");
         for (i, r) in failed.iter().enumerate() {
             let violations: Vec<String> =
-                r.violations.iter().map(|v| format!("\"{}\"", json_escape(v))).collect();
+                r.violations.iter().map(|v| format!("\"{}\"", escape_json(v))).collect();
             out.push_str(&format!(
                 "    {{\"cell\": \"{}\", \"violations\": [{}]}}{}\n",
-                json_escape(&r.cell_id),
+                escape_json(&r.cell_id),
                 violations.join(", "),
                 if i + 1 < failed.len() { "," } else { "" },
             ));

@@ -32,8 +32,8 @@ pub mod span;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use metrics::{
-    bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
-    Registry,
+    bucket_bounds, bucket_index, escape_json, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricsSnapshot, Registry,
 };
 pub use span::{ClientMetrics, OpSpan, ServerMetrics, SpanEvent, SpanEventKind, MAX_PHASES};
 

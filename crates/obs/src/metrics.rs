@@ -326,13 +326,15 @@ impl MetricsSnapshot {
     }
 }
 
-/// Escapes a metric name for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: `"`, `\` and `\n` get their short
+/// forms, every other control character a `\uXXXX` escape.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -345,6 +347,14 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_json_pins_quote_backslash_newline_and_other_controls() {
+        assert_eq!(escape_json("a\"b"), r#"a\"b"#);
+        assert_eq!(escape_json("a\\b"), r"a\\b");
+        assert_eq!(escape_json("a\nb"), r"a\nb");
+        assert_eq!(escape_json("a\u{1}b"), r"a\u0001b");
+    }
 
     #[test]
     fn counters_and_gauges_accumulate() {

@@ -72,13 +72,6 @@ pub struct ReconfigOutcome {
     pub finish_messages: Vec<Outbound>,
 }
 
-/// Errors the controller can hit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControllerError {
-    /// The old configuration's symbols could not be decoded.
-    Decode(StoreError),
-}
-
 /// The reconfiguration controller state machine.
 #[derive(Debug, Clone)]
 pub struct ReconfigController {
@@ -94,10 +87,7 @@ pub struct ReconfigController {
     abd_value: Option<Value>,
     /// Shards collected from a CAS old configuration.
     shards: Vec<Shard>,
-    collect_targets: usize,
-    collect_responses: usize,
     value: Option<Value>,
-    error: Option<ControllerError>,
 }
 
 impl ReconfigController {
@@ -136,10 +126,7 @@ impl ReconfigController {
             highest_tag: Tag::INITIAL,
             abd_value: None,
             shards: Vec::new(),
-            collect_targets: 0,
-            collect_responses: 0,
             value: None,
-            error: None,
         }
     }
 
@@ -151,11 +138,6 @@ impl ReconfigController {
     /// Current stage, for instrumentation.
     pub fn phase(&self) -> ControllerPhase {
         self.phase
-    }
-
-    /// Error encountered, if any.
-    pub fn error(&self) -> Option<&ControllerError> {
-        self.error.as_ref()
     }
 
     /// First round: `ReconfigQuery` to every server of the old configuration.
@@ -200,10 +182,7 @@ impl ReconfigController {
         }
     }
 
-    fn collect_messages(&mut self) -> Vec<Outbound> {
-        // Accumulates across resends: "every collect response is in" is judged
-        // against all collect messages ever sent, not just the first round's.
-        self.collect_targets += self.old.dcs.len();
+    fn collect_messages(&self) -> Vec<Outbound> {
         self.old
             .dcs
             .iter()
@@ -325,7 +304,6 @@ impl ReconfigController {
                 }
             }
             (ControllerPhase::Collect, PHASE_COLLECT) => {
-                self.collect_responses += 1;
                 if let ProtoReply::CasShard { tag, shard } = reply {
                     if tag == self.highest_tag {
                         if let Some(data) = shard {
@@ -340,33 +318,16 @@ impl ReconfigController {
                     }
                 }
                 self.collect_quorum.record(from);
-                let enough_shards = self.shards.len() >= self.old.k;
-                if self.collect_quorum.reached() && enough_shards {
-                    match decode_value(&self.shards, self.old.n, self.old.k) {
-                        Ok(bytes) => {
-                            // A transiently-set decode error (all responses in, too few
-                            // shards) is cleared once a resend gathered enough.
-                            self.error = None;
-                            self.value = Some(Value::from(bytes));
-                            self.phase = ControllerPhase::WriteNew;
-                            ControllerProgress::Send(self.write_messages())
-                        }
-                        Err(_) => {
-                            self.error = Some(ControllerError::Decode(StoreError::DecodeFailed {
-                                have: self.shards.len(),
-                                need: self.old.k,
-                            }));
-                            ControllerProgress::Pending
-                        }
+                // Too few decodable shards stays Pending: `tick` resends the collect
+                // round and the deadline ends the attempt as `ReconfigStalled`.
+                let enough = self.collect_quorum.reached() && self.shards.len() >= self.old.k;
+                match enough.then(|| decode_value(&self.shards, self.old.n, self.old.k)) {
+                    Some(Ok(bytes)) => {
+                        self.value = Some(Value::from(bytes));
+                        self.phase = ControllerPhase::WriteNew;
+                        ControllerProgress::Send(self.write_messages())
                     }
-                } else if self.collect_responses >= self.collect_targets && !enough_shards {
-                    self.error = Some(ControllerError::Decode(StoreError::DecodeFailed {
-                        have: self.shards.len(),
-                        need: self.old.k,
-                    }));
-                    ControllerProgress::Pending
-                } else {
-                    ControllerProgress::Pending
+                    _ => ControllerProgress::Pending,
                 }
             }
             (ControllerPhase::WriteNew, PHASE_WRITE) => {

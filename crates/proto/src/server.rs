@@ -341,7 +341,6 @@ impl DcServer {
             return Vec::new();
         }
         let mut replies = self.expire_leases(now_ns);
-        let key = inbound.key.clone();
         // ReconfigWrite installs a brand-new epoch (possibly for a key this DC did not host
         // before), so treat it before the existence checks.
         if let ProtoMsg::ReconfigWrite { tag, data, config } = &inbound.msg {
@@ -352,7 +351,7 @@ impl DcServer {
             // tag at or below its current one, CAS inserts the version only if absent.
             let existing = self
                 .keys
-                .get_mut(&key)
+                .get_mut(&inbound.key)
                 .and_then(|epochs| epochs.get_mut(&config.epoch))
                 .filter(|state| state.config.protocol == config.protocol);
             match (existing, data) {
@@ -364,65 +363,37 @@ impl DcServer {
                     state.proto.handle(&ProtoMsg::CasFinalizeWrite { tag: *tag });
                 }
                 (None, _) => {
-                    self.install_key(key.clone(), (**config).clone(), *tag, data.clone());
+                    self.install_key(inbound.key.clone(), (**config).clone(), *tag, data.clone());
                 }
             }
-            replies.push(Reply {
-                to: inbound.from,
-                msg_id: inbound.msg_id,
-                phase: inbound.phase,
-                key,
-                epoch: inbound.epoch,
-                reply: ProtoReply::Ack,
-            });
+            replies.push(Self::reply_of(&inbound, ProtoReply::Ack));
             return replies;
         }
-        let Some(epochs) = self.keys.get_mut(&key) else {
-            replies.push(Reply {
-                to: inbound.from,
-                msg_id: inbound.msg_id,
-                phase: inbound.phase,
-                key: key.clone(),
-                epoch: inbound.epoch,
-                reply: ProtoReply::Error(StoreError::KeyNotFound(key)),
-            });
+        let Some(epochs) = self.keys.get_mut(&inbound.key) else {
+            let reply = ProtoReply::Error(StoreError::KeyNotFound(inbound.key.clone()));
+            replies.push(Self::reply_of(&inbound, reply));
             return replies;
         };
         let latest_epoch = *epochs.keys().next_back().expect("non-empty epoch map");
         // A client using an older epoch than anything we host is redirected to the newest
         // configuration we know about.
         if inbound.epoch < *epochs.keys().next().expect("non-empty") {
-            let newest = epochs.get(&latest_epoch).expect("present");
-            replies.push(Reply {
-                to: inbound.from,
-                msg_id: inbound.msg_id,
-                phase: inbound.phase,
-                key,
-                epoch: inbound.epoch,
-                reply: ProtoReply::OperationFail {
-                    new_config: Box::new(newest.config.clone()),
-                },
-            });
+            let new_config = Box::new(epochs[&latest_epoch].config.clone());
+            replies.push(Self::reply_of(&inbound, ProtoReply::OperationFail { new_config }));
             return replies;
         }
         let Some(state) = epochs.get_mut(&inbound.epoch) else {
             // The sender is ahead of us (it knows a newer epoch than we host). This can only
             // happen for client traffic racing a reconfiguration; ask it to refresh.
-            replies.push(Reply {
-                to: inbound.from,
-                msg_id: inbound.msg_id,
-                phase: inbound.phase,
-                key,
-                epoch: inbound.epoch,
-                reply: ProtoReply::Error(StoreError::StaleConfiguration {
-                    observed: inbound.epoch,
-                    current: latest_epoch,
-                }),
+            let reply = ProtoReply::Error(StoreError::StaleConfiguration {
+                observed: inbound.epoch,
+                current: latest_epoch,
             });
+            replies.push(Self::reply_of(&inbound, reply));
             return replies;
         };
         let finished = matches!(inbound.msg, ProtoMsg::FinishReconfig { .. });
-        replies.extend(Self::handle_at_state(self.dc, state, inbound, now_ns));
+        replies.extend(Self::handle_at_state(state, inbound, now_ns));
         if let KeyStatus::Blocked { since_ns, .. } = &state.status {
             self.next_expiry_ns = self.next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
         }
@@ -464,7 +435,7 @@ impl DcServer {
                 };
                 state.aborted_target = Some(target);
                 for parked in deferred {
-                    replies.extend(Self::handle_at_state(self.dc, state, parked, now_ns));
+                    replies.extend(Self::handle_at_state(state, parked, now_ns));
                 }
                 if let KeyStatus::Blocked { since_ns, .. } = &state.status {
                     next_expiry_ns = next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
@@ -501,12 +472,7 @@ impl DcServer {
         }
     }
 
-    fn handle_at_state(
-        _dc: DcId,
-        state: &mut KeyServerState,
-        inbound: Inbound,
-        now_ns: u64,
-    ) -> Vec<Reply> {
+    fn handle_at_state(state: &mut KeyServerState, inbound: Inbound, now_ns: u64) -> Vec<Reply> {
         match &mut state.status {
             KeyStatus::Retired { new_config } => match &inbound.msg {
                 // A retired epoch still answers the controller's transfer reads: its

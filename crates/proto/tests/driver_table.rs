@@ -7,7 +7,9 @@
 //! may be published.
 
 use legostore_proto::msg::{Outbound, ProtoMsg, ProtoReply};
-use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep, PHASE_FINISH, PHASE_QUERY, PHASE_WRITE};
+use legostore_proto::reconfig::{
+    ReconfigDriver, ReconfigStep, PHASE_COLLECT, PHASE_FINISH, PHASE_QUERY, PHASE_WRITE,
+};
 use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 use legostore_types::{
     ClientId, ConfigEpoch, Configuration, DcId, Key, StoreError, Tag, Value,
@@ -236,6 +238,30 @@ fn a_lost_round_is_resent_and_the_deadline_names_the_round_it_died_in() {
     // A controller that never hears from the old placement dies in round 1.
     let stalled = StoreError::ReconfigStalled { epoch: E1, round: 1 };
     assert_eq!(abd_to_abd(0).tick(800), ReconfigStep::Done(Err(stalled)));
+}
+
+#[test]
+fn a_collect_round_without_decodable_shards_is_resent_and_stalls_in_round_two() {
+    let new = Configuration::abd_majority(dcs(5..8), 1);
+    let mut d = ReconfigDriver::new(Key::from("k"), cas53(), new, TIMEOUT_NS, 0);
+    assert_eq!(targets(&d.start()), [0, 1, 2, 3, 4]);
+    let mut query_replies = (0..5).map(|dc| d.on_reply(DcId(dc), PHASE_QUERY, tag_only(3), 20));
+    let Some(ReconfigStep::Send(collect)) = query_replies.find(|s| *s != ReconfigStep::Wait) else {
+        panic!("the query round completes")
+    };
+    assert_eq!(targets(&collect), [0, 1, 2, 3, 4]);
+    assert!(collect.iter().all(|m| m.phase == PHASE_COLLECT));
+
+    // Every server has the tag's metadata but no symbol: nothing to decode, so the
+    // whole collect round goes out again, and the deadline names round 2.
+    let metadata_only = ProtoReply::CasShard { tag: Tag::new(3, ClientId(1)), shard: None };
+    for dc in 0..5 {
+        let step = d.on_reply(DcId(dc), PHASE_COLLECT, metadata_only.clone(), 30);
+        assert_eq!(step, ReconfigStep::Wait);
+    }
+    assert_eq!(d.tick(120), ReconfigStep::Send(collect));
+    let stalled = StoreError::ReconfigStalled { epoch: E1, round: 2 };
+    assert_eq!(d.tick(800), ReconfigStep::Done(Err(stalled)));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Trace generation must be deterministic across runs, processes and platforms:
-//! every experiment in `legostore-bench` relies on seeded workloads being exactly
-//! reproducible. These tests pin both same-process equality (two generators, same
+//! every simulated paper claim, campaign cell and benchmark run relies on seeded
+//! workloads being exactly reproducible. These tests pin both same-process equality (two generators, same
 //! seed, identical output) and a golden fingerprint of the generated stream (which
 //! would catch a change to the shim `StdRng` stream or to the generators' draw
 //! order between runs).
