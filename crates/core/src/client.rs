@@ -10,7 +10,8 @@
 
 use crate::cluster::ClusterInner;
 use crate::inbox::DelayedInbox;
-use crate::transport::Endpoint;
+use crate::transport::reply_delay;
+use legostore_cloud::METADATA_BYTES;
 use legostore_lincheck::recorder::fingerprint;
 use legostore_obs::{OpRecord, OpSpan, SpanEventKind};
 use legostore_proto::server::{ControlMsg, DcServer, Inbound, ServedReply};
@@ -211,7 +212,6 @@ impl StoreClient {
             key: key.clone(),
             client_dc: self.dc,
             client_id: self.client_id,
-            optimized_get: cluster.options.optimized_get,
             max_attempts: cluster.options.max_attempts,
         };
         let (epoch, op_id) = (config.epoch, span.as_ref().map(|s| s.op_id));
@@ -264,7 +264,7 @@ impl StoreClient {
                     let to = out.to;
                     cluster.send_request(self.dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
                 }
-                let step = match self.wait_for_reply(&endpoint, &mut inbox, deadline_ns) {
+                let step = match cluster.wait_for_reply(self.dc, &endpoint, &mut inbox, deadline_ns) {
                     Some(env) => {
                         driver.on_reply(env.from, env.phase, env.epoch, env.service_ns, env.reply, host)
                     }
@@ -287,10 +287,12 @@ impl StoreClient {
                     note(format!("{kind} {key}: restarting against epoch {}", driver.config().epoch));
                     // Fetching the new configuration is modeled as a metadata round
                     // trip to the controller DC.
-                    clock.sleep(cluster.reply_delay(
+                    clock.sleep(reply_delay(
+                        &cluster.model,
+                        cluster.options.latency_scale,
                         self.dc,
                         cluster.options.controller_dc,
-                        cluster.options.metadata_bytes,
+                        METADATA_BYTES,
                     ));
                 }
                 RetryCause::Timeout => {
@@ -339,56 +341,6 @@ impl StoreClient {
                 format!("{kind} {key} gave up after {attempts} attempts (last: {last})"),
             );
             obs.flight().dump_to_stderr(&format!("{kind} {key} from {} hit QuorumUnreachable", self.dc));
-        }
-    }
-
-    /// Buffers `env` in `inbox` at its modeled arrival instant.
-    fn buffer_reply(&self, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
-        self.cluster.buffer_reply(self.dc, inbox, env);
-    }
-
-    /// Waits for the next reply addressed to `endpoint`, honoring modeled network
-    /// delays. `deadline_ns` is a [`Clock::now_ns`](crate::clock::Clock::now_ns)
-    /// timestamp. All parking happens in channel waits (never in a bare clock sleep), so
-    /// replies keep being drained into the inbox while we wait for the earliest one.
-    fn wait_for_reply(
-        &mut self,
-        endpoint: &Endpoint,
-        inbox: &mut DelayedInbox<ServedReply>,
-        deadline_ns: u64,
-    ) -> Option<ServedReply> {
-        let clock = self.cluster.clock().clone();
-        loop {
-            // Drain anything already delivered into the delayed inbox.
-            while let Some(env) = endpoint.try_recv() {
-                if env.endpoint == endpoint.id() {
-                    self.buffer_reply(inbox, env);
-                }
-            }
-            if let Some(env) = inbox.pop_ready(clock.now_ns()) {
-                return Some(env);
-            }
-            if clock.now_ns() >= deadline_ns {
-                return None;
-            }
-            let wake_ns = inbox
-                .next_available_at()
-                .unwrap_or(deadline_ns)
-                .min(deadline_ns);
-            match endpoint.recv_deadline_ns(wake_ns) {
-                Some(env) => {
-                    if env.endpoint == endpoint.id() {
-                        self.buffer_reply(inbox, env);
-                    }
-                }
-                None => {
-                    if clock.now_ns() >= deadline_ns
-                        && inbox.next_available_at().map(|t| t > deadline_ns).unwrap_or(true)
-                    {
-                        return None;
-                    }
-                }
-            }
         }
     }
 }

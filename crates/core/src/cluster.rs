@@ -10,8 +10,8 @@
 
 use crate::clock::{Clock, ClockedReceiver};
 use crate::inbox::DelayedInbox;
-use crate::transport::{InProcTransport, LinkPolicy, ServerMsg, TcpTransport, Transport};
-use legostore_cloud::CloudModel;
+use crate::transport::{Endpoint, InProcTransport, LinkPolicy, ServerMsg, TcpTransport, Transport};
+use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_lincheck::HistoryRecorder;
 use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
@@ -27,24 +27,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Fault tolerance `f` of the configuration CREATE uses when none is given.
+const DEFAULT_FAULT_TOLERANCE: usize = 1;
+
 /// Tunables of a deployment.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
     /// Factor applied to the cloud model's RTTs before sleeping (1.0 = real geo latencies;
     /// tests use a small fraction so a 300 ms RTT becomes a few ms).
     pub latency_scale: f64,
-    /// Metadata bytes per message (`o_m`).
-    pub metadata_bytes: u64,
     /// Per-attempt operation timeout in *scaled* clock time.
     pub op_timeout: Duration,
     /// Maximum operation attempts (initial + retries) before giving up.
     pub max_attempts: u32,
     /// Data center hosting the reconfiguration controller and authoritative metadata.
     pub controller_dc: DcId,
-    /// Default fault tolerance used by CREATE's default configuration.
-    pub default_fault_tolerance: usize,
-    /// Whether GETs use the optimized one-phase fast paths.
-    pub optimized_get: bool,
     /// Time source shared by every component of the deployment. Defaults to real
     /// (wall-clock) time; [`Clock::virtual_time`] runs the same protocols on logical time,
     /// collapsing modeled RTT waits to microseconds and making timestamps deterministic.
@@ -84,12 +81,9 @@ impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
             latency_scale: 0.05,
-            metadata_bytes: legostore_cloud::METADATA_BYTES,
             op_timeout: Duration::from_millis(500),
             max_attempts: 4,
             controller_dc: DcId(7),
-            default_fault_tolerance: 1,
-            optimized_get: true,
             clock: Clock::real(),
             fault_plan: FaultPlan::none(),
             obs: ObsConfig::from_env(),
@@ -124,22 +118,81 @@ impl ClusterInner {
         self.clock().now_ns()
     }
 
-    /// One-way + return delay the client should wait before consuming a reply from `from`.
-    pub(crate) fn reply_delay(&self, client: DcId, from: DcId, reply_bytes: u64) -> Duration {
-        let ms = self.model.rtt_ms(client, from)
-            + self.model.transfer_time_ms(from, client, reply_bytes);
-        Duration::from_secs_f64(ms * self.options.latency_scale / 1000.0)
+    /// The client side of a deployment: the link policy, the transport `connect` builds
+    /// on it, the metadata service and the client telemetry.
+    fn assemble<T: Transport + 'static>(
+        model: CloudModel,
+        options: ClusterOptions,
+        connect: impl FnOnce(LinkPolicy) -> StoreResult<T>,
+    ) -> StoreResult<Arc<ClusterInner>> {
+        let model = Arc::new(model);
+        let obs = Obs::new(options.obs);
+        let links = LinkPolicy::new(
+            model.clone(),
+            options.latency_scale,
+            options.clock.clone(),
+            &options.fault_plan,
+            obs.clone(),
+        );
+        let transport = Arc::new(connect(links)?);
+        let client_metrics = ClientMetrics::new(&obs);
+        Ok(Arc::new(ClusterInner {
+            model,
+            options,
+            transport,
+            metadata: Mutex::new(HashMap::new()),
+            recorder: Arc::new(HistoryRecorder::new()),
+            next_client_id: AtomicU32::new(1),
+            obs,
+            client_metrics,
+        }))
     }
 
-    /// Buffers `env` in `inbox` at its modeled arrival instant for a consumer at `at`
-    /// (the transport's reply-leg fault interposition point).
-    pub(crate) fn buffer_reply(
+    /// Waits for the next reply addressed to `endpoint`, consumed at `at`, honoring
+    /// modeled network delays; `None` once `deadline_ns` (a
+    /// [`Clock::now_ns`](crate::clock::Clock::now_ns) timestamp) has passed with no reply
+    /// due by then. All parking happens in channel waits (never in a bare clock sleep), so
+    /// replies keep being drained into the inbox while we wait for the earliest one.
+    pub(crate) fn wait_for_reply(
         &self,
         at: DcId,
+        endpoint: &Endpoint,
         inbox: &mut DelayedInbox<ServedReply>,
-        env: ServedReply,
-    ) {
-        self.transport.buffer_reply(at, inbox, env);
+        deadline_ns: u64,
+    ) -> Option<ServedReply> {
+        let clock = self.clock();
+        loop {
+            // Drain anything already delivered into the delayed inbox.
+            while let Some(env) = endpoint.try_recv() {
+                if env.endpoint == endpoint.id() {
+                    self.transport.buffer_reply(at, inbox, env);
+                }
+            }
+            if let Some(env) = inbox.pop_ready(clock.now_ns()) {
+                return Some(env);
+            }
+            if clock.now_ns() >= deadline_ns {
+                return None;
+            }
+            let wake_ns = inbox
+                .next_available_at()
+                .unwrap_or(deadline_ns)
+                .min(deadline_ns);
+            match endpoint.recv_deadline_ns(wake_ns) {
+                Some(env) => {
+                    if env.endpoint == endpoint.id() {
+                        self.transport.buffer_reply(at, inbox, env);
+                    }
+                }
+                None => {
+                    if clock.now_ns() >= deadline_ns
+                        && inbox.next_available_at().map(|t| t > deadline_ns).unwrap_or(true)
+                    {
+                        return None;
+                    }
+                }
+            }
+        }
     }
 
     /// Sends a protocol request from the endpoint at `from` to the server at `to` (the
@@ -160,7 +213,7 @@ impl ClusterInner {
 
     /// See [`Cluster::default_config`].
     pub(crate) fn default_config(&self, near: DcId) -> Configuration {
-        let f = self.options.default_fault_tolerance;
+        let f = DEFAULT_FAULT_TOLERANCE;
         let dcs = self.model.nearest_dcs(near).into_iter().take(2 * f + 1).collect();
         Configuration::abd_majority(dcs, f)
     }
@@ -187,44 +240,25 @@ pub struct Cluster {
 impl Cluster {
     /// Spawns one in-process server thread per data center of `model`.
     pub fn new(model: CloudModel, options: ClusterOptions) -> Cluster {
-        let model = Arc::new(model);
-        let clock = options.clock.clone();
-        let obs = Obs::new(options.obs);
-        let links = LinkPolicy::new(
-            model.clone(),
-            options.latency_scale,
-            options.metadata_bytes,
-            clock.clone(),
-            &options.fault_plan,
-            obs.clone(),
-        );
-        let (transport, receivers) = InProcTransport::new(links, model.dc_ids());
-        let obs_level = options.obs;
-        let metadata_bytes = options.metadata_bytes;
-        let epoch_lease_ns = options.epoch_lease_ns();
-        let client_metrics = ClientMetrics::new(&obs);
-        let inner = Arc::new(ClusterInner {
-            model,
-            options,
-            transport: Arc::new(transport),
-            metadata: Mutex::new(HashMap::new()),
-            recorder: Arc::new(HistoryRecorder::new()),
-            next_client_id: AtomicU32::new(1),
-            obs,
-            client_metrics,
-        });
+        let dcs = model.dc_ids();
+        let mut receivers = Vec::new();
+        let inner = ClusterInner::assemble(model, options, |links| {
+            let (transport, rx) = InProcTransport::new(links, dcs);
+            receivers = rx;
+            Ok(transport)
+        })
+        .expect("the in-process transport cannot fail to build");
+        let (obs_level, epoch_lease_ns) = (inner.options.obs, inner.options.epoch_lease_ns());
         let handles = receivers
             .into_iter()
             .map(|(dc, rx)| {
-                let clock = clock.clone();
+                let clock = inner.clock().clone();
                 // Each server thread owns its own `Obs` — per-DC registries, exactly
                 // like one per server process — answered via `ServerMsg::Stats`.
                 let obs = Obs::new(obs_level);
                 std::thread::Builder::new()
                     .name(format!("legostore-server-{dc}"))
-                    .spawn(move || {
-                        server_loop(dc, rx, clock, obs, metadata_bytes, epoch_lease_ns)
-                    })
+                    .spawn(move || server_loop(dc, rx, clock, obs, epoch_lease_ns))
                     .expect("spawn server thread")
             })
             .collect();
@@ -252,33 +286,12 @@ impl Cluster {
         if options.clock.is_virtual() {
             options.clock = Clock::real();
         }
-        let model = Arc::new(model);
         for dc in model.dc_ids() {
             if !addrs.contains_key(&dc) {
                 return Err(StoreError::Transport(format!("no server address for {dc}")));
             }
         }
-        let obs = Obs::new(options.obs);
-        let links = LinkPolicy::new(
-            model.clone(),
-            options.latency_scale,
-            options.metadata_bytes,
-            options.clock.clone(),
-            &options.fault_plan,
-            obs.clone(),
-        );
-        let transport = TcpTransport::connect(links, addrs)?;
-        let client_metrics = ClientMetrics::new(&obs);
-        let inner = Arc::new(ClusterInner {
-            model,
-            options,
-            transport: Arc::new(transport),
-            metadata: Mutex::new(HashMap::new()),
-            recorder: Arc::new(HistoryRecorder::new()),
-            next_client_id: AtomicU32::new(1),
-            obs,
-            client_metrics,
-        });
+        let inner = ClusterInner::assemble(model, options, |links| TcpTransport::connect(links, addrs))?;
         Ok(Cluster { inner, handles: Vec::new() })
     }
 
@@ -405,23 +418,10 @@ impl Cluster {
                 let to = out.to;
                 self.inner.send_request(controller_dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
             }
-            // All parking happens in channel waits so arriving replies keep being
-            // drained (a bare clock sleep would leave them undelivered and stall a
-            // virtual clock).
-            while let Some(env) = endpoint.try_recv() {
-                self.inner.buffer_reply(controller_dc, &mut inbox, env);
-            }
-            let now = clock.now_ns();
-            let step = if let Some(env) = inbox.pop_ready(now) {
-                driver.on_reply(env.from, env.phase, env.reply, now)
-            } else if now >= driver.wake_ns() {
-                driver.tick(now)
-            } else {
-                let wake_ns = inbox.next_available_at().unwrap_or(u64::MAX).min(driver.wake_ns());
-                if let Some(env) = endpoint.recv_deadline_ns(wake_ns) {
-                    self.inner.buffer_reply(controller_dc, &mut inbox, env);
-                }
-                continue;
+            let reply = self.inner.wait_for_reply(controller_dc, &endpoint, &mut inbox, driver.wake_ns());
+            let step = match reply {
+                Some(env) => driver.on_reply(env.from, env.phase, env.reply, clock.now_ns()),
+                None => driver.tick(clock.now_ns()),
             };
             match step {
                 ReconfigStep::Wait => {}
@@ -461,7 +461,7 @@ impl Drop for Cluster {
 /// each request's reply channel.
 ///
 /// Telemetry: byte counters use the *modeled* wire sizes (the same
-/// `wire_size(metadata_bytes)` the latency model charges for), and dispatch time comes
+/// `wire_size(METADATA_BYTES)` the latency model charges for), and dispatch time comes
 /// off the deployment clock — so under a virtual clock, durations are the modeled ones
 /// (deterministically 0 for compute, since busy threads pin virtual time) and two
 /// identical runs snapshot identically.
@@ -470,7 +470,6 @@ fn server_loop(
     rx: ClockedReceiver<ServerMsg>,
     clock: Clock,
     obs: Obs,
-    metadata_bytes: u64,
     epoch_lease_ns: u64,
 ) {
     let _participant = clock.enter();
@@ -484,9 +483,9 @@ fn server_loop(
                 let _ = reply.send(host.stats());
             }
             ServerMsg::Request { reply_to, inbound } => {
-                let bytes_in = inbound.msg.wire_size(metadata_bytes);
+                let bytes_in = inbound.msg.wire_size(METADATA_BYTES);
                 host.serve(reply_to, inbound, bytes_in, || clock.now_ns(), |route, r| {
-                    let bytes = r.reply.wire_size(metadata_bytes);
+                    let bytes = r.reply.wire_size(METADATA_BYTES);
                     route.send(r).is_ok().then_some(bytes)
                 });
             }

@@ -28,7 +28,7 @@
 
 use crate::clock::{Clock, ClockedReceiver, ClockedSender};
 use crate::inbox::DelayedInbox;
-use legostore_cloud::CloudModel;
+use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_obs::{Counter, MetricsSnapshot, Obs};
 use legostore_proto::server::{ControlMsg, Inbound, ServedReply};
 use legostore_proto::wire::Frame;
@@ -150,15 +150,22 @@ pub trait Transport: Send + Sync {
     /// traffic, and must work while the data plane is being faulted.
     fn fetch_stats(&self, to: DcId) -> StoreResult<MetricsSnapshot>;
 
-    /// Whether this transport participates in [`Clock::virtual_time`]'s in-flight
-    /// accounting (the quiescence rule "advance only when no message is in flight").
-    /// Transports that move bytes outside the clocked channels — real sockets — must
-    /// return `false`, and the deployment then runs on [`Clock::real`].
-    fn supports_virtual_time(&self) -> bool;
-
     /// Shuts the transport down: in-process servers get a shutdown message, socket peers
     /// get a `Shutdown` frame and their connections are closed. Idempotent.
     fn shutdown(&self);
+}
+
+/// The modeled round trip a client at `client` waits before consuming a `reply_bytes`
+/// reply from `from`: the RTT plus the reply's transfer time, scaled by `latency_scale`.
+pub(crate) fn reply_delay(
+    model: &CloudModel,
+    latency_scale: f64,
+    client: DcId,
+    from: DcId,
+    reply_bytes: u64,
+) -> Duration {
+    let ms = model.rtt_ms(client, from) + model.transfer_time_ms(from, client, reply_bytes);
+    Duration::from_secs_f64(ms * latency_scale / 1000.0)
 }
 
 /// The delivery policy both deployment transports share: the cloud model's scaled
@@ -166,7 +173,6 @@ pub trait Transport: Send + Sync {
 pub(crate) struct LinkPolicy {
     pub(crate) model: Arc<CloudModel>,
     pub(crate) latency_scale: f64,
-    pub(crate) metadata_bytes: u64,
     pub(crate) clock: Clock,
     /// Interpreter of the fault plan; `None` when the plan is empty so the fault-free
     /// message path takes no lock.
@@ -182,7 +188,6 @@ impl LinkPolicy {
     pub(crate) fn new(
         model: Arc<CloudModel>,
         latency_scale: f64,
-        metadata_bytes: u64,
         clock: Clock,
         fault_plan: &FaultPlan,
         obs: Obs,
@@ -190,14 +195,7 @@ impl LinkPolicy {
         let faults = (!fault_plan.is_empty()).then(|| Mutex::new(FaultState::new(fault_plan)));
         let drops_request = obs.registry().counter("transport.drops.request");
         let drops_reply = obs.registry().counter("transport.drops.reply");
-        LinkPolicy { model, latency_scale, metadata_bytes, clock, faults, obs, drops_request, drops_reply }
-    }
-
-    /// One-way + return delay the client should wait before consuming a reply from `from`.
-    pub(crate) fn reply_delay(&self, client: DcId, from: DcId, reply_bytes: u64) -> Duration {
-        let ms = self.model.rtt_ms(client, from)
-            + self.model.transfer_time_ms(from, client, reply_bytes);
-        Duration::from_secs_f64(ms * self.latency_scale / 1000.0)
+        LinkPolicy { model, latency_scale, clock, faults, obs, drops_request, drops_reply }
     }
 
     /// The clock reading converted to the fault plan's time domain (model milliseconds,
@@ -270,7 +268,8 @@ impl LinkPolicy {
             }
             return;
         };
-        let delay = self.reply_delay(at, env.from, env.reply.wire_size(self.metadata_bytes))
+        let bytes = env.reply.wire_size(METADATA_BYTES);
+        let delay = reply_delay(&self.model, self.latency_scale, at, env.from, bytes)
             + Duration::from_secs_f64(extra_ms * self.latency_scale / 1000.0);
         for _ in 1..copies {
             inbox.push(env.sent_at_ns, delay, env.clone());
@@ -368,10 +367,6 @@ impl Transport for InProcTransport {
             .map_err(|_| StoreError::Transport(format!("server {to} has shut down")))?;
         rx.recv_timeout(STATS_TIMEOUT)
             .map_err(|_| StoreError::Transport(format!("stats scrape of {to} timed out")))
-    }
-
-    fn supports_virtual_time(&self) -> bool {
-        true
     }
 
     fn shutdown(&self) {
@@ -586,10 +581,6 @@ impl Transport for TcpTransport {
                 Err(StoreError::Transport(format!("stats scrape of {to} timed out")))
             }
         }
-    }
-
-    fn supports_virtual_time(&self) -> bool {
-        false
     }
 
     fn shutdown(&self) {

@@ -74,8 +74,6 @@ pub struct OpSpec {
     /// Tie-breaker of the tags this operation mints; one per operation, kept across
     /// every rebuild.
     pub client_id: ClientId,
-    /// Whether GETs may finish in one phase (ABD replica agreement, CAS client cache).
-    pub optimized_get: bool,
     /// Attempts, the first included, before the operation gives up with
     /// [`StoreError::QuorumUnreachable`]. Every new attempt counts, whatever caused it.
     pub max_attempts: u32,
@@ -89,7 +87,7 @@ pub struct Host<'a> {
     /// read when an attempt times out or a post-redirect `KeyNotFound` arrives.
     pub metadata: &'a dyn Fn() -> Option<Configuration>,
     /// The client's last decoded `(tag, value)` of the key, read whenever a CAS GET
-    /// machine is (re)built with the fast paths on.
+    /// machine is (re)built (GETs always take the paper's one-phase fast paths).
     pub cache: &'a dyn Fn() -> Option<(Tag, Value)>,
 }
 
@@ -170,15 +168,14 @@ fn build(
         }
         (ProtocolKind::Abd, Some(v), None) => Machine::AbdPut(AbdPut::new(key, config, dc, id, v)),
         (ProtocolKind::Abd, None, _) => {
-            Machine::AbdGet(AbdGet::new(key, config, dc, spec.optimized_get))
+            Machine::AbdGet(AbdGet::new(key, config, dc, true))
         }
         (ProtocolKind::Cas, Some(v), Some(tag)) => {
             Machine::CasPut(CasPut::resume_write(key, config, dc, id, tag, v))
         }
         (ProtocolKind::Cas, Some(v), None) => Machine::CasPut(CasPut::new(key, config, dc, id, v)),
         (ProtocolKind::Cas, None, _) => {
-            let cache = if spec.optimized_get { (host.cache)() } else { None };
-            Machine::CasGet(CasGet::new(key, config, dc, cache))
+            Machine::CasGet(CasGet::new(key, config, dc, (host.cache)()))
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   garbage collection (Appendix F).
 //! * [`driver`] — the sans-IO operation driver: one GET/PUT from first message to result,
 //!   with every retry decision (timeout widening, epoch redirects, the attempt budget).
-//! * [`reconfig`] — the reconfiguration protocol (Algorithms 1–2, Appendix D): the
-//!   controller's rounds and the driver that paces them (resends, deadline, finish acks).
+//! * [`reconfig`] — the reconfiguration protocol (Algorithms 1–2, Appendix D): one driver
+//!   for the controller's rounds and their pacing (resends, deadline, finish acks).
 //! * [`server`] — the per-data-center server that hosts per-key, per-epoch protocol state
 //!   and dispatches the messages defined in [`msg`], and the request-serving loop body
 //!   both server hosts share.
@@ -40,6 +40,5 @@ pub use abd::{AbdGet, AbdPut};
 pub use cas::{CasGet, CasPut};
 pub use driver::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 pub use msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
-pub use reconfig::{ReconfigController, ReconfigOutcome};
 pub use server::{ControlMsg, DcServer, KeyServerState};
 pub use wire::{Frame, WireError};

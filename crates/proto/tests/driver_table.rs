@@ -6,7 +6,7 @@
 //! error; for the controller, what is re-sent when, when it stalls, and when the metadata
 //! may be published.
 
-use legostore_proto::msg::{Outbound, ProtoMsg, ProtoReply};
+use legostore_proto::msg::{Outbound, ProtoMsg, ProtoReply, ReconfigPayload};
 use legostore_proto::reconfig::{
     ReconfigDriver, ReconfigStep, PHASE_COLLECT, PHASE_FINISH, PHASE_QUERY, PHASE_WRITE,
 };
@@ -47,7 +47,6 @@ fn driver(config: Configuration, value: Option<Value>, max_attempts: u32) -> OpD
         key: Key::from("k"),
         client_dc: DcId(0),
         client_id: ClientId(7),
-        optimized_get: true,
         max_attempts,
     };
     OpDriver::new(spec, config, value, None, &host!(None))
@@ -262,6 +261,43 @@ fn a_collect_round_without_decodable_shards_is_resent_and_stalls_in_round_two() 
     assert_eq!(d.tick(120), ReconfigStep::Send(collect));
     let stalled = StoreError::ReconfigStalled { epoch: E1, round: 2 };
     assert_eq!(d.tick(800), ReconfigStep::Done(Err(stalled)));
+}
+
+#[test]
+fn a_symbol_answered_twice_to_a_resent_collect_round_counts_once_toward_k() {
+    let new = Configuration::abd_majority(dcs(5..8), 1);
+    let mut d = ReconfigDriver::new(Key::from("k"), cas53(), new, TIMEOUT_NS, 0);
+    d.start();
+    let mut query_replies = (0..5).map(|dc| d.on_reply(DcId(dc), PHASE_QUERY, tag_only(3), 20));
+    let Some(ReconfigStep::Send(collect)) = query_replies.find(|s| *s != ReconfigStep::Wait) else {
+        panic!("the query round completes")
+    };
+
+    let value = Value::filler(900);
+    let symbols = legostore_erasure::encode_value(value.as_bytes(), 5, 3).unwrap();
+    let tag = Tag::new(3, ClientId(1));
+    let symbol = |dc: u16| ProtoReply::CasShard { tag, shard: Some(symbols[dc as usize].data.clone()) };
+    // DCs 3 and 4 have the tag's metadata only; DC 0 answers the collect round, and
+    // again when the round is resent.
+    let metadata_only = ProtoReply::CasShard { tag, shard: None };
+    for dc in [3, 4] {
+        assert_eq!(d.on_reply(DcId(dc), PHASE_COLLECT, metadata_only.clone(), 30), ReconfigStep::Wait);
+    }
+    assert_eq!(d.on_reply(DcId(0), PHASE_COLLECT, symbol(0), 40), ReconfigStep::Wait);
+    assert_eq!(d.tick(140), ReconfigStep::Send(collect));
+    assert_eq!(d.on_reply(DcId(0), PHASE_COLLECT, symbol(0), 150), ReconfigStep::Wait);
+    // A collect quorum (q4 = 4) has answered, but only two distinct symbols of k = 3.
+    assert_eq!(d.on_reply(DcId(1), PHASE_COLLECT, symbol(1), 160), ReconfigStep::Wait);
+    let ReconfigStep::Send(writes) = d.on_reply(DcId(2), PHASE_COLLECT, symbol(2), 170) else {
+        panic!("the third distinct symbol decodes")
+    };
+    assert_eq!(targets(&writes), [5, 6, 7]);
+    for m in &writes {
+        let ProtoMsg::ReconfigWrite { tag: t, data: ReconfigPayload::Value(v), .. } = &m.msg else {
+            panic!("{m:?}")
+        };
+        assert_eq!((m.phase, *t, v), (PHASE_WRITE, tag, &value));
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use crate::net::SimNet;
 use crate::report::{CostMeter, OpRecord, SimReport};
-use legostore_cloud::CloudModel;
+use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_lincheck::{recorder::fingerprint, HistoryRecorder};
 use legostore_proto::msg::{Outbound, ProtoReply};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
@@ -16,11 +16,6 @@ use std::sync::Arc;
 /// Tunables of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Metadata bytes per protocol message (`o_m`).
-    pub metadata_bytes: u64,
-    /// Whether GETs use the optimized one-phase fast paths (ABD replica agreement, CAS
-    /// client-side cache).
-    pub optimized_get: bool,
     /// Per-attempt operation timeout (virtual ms) before the client widens its quorum to the
     /// full placement and retries. Servers hold a reconfiguration's epoch lease for 16 of
     /// these — twice the controller's own give-up horizon — before re-activating the old
@@ -38,8 +33,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            metadata_bytes: legostore_cloud::METADATA_BYTES,
-            optimized_get: true,
             op_timeout_ms: 1500.0,
             max_timeout_retries: 2,
             controller_dc: DcId(7), // Los Angeles in the gcp9 model
@@ -434,7 +427,7 @@ impl Simulation {
     fn send_outbound(&mut self, token: u64, origin: DcId, msgs: Vec<Outbound>) {
         let class = self.class_of(token);
         for out in msgs {
-            let bytes = out.msg.wire_size(self.options.metadata_bytes);
+            let bytes = out.msg.wire_size(METADATA_BYTES);
             self.meter(origin, out.to, bytes, class);
             let now_ms = self.now_us as f64 / 1000.0;
             let Some((copies, _)) = self.net.deliveries(now_ms, origin, out.to) else {
@@ -478,7 +471,7 @@ impl Simulation {
                 let replies = server.handle_at(inbound, self.now_us * 1000);
                 for reply in replies {
                     let dest_dc = self.endpoint_dc(reply.to);
-                    let bytes = reply.reply.wire_size(self.options.metadata_bytes);
+                    let bytes = reply.reply.wire_size(METADATA_BYTES);
                     let class = self.class_of(reply.to);
                     self.meter(to, dest_dc, bytes, class);
                     // Reply-leg fault interposition (this is where slow-DC / lossy-link
@@ -594,7 +587,6 @@ impl Simulation {
             key: key.clone(),
             client_dc: origin,
             client_id: ClientId(self.next_client_id),
-            optimized_get: self.options.optimized_get,
             max_attempts: self.options.max_timeout_retries + 1,
         };
         self.next_client_id += 1;

@@ -94,8 +94,7 @@ impl World {
             key: Key::from("k"),
             client_dc: client.dc,
             client_id: ClientId(index as u32 + 1),
-            optimized_get: true,
-            max_attempts: 8,
+                max_attempts: 8,
         };
         let fp = value.as_ref().map(|v| fingerprint(v.as_bytes()));
         let host = Host { now_ns: &|| 0, metadata: &|| None, cache: &|| client.cache.clone() };

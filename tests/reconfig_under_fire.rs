@@ -19,9 +19,9 @@
 
 use legostore::lincheck::recorder::fingerprint;
 use legostore::prelude::*;
-use legostore::proto::msg::{OpOutcome, OpProgress, Outbound};
-use legostore::proto::reconfig::{ControllerProgress, ReconfigController};
-use legostore::proto::server::{DcServer, Inbound, Reply};
+use legostore::proto::msg::{OpOutcome, OpProgress, Outbound, ProtoMsg};
+use legostore::proto::reconfig::{ReconfigDriver, ReconfigStep};
+use legostore::proto::server::{DcServer, Inbound, ProtoState, Reply};
 use legostore::proto::{AbdGet, AbdPut};
 use legostore::types::{FaultEvent, FaultKind, FaultPlan};
 use legostore_workload::FaultPlanSpec;
@@ -170,26 +170,32 @@ fn redirected_put_resumes_with_its_old_epoch_tag_pinned() {
     deliver(&mut servers, CLIENT, partial);
 
     // 2. The controller transfers the key; the partial write is what it finds.
-    let mut ctl = ReconfigController::new(key.clone(), old.clone(), new_base);
+    let mut ctl = ReconfigDriver::new(key.clone(), old.clone(), new_base, 1_000, 0);
     let mut msgs = ctl.start();
-    let outcome = 'transfer: loop {
-        assert!(!msgs.is_empty(), "controller stalled in {:?}", ctl.phase());
+    let (new_config, finish) = 'transfer: loop {
+        assert!(!msgs.is_empty(), "controller stalled");
         for (dc, r) in deliver(&mut servers, CTRL, std::mem::take(&mut msgs)) {
-            match ctl.on_reply(dc, r.phase, r.reply) {
-                ControllerProgress::Pending => {}
-                ControllerProgress::Send(next) => msgs = next,
-                ControllerProgress::Done(outcome) => break 'transfer outcome,
+            match ctl.on_reply(dc, r.phase, r.reply, 0) {
+                ReconfigStep::Wait => {}
+                ReconfigStep::Send(next) => msgs = next,
+                ReconfigStep::Publish { new_config, finish } => break 'transfer (*new_config, finish),
+                ReconfigStep::Done(result) => panic!("done before publishing: {result:?}"),
             }
         }
     };
-    assert_eq!(outcome.highest_tag, t1, "the partial write is the transferred state");
-    assert_eq!(outcome.value, v1);
-    deliver(&mut servers, CTRL, outcome.finish_messages.clone());
+    let ProtoMsg::FinishReconfig { highest_tag, .. } = &finish[0].msg else { panic!("{finish:?}") };
+    assert_eq!(*highest_tag, t1, "the partial write is the transferred state");
+    for dc in &new_config.dcs {
+        let installed = servers[dc].key_state(&key, new_config.epoch).map(|s| &s.proto);
+        let Some(ProtoState::Abd(state)) = installed else { panic!("{dc}: {installed:?}") };
+        assert_eq!((state.tag, &state.value), (t1, &v1), "{dc} holds the transferred value");
+    }
+    deliver(&mut servers, CTRL, finish);
 
     // 3. The redirected client resumes in epoch 1 with the tag pinned.
     let mut resumed = AbdPut::resume_write(
         key.clone(),
-        outcome.new_config.clone(),
+        new_config.clone(),
         old.dcs[0],
         ClientId(9),
         t1,
@@ -208,7 +214,7 @@ fn redirected_put_resumes_with_its_old_epoch_tag_pinned() {
 
     // Every reader of the new epoch observes the single application at t1 — a rebuilt
     // PUT would have left the value at a fresh tag above t1.
-    let mut get = AbdGet::new(key.clone(), outcome.new_config.clone(), outcome.new_config.dcs[0], false);
+    let mut get = AbdGet::new(key.clone(), new_config.clone(), new_config.dcs[0], false);
     let observed;
     'read: loop {
         let replies = deliver(&mut servers, READER, get.start());
