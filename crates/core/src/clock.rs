@@ -10,18 +10,18 @@
 //!   `latency_scale: 1.0` paces operations exactly like the paper's geo-distributed
 //!   testbed.
 //! * [`Clock::virtual_time`]: a shared logical-time source. Nobody sleeps; instead, the
-//!   clock tracks every participant (server threads, clients inside an operation, the
-//!   reconfiguration controller) plus every message still in flight between them, and
-//!   when *all* participants are quiescent it jumps straight to the next scheduled
-//!   wake-up instant. Wake-ups are targeted: every waiter parks on a condvar of its
-//!   own (a channel's receiver on the channel's, a sleeper on a fresh one), so a send
-//!   wakes only its receiver and a jump wakes only the threads whose deadline is the
-//!   new instant. Modeled multi-second RTT waits collapse to microseconds of real time
-//!   while preserving the arrival *order* and the relative timestamps of every event,
-//!   so latency accounting and linearizability histories come out the same — and
-//!   scheduler jitter no longer leaks into `now_ns`, which makes sequential workloads
-//!   byte-for-byte reproducible (concurrent client threads can still race for the
-//!   order in which servers see their requests).
+//!   clock tracks every participant (clients inside an operation, the reconfiguration
+//!   controller; in-process servers serve on their callers' threads) plus every reply
+//!   still in flight to them, and when *all* participants are quiescent it jumps
+//!   straight to the next scheduled wake-up instant. Wake-ups are targeted: every
+//!   waiter parks on a condvar of its own (a channel's receiver on the channel's, a
+//!   sleeper on a fresh one), so a send wakes only its receiver and a jump wakes only
+//!   the threads whose deadline is the new instant. Modeled multi-second RTT waits
+//!   collapse to microseconds of real time while preserving the arrival *order* and the
+//!   relative timestamps of every event, so latency accounting and linearizability
+//!   histories come out the same — and scheduler jitter no longer leaks into `now_ns`,
+//!   which makes sequential workloads byte-for-byte reproducible (concurrent client
+//!   threads can still race for the order in which servers see their requests).
 //!
 //! # Example: a virtual-time cluster in a few lines
 //!
@@ -43,7 +43,7 @@
 //! cluster.shutdown();
 //! ```
 
-use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -194,8 +194,8 @@ impl Clock {
     /// While any participant is running (not blocked inside one of the clock's wait
     /// primitives), a virtual clock will not advance: the thread might be about to send a
     /// message or schedule a wake-up, and jumping ahead of it would deliver futures out of
-    /// order. Server threads hold a guard for their whole life; clients hold one per
-    /// operation.
+    /// order. Clients hold one per operation and the reconfiguration controller one per
+    /// transfer; in-process servers run on the sending thread, inside its guard.
     ///
     /// External drivers that pace their own work against a virtual clock (e.g. a bench
     /// loop interleaving [`Clock::sleep`] with operations on a cluster) must hold a guard
@@ -324,40 +324,6 @@ impl<T> ClockedReceiver<T> {
                     s.in_flight -= 1;
                 }
                 got
-            }
-        }
-    }
-
-    /// Blocking receive with no deadline (used by server threads, which wait for work
-    /// indefinitely). On a virtual clock the calling participant is counted as quiescent
-    /// while it waits but registers no wake-up: only a message can resume it.
-    ///
-    /// On a virtual clock a disconnect does not wake the waiter either, so a sender that
-    /// drops while the receiver is parked leaves it parked. Nothing relies on that
-    /// wake-up: every endpoint owns a sender of its own channel, and in-process servers
-    /// exit on `ServerMsg::Shutdown`, not on a disconnect.
-    pub(crate) fn recv(&self) -> Result<T, RecvError> {
-        match self.virtual_wake() {
-            None => self.rx().recv(),
-            Some((v, wake)) => {
-                // This thread contributed `depth` busy increments to *this* clock; while it
-                // is parked here, all of them must be released or time could never advance.
-                let depth = thread_depth(v);
-                let mut s = v.lock();
-                loop {
-                    match self.rx().try_recv() {
-                        Ok(msg) => {
-                            s.in_flight -= 1;
-                            return Ok(msg);
-                        }
-                        Err(TryRecvError::Disconnected) => return Err(RecvError),
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    s.busy -= depth;
-                    s.advance_if_quiescent();
-                    s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
-                    s.busy += depth;
-                }
             }
         }
     }
@@ -496,9 +462,56 @@ impl VirtualClock {
     }
 }
 
+/// The calling thread's voluntary context switches so far (the wake-up tests' meter).
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+pub(crate) fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("voluntary_ctxt_switches line")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvError;
+
+    impl<T> ClockedReceiver<T> {
+        /// Blocking receive with no deadline (tests only: the deployment always waits with a
+        /// deadline). On a virtual clock the calling participant is counted as quiescent
+        /// while it waits but registers no wake-up: only a message can resume it.
+        ///
+        /// On a virtual clock a disconnect does not wake the waiter either, so a sender that
+        /// drops while the receiver is parked leaves it parked.
+        fn recv(&self) -> Result<T, RecvError> {
+            match self.virtual_wake() {
+                None => self.rx().recv(),
+                Some((v, wake)) => {
+                    // This thread contributed `depth` busy increments to *this* clock; while it
+                    // is parked here, all of them must be released or time could never advance.
+                    let depth = thread_depth(v);
+                    let mut s = v.lock();
+                    loop {
+                        match self.rx().try_recv() {
+                            Ok(msg) => {
+                                s.in_flight -= 1;
+                                return Ok(msg);
+                            }
+                            Err(TryRecvError::Disconnected) => return Err(RecvError),
+                            Err(TryRecvError::Empty) => {}
+                        }
+                        s.busy -= depth;
+                        s.advance_if_quiescent();
+                        s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
+                        s.busy += depth;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn real_clock_is_monotonic_and_sleeps() {
@@ -631,17 +644,6 @@ mod tests {
         }
     }
 
-    /// The calling thread's voluntary context switches so far.
-    #[cfg(target_os = "linux")]
-    fn voluntary_switches() -> u64 {
-        let status = std::fs::read_to_string("/proc/thread-self/status").expect("proc status");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-            .and_then(|n| n.trim().parse().ok())
-            .expect("voluntary_ctxt_switches line")
-    }
-
     #[cfg(target_os = "linux")]
     #[test]
     fn a_send_wakes_only_its_receiver() {
@@ -688,6 +690,66 @@ mod tests {
             switches.iter().all(|&n| n < 20),
             "bystanders woke during {ROUND_TRIPS} unrelated round trips: {switches:?} switches"
         );
+    }
+
+    /// The same bystander pin on the deployment's own wait: bystanders park in
+    /// `recv_deadline_ns` with a deadline no jump reaches, and the ping-pong pair (entered
+    /// participants, like clients) waits the same way.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_send_wakes_only_its_deadline_receiver() {
+        const BYSTANDERS: usize = 8;
+        const ROUND_TRIPS: u32 = 1_000;
+        const FAR: u64 = u64::MAX;
+        let clock = Clock::virtual_time();
+        // This thread stays a participant until the bystanders are released, so no jump
+        // to `FAR` can time them out.
+        let _participant = clock.enter();
+        let entered = Arc::new(std::sync::Barrier::new(BYSTANDERS + 1));
+        let mut releases = Vec::new();
+        let mut bystanders = Vec::new();
+        for _ in 0..BYSTANDERS {
+            let (tx, rx) = clock.channel::<()>();
+            releases.push(tx);
+            let (clock, entered) = (clock.clone(), entered.clone());
+            bystanders.push(std::thread::spawn(move || {
+                let _participant = clock.enter();
+                entered.wait();
+                let before = voluntary_switches();
+                rx.recv_deadline_ns(FAR).unwrap();
+                voluntary_switches() - before
+            }));
+        }
+        // Every bystander has entered; once all of them sleep on `FAR`, all are parked.
+        entered.wait();
+        wait_for_state(&clock, |s| s.sleepers.get(&FAR).is_some_and(|w| w.len() == BYSTANDERS));
+
+        let (ping_tx, ping_rx) = clock.channel::<u32>();
+        let (pong_tx, pong_rx) = clock.channel::<u32>();
+        let ponger = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                let _participant = clock.enter();
+                for _ in 0..ROUND_TRIPS {
+                    pong_tx.send(ping_rx.recv_deadline_ns(FAR).unwrap()).unwrap();
+                }
+            })
+        };
+        for i in 0..ROUND_TRIPS {
+            ping_tx.send(i).unwrap();
+            assert_eq!(pong_rx.recv_deadline_ns(FAR).unwrap(), i);
+        }
+        ponger.join().unwrap();
+
+        for tx in &releases {
+            tx.send(()).unwrap();
+        }
+        let switches: Vec<u64> = bystanders.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(
+            switches.iter().all(|&n| n < 20),
+            "bystanders woke during {ROUND_TRIPS} unrelated round trips: {switches:?} switches"
+        );
+        assert_eq!(clock.now_ns(), 0, "no deadline was reached");
     }
 
     #[test]

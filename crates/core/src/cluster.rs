@@ -1,21 +1,21 @@
 //! The deployment: per-DC servers, the metadata service and the reconfiguration
 //! controller, all behind the [`Transport`] seam.
 //!
-//! [`Cluster::new`] is the in-process runtime (one server thread per data center,
-//! messages on clocked channels). [`Cluster::connect_tcp`] is the same deployment over
-//! real sockets: the servers are `legostore-server` processes (or threads) elsewhere, and
-//! every protocol message crosses the wire as a length-prefixed frame. Clients, the
-//! metadata service and the reconfiguration controller are identical in both cases — they
-//! only see the [`Transport`] trait.
+//! [`Cluster::new`] is the in-process runtime (one locked server per data center, served
+//! on the sending thread, replies on clocked channels). [`Cluster::connect_tcp`] is the
+//! same deployment over real sockets: the servers are `legostore-server` processes (or
+//! threads) elsewhere, and every protocol message crosses the wire as a length-prefixed
+//! frame. Clients, the metadata service and the reconfiguration controller are identical
+//! in both cases — they only see the [`Transport`] trait.
 
-use crate::clock::{Clock, ClockedReceiver};
+use crate::clock::Clock;
 use crate::inbox::DelayedInbox;
-use crate::transport::{Endpoint, InProcTransport, LinkPolicy, ServerMsg, TcpTransport, Transport};
-use legostore_cloud::{CloudModel, METADATA_BYTES};
+use crate::transport::{Endpoint, InProcTransport, LinkPolicy, TcpTransport, Transport};
+use legostore_cloud::CloudModel;
 use legostore_lincheck::HistoryRecorder;
 use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound, RequestServer, ServedReply};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound, ServedReply};
 use legostore_types::{
     Configuration, DcId, FaultPlan, Key, StoreError, StoreResult, Tag, Value,
 };
@@ -24,7 +24,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Fault tolerance `f` of the configuration CREATE uses when none is given.
@@ -220,9 +219,9 @@ impl ClusterInner {
 }
 
 /// One [`Cluster::stats`] scrape: the client-process metrics snapshot plus one snapshot
-/// per data-center server, fetched through the transport (in-process channel or the
-/// `StatsRequest`/`StatsReply` wire frames — the same call works against a 6-process
-/// TCP deployment).
+/// per data-center server, fetched through the transport (read under the in-process
+/// server's lock, or the `StatsRequest`/`StatsReply` wire frames — the same call works
+/// against a 6-process TCP deployment).
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     /// Client-side metrics: operation spans, retries, transport fault drops.
@@ -234,35 +233,19 @@ pub struct ClusterStats {
 /// A LEGOStore deployment (in-process or over TCP).
 pub struct Cluster {
     pub(crate) inner: Arc<ClusterInner>,
-    handles: Vec<JoinHandle<()>>,
 }
 
 impl Cluster {
-    /// Spawns one in-process server thread per data center of `model`.
+    /// Builds one in-process server per data center of `model`. No thread is spawned:
+    /// each request is served on the thread that sends it, under its server's lock.
     pub fn new(model: CloudModel, options: ClusterOptions) -> Cluster {
         let dcs = model.dc_ids();
-        let mut receivers = Vec::new();
+        let (obs, epoch_lease_ns) = (options.obs, options.epoch_lease_ns());
         let inner = ClusterInner::assemble(model, options, |links| {
-            let (transport, rx) = InProcTransport::new(links, dcs);
-            receivers = rx;
-            Ok(transport)
+            Ok(InProcTransport::new(links, dcs, obs, epoch_lease_ns))
         })
         .expect("the in-process transport cannot fail to build");
-        let (obs_level, epoch_lease_ns) = (inner.options.obs, inner.options.epoch_lease_ns());
-        let handles = receivers
-            .into_iter()
-            .map(|(dc, rx)| {
-                let clock = inner.clock().clone();
-                // Each server thread owns its own `Obs` — per-DC registries, exactly
-                // like one per server process — answered via `ServerMsg::Stats`.
-                let obs = Obs::new(obs_level);
-                std::thread::Builder::new()
-                    .name(format!("legostore-server-{dc}"))
-                    .spawn(move || server_loop(dc, rx, clock, obs, epoch_lease_ns))
-                    .expect("spawn server thread")
-            })
-            .collect();
-        Cluster { inner, handles }
+        Cluster { inner }
     }
 
     /// Connects to an already-running deployment: one `legostore-server` (process or
@@ -292,7 +275,7 @@ impl Cluster {
             }
         }
         let inner = ClusterInner::assemble(model, options, |links| TcpTransport::connect(links, addrs))?;
-        Ok(Cluster { inner, handles: Vec::new() })
+        Ok(Cluster { inner })
     }
 
     /// Spawns a deployment over the paper's nine GCP data centers with default options.
@@ -329,7 +312,7 @@ impl Cluster {
 
     /// Scrapes the full deployment: the local client snapshot plus every data-center
     /// server's snapshot through the transport. Works identically for in-process
-    /// servers (channel round trip) and multi-process TCP servers (stats frames).
+    /// servers (read under their lock) and multi-process TCP servers (stats frames).
     pub fn stats(&self) -> StoreResult<ClusterStats> {
         let mut servers = BTreeMap::new();
         for dc in self.inner.model.dc_ids() {
@@ -437,59 +420,14 @@ impl Cluster {
         }
     }
 
-    /// Shuts the deployment down: in-process server threads are joined; TCP servers
-    /// receive a shutdown frame and their connections are closed.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.inner.transport.shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    /// Shuts the deployment down, as dropping it does: in-process servers stop serving;
+    /// TCP servers receive a shutdown frame and their connections are closed.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// The per-DC server thread: a receive loop around [`RequestServer`], replying through
-/// each request's reply channel.
-///
-/// Telemetry: byte counters use the *modeled* wire sizes (the same
-/// `wire_size(METADATA_BYTES)` the latency model charges for), and dispatch time comes
-/// off the deployment clock — so under a virtual clock, durations are the modeled ones
-/// (deterministically 0 for compute, since busy threads pin virtual time) and two
-/// identical runs snapshot identically.
-fn server_loop(
-    dc: DcId,
-    rx: ClockedReceiver<ServerMsg>,
-    clock: Clock,
-    obs: Obs,
-    epoch_lease_ns: u64,
-) {
-    let _participant = clock.enter();
-    let mut host = RequestServer::new(dc, obs);
-    host.server.set_epoch_lease_ns(epoch_lease_ns);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ServerMsg::Shutdown => break,
-            ServerMsg::Control(ctrl) => host.server.apply_control(ctrl),
-            ServerMsg::Stats(reply) => {
-                let _ = reply.send(host.stats());
-            }
-            ServerMsg::Request { reply_to, inbound } => {
-                let bytes_in = inbound.msg.wire_size(METADATA_BYTES);
-                host.serve(reply_to, inbound, bytes_in, || clock.now_ns(), |route, r| {
-                    let bytes = r.reply.wire_size(METADATA_BYTES);
-                    route.send(r).is_ok().then_some(bytes)
-                });
-            }
-        }
+        self.inner.transport.shutdown();
     }
 }
 
@@ -601,6 +539,26 @@ mod tests {
         client.put(&Key::from("k"), Value::from("v2")).expect("puts tolerate failure too");
         cluster.recover_dc(GcpLocation::LosAngeles.dc());
         assert_eq!(client.get(&Key::from("k")).unwrap(), Value::from("v2"));
+        cluster.shutdown();
+    }
+
+    /// A virtual-time jump never parks its lone participant, so the client thread
+    /// parks only if a request or a reply is handed to another thread.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_lone_client_is_served_on_its_own_thread() {
+        let cluster = Cluster::gcp9(fast_options());
+        let tokyo = GcpLocation::Tokyo.dc();
+        let nearest = cluster.model().nearest_dcs(tokyo).into_iter().take(5).collect();
+        cluster.install_key("k", Configuration::cas_default(nearest, 3, 1), &Value::filler(64));
+        let (mut client, key) = (cluster.client(tokyo), Key::from("k"));
+        let before = crate::clock::voluntary_switches();
+        for i in 0..200 {
+            client.put(&key, Value::filler(65 + i)).unwrap();
+            assert_eq!(client.get(&key).unwrap(), Value::filler(65 + i));
+        }
+        let switches = crate::clock::voluntary_switches() - before;
+        assert!(switches < 20, "200 PUT+GET pairs parked the client {switches} times");
         cluster.shutdown();
     }
 

@@ -1,7 +1,7 @@
 //! Client-side delayed inbox: delivers server replies only after the modeled network delay
 //! has elapsed.
 //!
-//! Server threads answer instantly (their processing time is negligible in the paper's
+//! Servers answer instantly (their processing time is negligible in the paper's
 //! setting too); what dominates real deployments is the inter-DC round trip. The inbox
 //! re-creates that on the receiving side: each reply is tagged with the clock instant it
 //! would arrive given the cloud model's RTT and transfer time, and

@@ -2,7 +2,8 @@
 //!
 //! The paper's prototype runs one server process per GCP data center plus client processes
 //! co-located with users. This crate reproduces that deployment inside one process: every
-//! data center's server runs on its own thread behind a channel, clients are synchronous
+//! data center's server is a locked state machine served on the thread that sends it a
+//! request, replies travel on clocked channels, clients are synchronous
 //! handles that implement the user-facing CREATE/GET/PUT/DELETE API, and the measured
 //! inter-DC round-trip times of the cloud model are injected on the client side (scaled by a
 //! configurable factor so tests finish quickly). Because the protocol state machines come
@@ -12,7 +13,7 @@
 //!
 //! Main entry points:
 //!
-//! * [`Cluster`] — builds and owns the per-DC server threads plus the metadata service.
+//! * [`Cluster`] — builds and owns the per-DC servers plus the metadata service.
 //! * [`StoreClient`] — a LEGOStore client bound to one data center
 //!   ([`Cluster::client`]), offering linearizable `create` / `get` / `put` / `delete`.
 //! * [`Cluster::reconfigure`] — runs the reconfiguration controller (Algorithm 1) against

@@ -5,9 +5,10 @@
 //! controller, the cluster orchestration — talks only to the [`Transport`] trait. Two
 //! implementations exist:
 //!
-//! * [`InProcTransport`] — the original runtime: every server is a thread behind a clocked
-//!   crossbeam channel in this process. Works under both clocks; under
-//!   [`Clock::virtual_time`] the clocked channels count in-flight messages, which is the
+//! * [`InProcTransport`] — the original runtime: every server is a locked
+//!   [`RequestServer`] in this process, served on the sending thread, and replies travel
+//!   on clocked crossbeam channels. Works under both clocks; under
+//!   [`Clock::virtual_time`] the clocked channels count in-flight replies, which is the
 //!   transport-side half of the virtual clock's quiescence rule (time only jumps when no
 //!   thread is busy *and no message is in flight on the transport*).
 //! * [`TcpTransport`] — real length-prefixed frames (see [`legostore_proto::wire`]) over
@@ -22,15 +23,16 @@
 //! [`FaultPlan`] is interposed at exactly two points —
 //! [`Transport::send_request`] (request leg) and [`Transport::buffer_reply`] (reply leg).
 //! Because the verdicts are drawn on the client side of the seam, the *same seeded plan*
-//! produces the same drop/duplicate/delay schedule whether the bytes cross a channel or a
-//! socket. (The simulator's seam is the delivery-decision object in `legostore_sim::net`,
-//! which consumes the same `LinkVerdict`s inside its single-threaded event loop.)
+//! produces the same drop/duplicate/delay schedule whether the request is served
+//! in-process or crosses a socket. (The simulator's seam is the delivery-decision object
+//! in `legostore_sim::net`, which consumes the same `LinkVerdict`s inside its
+//! single-threaded event loop.)
 
 use crate::clock::{Clock, ClockedReceiver, ClockedSender};
 use crate::inbox::DelayedInbox;
 use legostore_cloud::{CloudModel, METADATA_BYTES};
-use legostore_obs::{Counter, MetricsSnapshot, Obs};
-use legostore_proto::server::{ControlMsg, Inbound, ServedReply};
+use legostore_obs::{Counter, MetricsSnapshot, Obs, ObsConfig};
+use legostore_proto::server::{ControlMsg, Inbound, RequestServer, ServedReply};
 use legostore_proto::wire::Frame;
 use legostore_types::{DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult};
 use parking_lot::Mutex;
@@ -41,23 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A message to an in-process per-DC server thread.
-pub(crate) enum ServerMsg {
-    /// A protocol request plus the channel its replies route back on.
-    Request {
-        reply_to: ClockedSender<ServedReply>,
-        inbound: Inbound,
-    },
-    /// An out-of-band administration command.
-    Control(ControlMsg),
-    /// A telemetry scrape: the server answers with a snapshot of its metrics registry
-    /// on the enclosed (unclocked) channel. Scrapes ride the same queue as requests so
-    /// a snapshot reflects everything the server processed before it.
-    Stats(std::sync::mpsc::Sender<MetricsSnapshot>),
-    /// Ends the server loop.
-    Shutdown,
-}
-
 /// Demux table mapping live endpoint ids to their reply queues (TCP transport only).
 type ReplyRoutes = Arc<Mutex<HashMap<u64, ClockedSender<ServedReply>>>>;
 
@@ -65,7 +50,8 @@ type ReplyRoutes = Arc<Mutex<HashMap<u64, ClockedSender<ServedReply>>>>;
 /// each `StatsReply` frame to the scraping thread that sent the matching request.
 type StatsWaiters = Arc<Mutex<HashMap<u64, std::sync::mpsc::Sender<(DcId, MetricsSnapshot)>>>>;
 
-/// How long a [`Transport::fetch_stats`] scrape waits for the server's snapshot.
+/// How long a [`Transport::fetch_stats`] scrape waits for the server's snapshot (TCP
+/// transport only).
 const STATS_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A reply-receiving endpoint: one per operation attempt (and one per reconfiguration).
@@ -88,8 +74,8 @@ impl Endpoint {
         self.id
     }
 
-    /// A sender for routing replies to this endpoint (the in-process transport attaches
-    /// one to every request).
+    /// A sender for routing replies to this endpoint (the in-process transport hands one
+    /// to the server with every request).
     pub(crate) fn reply_sender(&self) -> ClockedSender<ServedReply> {
         self.tx.clone()
     }
@@ -144,14 +130,15 @@ pub trait Transport: Send + Sync {
     /// destinations are ignored (best-effort, like the drivers' admin paths).
     fn control(&self, to: DcId, msg: ControlMsg) -> StoreResult<()>;
 
-    /// Scrapes the telemetry snapshot of the server at `to`. In-process servers answer
-    /// over a channel; socket servers answer with a `StatsReply` frame routed back by
+    /// Scrapes the telemetry snapshot of the server at `to`. In-process servers are read
+    /// under their lock; socket servers answer with a `StatsReply` frame routed back by
     /// token. Scrapes bypass the fault plan — they are operator telemetry, not protocol
     /// traffic, and must work while the data plane is being faulted.
     fn fetch_stats(&self, to: DcId) -> StoreResult<MetricsSnapshot>;
 
-    /// Shuts the transport down: in-process servers get a shutdown message, socket peers
-    /// get a `Shutdown` frame and their connections are closed. Idempotent.
+    /// Shuts the transport down: in-process servers stop serving, socket peers get a
+    /// `Shutdown` frame and their connections are closed. After it, in-process requests
+    /// and scrapes fail with a transport error. Idempotent.
     fn shutdown(&self);
 }
 
@@ -282,28 +269,51 @@ impl LinkPolicy {
 // In-process transport
 // ---------------------------------------------------------------------------
 
-/// The original runtime: per-DC server threads behind clocked crossbeam channels.
+/// One in-process data center: its [`RequestServer`], with replies routed back on each
+/// requesting endpoint's clocked channel.
+type InProcServer = RequestServer<ClockedSender<ServedReply>>;
+
+/// The in-process runtime: one locked [`RequestServer`] per data center, served on the
+/// sending thread.
 pub struct InProcTransport {
     links: LinkPolicy,
-    senders: HashMap<DcId, ClockedSender<ServerMsg>>,
+    servers: HashMap<DcId, Mutex<InProcServer>>,
     next_endpoint: AtomicU64,
+    down: AtomicBool,
 }
 
 impl InProcTransport {
-    /// Builds the transport plus one receiver per data center for the server threads.
+    /// Builds one server per data center, each with its own `Obs` at `obs` (per-DC
+    /// registries, exactly like one per server process) and an epoch lease of
+    /// `epoch_lease_ns`.
     pub(crate) fn new(
         links: LinkPolicy,
         dcs: impl IntoIterator<Item = DcId>,
-    ) -> (Self, Vec<(DcId, ClockedReceiver<ServerMsg>)>) {
-        let mut senders = HashMap::new();
-        let mut receivers = Vec::new();
-        for dc in dcs {
-            let (tx, rx) = links.clock.channel();
-            senders.insert(dc, tx);
-            receivers.push((dc, rx));
+        obs: ObsConfig,
+        epoch_lease_ns: u64,
+    ) -> Self {
+        let servers = dcs
+            .into_iter()
+            .map(|dc| {
+                let mut host = RequestServer::new(dc, Obs::new(obs));
+                host.server.set_epoch_lease_ns(epoch_lease_ns);
+                (dc, Mutex::new(host))
+            })
+            .collect();
+        let (next_endpoint, down) = (AtomicU64::new(1), AtomicBool::new(false));
+        InProcTransport { links, servers, next_endpoint, down }
+    }
+
+    /// The server at `to`, unless it is unknown or the transport has shut down.
+    fn server(&self, to: DcId) -> StoreResult<&Mutex<InProcServer>> {
+        let server = self
+            .servers
+            .get(&to)
+            .ok_or_else(|| StoreError::Transport(format!("unknown data center {to}")))?;
+        if self.down.load(Ordering::Acquire) {
+            return Err(StoreError::Transport(format!("server {to} has shut down")));
         }
-        let transport = InProcTransport { links, senders, next_endpoint: AtomicU64::new(1) };
-        (transport, receivers)
+        Ok(server)
     }
 }
 
@@ -314,6 +324,17 @@ impl Transport for InProcTransport {
         Endpoint { id, tx, rx, registry: None }
     }
 
+    /// Serves the request on the calling thread, under the destination's lock, at the
+    /// send's clock instant (every sender holds a [`Clock::enter`] guard, so a virtual
+    /// clock cannot advance while it serves). Each reply goes into its endpoint's clocked
+    /// channel, so the modeled reply leg is untouched. Lock order: a server's lock, then
+    /// the clock's (inside the reply's send), never the reverse.
+    ///
+    /// Telemetry: byte counters use the *modeled* wire sizes (the same
+    /// `wire_size(METADATA_BYTES)` the latency model charges for), and dispatch time comes
+    /// off the deployment clock — so under a virtual clock, durations are the modeled ones
+    /// (deterministically 0 for compute, since the serving thread pins virtual time) and
+    /// two identical runs snapshot identically.
     fn send_request(
         &self,
         from: DcId,
@@ -324,21 +345,19 @@ impl Transport for InProcTransport {
         let Some((copies, _)) = self.links.request_deliveries(from, to) else {
             return Ok(());
         };
-        let sender = self
-            .senders
-            .get(&to)
-            .ok_or_else(|| StoreError::Transport(format!("unknown data center {to}")))?;
+        let (clock, bytes_in) = (&self.links.clock, inbound.msg.wire_size(METADATA_BYTES));
+        let mut host = self.server(to)?.lock();
+        let mut serve = |inbound| {
+            host.serve(endpoint.reply_sender(), inbound, bytes_in, || clock.now_ns(), |route, r| {
+                let bytes = r.reply.wire_size(METADATA_BYTES);
+                route.send(r).is_ok().then_some(bytes)
+            })
+        };
         for _ in 1..copies {
-            sender
-                .send(ServerMsg::Request {
-                    reply_to: endpoint.reply_sender(),
-                    inbound: inbound.clone(),
-                })
-                .map_err(|_| StoreError::Transport(format!("server {to} has shut down")))?;
+            serve(inbound.clone());
         }
-        sender
-            .send(ServerMsg::Request { reply_to: endpoint.reply_sender(), inbound })
-            .map_err(|_| StoreError::Transport(format!("server {to} has shut down")))
+        serve(inbound);
+        Ok(())
     }
 
     fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
@@ -346,33 +365,18 @@ impl Transport for InProcTransport {
     }
 
     fn control(&self, to: DcId, msg: ControlMsg) -> StoreResult<()> {
-        if let Some(sender) = self.senders.get(&to) {
-            let _ = sender.send(ServerMsg::Control(msg));
+        if let Ok(server) = self.server(to) {
+            server.lock().server.apply_control(msg);
         }
         Ok(())
     }
 
     fn fetch_stats(&self, to: DcId) -> StoreResult<MetricsSnapshot> {
-        let sender = self
-            .senders
-            .get(&to)
-            .ok_or_else(|| StoreError::Transport(format!("unknown data center {to}")))?;
-        // The answer channel is a plain std channel, not a clocked one: a scrape is
-        // operator traffic outside the modeled message flow, so it must not count
-        // toward the virtual clock's in-flight accounting (the scraping thread blocks
-        // here in real time while virtual time is free to advance).
-        let (tx, rx) = std::sync::mpsc::channel();
-        sender
-            .send(ServerMsg::Stats(tx))
-            .map_err(|_| StoreError::Transport(format!("server {to} has shut down")))?;
-        rx.recv_timeout(STATS_TIMEOUT)
-            .map_err(|_| StoreError::Transport(format!("stats scrape of {to} timed out")))
+        Ok(self.server(to)?.lock().stats())
     }
 
     fn shutdown(&self) {
-        for sender in self.senders.values() {
-            let _ = sender.send(ServerMsg::Shutdown);
-        }
+        self.down.store(true, Ordering::Release);
     }
 }
 

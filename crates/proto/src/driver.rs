@@ -300,6 +300,14 @@ impl OpDriver {
         if epoch != self.config.epoch {
             return Step::Wait;
         }
+        // A redirect to a configuration that does not validate (garbled, or from a faulty
+        // server) is discarded the same way: crossing into it would build a machine that
+        // cannot exist, so the attempt times out as if the reply were lost.
+        if let ProtoReply::OperationFail { new_config } = &reply {
+            if new_config.validate().is_err() {
+                return Step::Wait;
+            }
+        }
         let seen_ns = self.now(host);
         if let Some(now) = seen_ns {
             let network_ns = now.saturating_sub(self.phase_started_ns).saturating_sub(service_ns);

@@ -129,6 +129,30 @@ fn redirect_pins_a_chosen_tag_into_the_new_epoch_and_restarts_fresh_before_that(
 }
 
 #[test]
+fn a_redirect_to_an_invalid_configuration_is_discarded_not_crossed_into() {
+    // A CAS(5,3) with k = 9: a garbled redirect must neither be entered nor re-encode
+    // the pinned write under a code that cannot exist.
+    let mut garbled = at_epoch(cas53(), E1);
+    garbled.k = 9;
+    assert!(garbled.validate().is_err());
+    let mut d = driver(abd3(), Some(Value::from("v")), 4);
+    d.open_attempt(&host!(None));
+    let Step::Send(writes) = replies(&mut d, &[0, 1], 1, E0, &tag_only(2)) else { panic!() };
+    let ProtoMsg::AbdWrite { tag, .. } = writes[0].msg.clone() else { panic!() };
+    let redirect = ProtoReply::OperationFail { new_config: Box::new(garbled) };
+    assert_eq!(d.on_reply(DcId(0), 2, E0, 0, redirect, &host!(None)), Step::Wait);
+    assert_eq!(d.config().epoch, E0);
+    // The attempt times out as if the reply were lost and resumes its write in place.
+    assert_eq!(d.on_timeout(&host!(Some(abd3()))), Step::Reopen(RetryCause::Timeout));
+    let resent = d.open_attempt(&host!(None));
+    assert_eq!(targets(&resent), [0, 1, 2]);
+    for m in &resent {
+        assert_eq!(m.epoch, E0);
+        assert!(matches!(&m.msg, ProtoMsg::AbdWrite { tag: t, .. } if *t == tag), "{m:?}");
+    }
+}
+
+#[test]
 fn a_reply_stamped_with_another_epoch_is_discarded() {
     let mut d = driver(at_epoch(abd3(), E1), Some(Value::from("v")), 4);
     d.open_attempt(&host!(None));

@@ -1,8 +1,9 @@
 //! A standalone LEGOStore per-DC server speaking the wire protocol of
 //! [`legostore_proto::wire`] over real TCP sockets.
 //!
-//! The in-process deployment (`legostore-core`) runs every data center's server as a
-//! thread behind a channel. This crate hosts the *same* [`RequestServer`] (and the
+//! The in-process deployment (`legostore-core`) serves every data center's
+//! [`RequestServer`] on the sending thread, under a per-DC lock. This crate hosts the
+//! *same* [`RequestServer`] (and the
 //! `DcServer` inside it) behind a `TcpListener` instead, so a cluster can run as one OS
 //! process per data center, exchanging real bytes — the `legostore-server` binary is a
 //! thin CLI over [`serve`], and `Cluster::connect_tcp` on the client side completes the
@@ -67,7 +68,7 @@ impl Shared {
 /// The calling thread only accepts. Each connection thread serves frames one at a time
 /// under the per-DC lock, and every write happens under it, so frames never interleave on
 /// a socket. The bounded routing table, the dispatch and the telemetry are
-/// [`RequestServer`]'s, shared with the in-process server loop.
+/// [`RequestServer`]'s, shared with the in-process deployment.
 pub fn serve(dc: DcId, listener: TcpListener) -> io::Result<()> {
     let local = listener.local_addr()?;
     // A standalone server always keeps at least metric counting on: it is per-process

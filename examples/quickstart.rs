@@ -10,7 +10,7 @@
 use legostore::prelude::*;
 
 fn main() {
-    // One server thread per GCP region of the paper; inter-DC latencies are injected from
+    // One server per GCP region of the paper; inter-DC latencies are injected from
     // the measured RTT table, scaled down 50x so the example finishes quickly.
     let cluster = Cluster::gcp9(ClusterOptions {
         latency_scale: 0.02,
