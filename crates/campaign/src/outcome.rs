@@ -4,14 +4,6 @@ use crate::spec::CellSpec;
 use legostore_obs::{Obs, ObsConfig};
 use legostore_sim::SimReport;
 
-/// Per-key step budget for the linearizability search. Deciding without backtracking
-/// costs ~2 steps per operation, so a campaign-sized history (tens of ops per key)
-/// normally finishes in well under a thousand steps; two million only trips on
-/// adversarial interleavings whose DFS would otherwise run for minutes. Budget
-/// exhaustion is deterministic (a pure function of the history), so reports stay
-/// byte-reproducible.
-const CHECK_STEP_BUDGET: u64 = 2_000_000;
-
 /// What a scenario promises: the checker side of the (schedule, fault plan,
 /// expected-property) triple. Linearizability is always required; the rest varies by
 /// family (a region outage *should* fail some ops, a fault-free diurnal run none).
@@ -80,9 +72,10 @@ pub struct RunOutcome {
     pub failures: usize,
     /// Fraction of operations that succeeded.
     pub availability: f64,
-    /// Whether every per-key history linearized; `None` when the run's history was
-    /// unverifiable (no recording, or a failed PUT whose effect is unknowable — the
-    /// success-only recorder cannot express "may or may not have been applied").
+    /// Whether every per-key history linearized, as the checker decided it; `None` only
+    /// when the run's history was unverifiable (no recording, or a failed PUT whose
+    /// effect is unknowable — the success-only recorder cannot express "may or may not
+    /// have been applied").
     pub linearizable: Option<bool>,
     /// Median latency over successful ops (ms).
     pub p50_ms: f64,
@@ -173,9 +166,9 @@ pub fn outcome_from_report(
     let reconfigs = report.reconfig_durations_ms.len();
 
     // A failed PUT may or may not have been applied; the recorder only keeps
-    // successes, so a later read of the phantom value would (wrongly, and at
-    // exponential search cost) be flagged. Such histories are unverifiable with a
-    // success-only register checker — report them as skipped, never as passed.
+    // successes, so a later read of the phantom value would be (wrongly) flagged.
+    // Such histories are unverifiable with a success-only recorder — report them as
+    // skipped, never as passed.
     let failed_puts = report
         .operations
         .iter()
@@ -183,18 +176,10 @@ pub fn outcome_from_report(
         .count();
     let (linearizable, lin_failures): (Option<bool>, Vec<String>) = match &report.histories {
         Some(recorder) if failed_puts == 0 => {
-            let (fails, undecided) = recorder.check_all_within(CHECK_STEP_BUDGET);
-            let fails: Vec<String> = fails.into_iter().map(|(k, _)| k).collect();
-            if fails.is_empty() && !undecided.is_empty() {
-                // No key failed, but some key's search ran out of budget: the run is
-                // undecided, reported as skipped — never as passed.
-                (None, fails)
-            } else {
-                (Some(fails.is_empty()), fails)
-            }
+            let fails: Vec<String> = recorder.check_all().into_iter().map(|(k, _)| k).collect();
+            (Some(fails.is_empty()), fails)
         }
-        Some(_) => (None, Vec::new()),
-        None => (None, Vec::new()),
+        _ => (None, Vec::new()),
     };
 
     let obs = Obs::new(ObsConfig::Metrics);

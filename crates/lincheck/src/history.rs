@@ -1,6 +1,6 @@
 //! Single-register histories and the linearizability decision procedure.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// What an operation did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,11 +17,12 @@ pub enum OperationKind {
     },
 }
 
-/// One completed operation in a history.
+/// One operation in a history.
 ///
 /// Times are arbitrary monotonically comparable integers (the recorder uses nanoseconds for
-/// the threaded runtime and virtual microseconds for the simulator). `invoke < ret` must
-/// hold for every operation.
+/// the threaded runtime and virtual microseconds for the simulator). `invoke <= ret` must
+/// hold for every operation. A write whose outcome is unknown (a failed PUT) has
+/// `ret = u64::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operation {
     /// Identifier of the client that issued the operation (informational).
@@ -59,30 +60,51 @@ impl Operation {
 /// Outcome of a linearizability check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckOutcome {
-    /// A witness linearization order exists; the indices are positions in the (sorted)
-    /// operation list in linearization order.
-    Linearizable { order: Vec<usize> },
+    /// A linearization exists.
+    Linearizable,
     /// No linearization exists.
     NotLinearizable,
-    /// The history was malformed (an operation returned before it was invoked).
+    /// The history was malformed: an operation returned before it was invoked, or a write
+    /// repeated the initial value or an earlier write's value.
     Malformed { index: usize },
 }
 
 impl CheckOutcome {
     /// True when the history is linearizable.
     pub fn is_ok(&self) -> bool {
-        matches!(self, CheckOutcome::Linearizable { .. })
+        matches!(self, CheckOutcome::Linearizable)
     }
 }
 
-/// A history of completed operations over one register.
+/// A history of operations over one register.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     /// The register's value before any write in the history (LEGOStore's CREATE installs an
     /// initial value; reads may legitimately observe it).
     pub initial_value: u64,
-    /// The completed operations, in any order.
+    /// The operations, in any order.
     pub operations: Vec<Operation>,
+}
+
+/// A write and the reads of its value, reduced to the two instants that bound where the
+/// cluster can be linearized. Times are shifted up by one, so the initial value's write
+/// sits at 0, strictly before every recorded operation.
+struct Cluster {
+    /// When the write was invoked: no read of its value may return strictly before this.
+    write_invoke: u128,
+    /// The earliest response in the cluster: the write takes effect no later than this.
+    min_ret: u128,
+    /// The latest invocation in the cluster: its last read takes effect no earlier.
+    max_invoke: u128,
+}
+
+impl Cluster {
+    /// A cluster whose earliest response precedes its latest invocation must occupy the
+    /// whole *forward zone* `[min_ret, max_invoke]`. Otherwise its *backward zone*
+    /// `[max_invoke, min_ret]` holds an instant at which every member can take effect.
+    fn is_forward(&self) -> bool {
+        self.min_ret < self.max_invoke
+    }
 }
 
 impl History {
@@ -109,174 +131,77 @@ impl History {
         self.operations.is_empty()
     }
 
-    /// Decides linearizability of the history.
+    /// Decides linearizability of the history in O(n log n).
     ///
-    /// The search linearizes operations one at a time. An operation is a candidate for the
-    /// next linearization point iff every not-yet-linearized operation's response is not
-    /// strictly before its invocation (i.e. nothing pending precedes it in real time). Reads
-    /// must observe the current register value; writes update it. The search memoizes
-    /// visited `(linearized-set, register-value)` states, which keeps it fast on the
-    /// register histories LEGOStore produces.
+    /// Every written value must be distinct from the initial value and from every other
+    /// write's; a repeat makes the history [`CheckOutcome::Malformed`]. Under distinct
+    /// values each read names the one write it observed, so the history splits into
+    /// *clusters*: a write plus the reads of its value, with the initial value as a write
+    /// that precedes everything. A linearization places each cluster as one contiguous
+    /// run, and the history is linearizable iff (Gibbons & Korach, SIAM J. Comput. 1997;
+    /// the zone form is Golab, Li & Shah, PODC 2011):
+    /// - no read returns a value that nothing wrote;
+    /// - no read returns strictly before its write is invoked;
+    /// - no two forward zones overlap;
+    /// - no backward zone lies inside a forward zone.
+    ///
+    /// Operation A precedes B iff `A.ret < B.invoke`, so equal timestamps are concurrent
+    /// and zones that only touch do not overlap. A write with `ret = u64::MAX` is a failed
+    /// PUT that may take effect at any point after its invocation, or never; if nobody
+    /// read its value, its backward zone is unbounded and constrains nothing.
     pub fn check(&self) -> CheckOutcome {
-        self.check_within(u64::MAX)
-            .expect("an unbounded search cannot exhaust its budget")
-    }
-
-    /// Budgeted variant of [`History::check`]: gives up after `max_steps` search steps.
-    ///
-    /// Returns `None` when the budget runs out before the search decides — the history is
-    /// then *undecided*, not passed and not failed. Linearizing one operation costs one
-    /// step, so any history the search decides without backtracking (the overwhelmingly
-    /// common case) finishes within `2 × len` steps; a budget in the millions only trips
-    /// on genuinely adversarial interleavings, e.g. hundreds of concurrent writes on one
-    /// register, where the DFS would otherwise run for minutes. Callers that sweep many
-    /// histories (the campaign engine) use this to bound worst-case wall time
-    /// deterministically: the step count is a pure function of the history, so the same
-    /// input always decides — or gives up — identically.
-    pub fn check_within(&self, max_steps: u64) -> Option<CheckOutcome> {
-        for (i, op) in self.operations.iter().enumerate() {
-            if op.ret < op.invoke {
-                return Some(CheckOutcome::Malformed { index: i });
-            }
-        }
-        let n = self.operations.len();
-        if n == 0 {
-            return Some(CheckOutcome::Linearizable { order: vec![] });
-        }
-        // Sort by invocation time; the witness order refers to indices in this sorted list.
-        let mut ops: Vec<Operation> = self.operations.clone();
-        ops.sort_by_key(|o| (o.invoke, o.ret));
-
-        let words = n.div_ceil(64);
-        let mut linearized = vec![0u64; words];
-        let mut memo: HashSet<(Vec<u64>, u64)> = HashSet::new();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-
-        fn is_set(bits: &[u64], i: usize) -> bool {
-            bits[i / 64] & (1u64 << (i % 64)) != 0
-        }
-        fn set(bits: &mut [u64], i: usize) {
-            bits[i / 64] |= 1u64 << (i % 64);
-        }
-        fn clear(bits: &mut [u64], i: usize) {
-            bits[i / 64] &= !(1u64 << (i % 64));
-        }
-
-        // Iterative DFS with an explicit stack of (value-before, next-candidate-index).
-        struct Frame {
-            value: u64,
-            next: usize,
-        }
-        let mut stack: Vec<Frame> = vec![Frame {
-            value: self.initial_value,
-            next: 0,
+        let shift = |t: u64| u128::from(t) + 1;
+        let mut cluster_of: HashMap<u64, usize> = HashMap::from([(self.initial_value, 0)]);
+        let mut clusters = vec![Cluster {
+            write_invoke: 0,
+            min_ret: 0,
+            max_invoke: 0,
         }];
+        for (index, op) in self.operations.iter().enumerate() {
+            if op.ret < op.invoke {
+                return CheckOutcome::Malformed { index };
+            }
+            if let OperationKind::Write { value } = op.kind {
+                if cluster_of.insert(value, clusters.len()).is_some() {
+                    return CheckOutcome::Malformed { index };
+                }
+                clusters.push(Cluster {
+                    write_invoke: shift(op.invoke),
+                    min_ret: shift(op.ret),
+                    max_invoke: shift(op.invoke),
+                });
+            }
+        }
+        for op in &self.operations {
+            let OperationKind::Read { value } = op.kind else {
+                continue;
+            };
+            let Some(&c) = cluster_of.get(&value) else {
+                return CheckOutcome::NotLinearizable;
+            };
+            let cluster = &mut clusters[c];
+            if shift(op.ret) < cluster.write_invoke {
+                return CheckOutcome::NotLinearizable;
+            }
+            cluster.min_ret = cluster.min_ret.min(shift(op.ret));
+            cluster.max_invoke = cluster.max_invoke.max(shift(op.invoke));
+        }
 
-        let mut steps: u64 = 0;
-        while let Some(frame_idx) = stack.len().checked_sub(1) {
-            steps += 1;
-            if steps > max_steps {
-                return None;
-            }
-            if order.len() == n {
-                return Some(CheckOutcome::Linearizable { order });
-            }
-            let value = stack[frame_idx].value;
-            let start = stack[frame_idx].next;
-            // Earliest response among pending operations: candidates must be invoked before
-            // it (otherwise some pending op strictly precedes them in real time).
-            let mut min_ret = u64::MAX;
-            for (i, op) in ops.iter().enumerate() {
-                if !is_set(&linearized, i) {
-                    min_ret = min_ret.min(op.ret);
-                }
-            }
-            let mut candidate = None;
-            let mut forced = false;
-            if start == 0 {
-                // A candidate read of the current register value can always be
-                // linearized *now* without discarding any witness: candidacy already
-                // guarantees every pending operation's response is at or after its
-                // invocation (so moving it to the front of any extension respects real
-                // time), and a read leaves the register untouched. Committing to it as
-                // a forced move — no resume point, the frame fails outright if the
-                // branch fails — keeps the search linear on read-heavy histories
-                // instead of backtracking over every subset of concurrent same-value
-                // reads.
-                for (i, op) in ops.iter().enumerate() {
-                    if is_set(&linearized, i) {
-                        continue;
-                    }
-                    if op.invoke > min_ret {
-                        break;
-                    }
-                    if op.kind == (OperationKind::Read { value }) {
-                        candidate = Some((i, value));
-                        forced = true;
-                        break;
-                    }
-                }
-            }
-            if candidate.is_none() {
-                for (i, op) in ops.iter().enumerate().skip(start) {
-                    if is_set(&linearized, i) {
-                        continue;
-                    }
-                    if op.invoke > min_ret {
-                        // ops is sorted by invocation; nothing later can be a candidate
-                        // either.
-                        break;
-                    }
-                    // Check register semantics.
-                    let new_value = match op.kind {
-                        OperationKind::Read { value: read_v } => {
-                            if read_v != value {
-                                continue;
-                            }
-                            value
-                        }
-                        OperationKind::Write { value: write_v } => write_v,
-                    };
-                    candidate = Some((i, new_value));
-                    break;
-                }
-            }
-            match candidate {
-                Some((i, new_value)) => {
-                    // Record where to resume in this frame if the branch fails; a
-                    // forced move has no alternatives, so its frame resumes past the
-                    // end and fails immediately.
-                    stack[frame_idx].next = if forced { n } else { i + 1 };
-                    set(&mut linearized, i);
-                    order.push(i);
-                    if memo.contains(&(linearized.clone(), new_value)) {
-                        // Already explored an equivalent state; undo immediately.
-                        clear(&mut linearized, i);
-                        order.pop();
-                        continue;
-                    }
-                    stack.push(Frame {
-                        value: new_value,
-                        next: 0,
-                    });
-                }
-                None => {
-                    // Dead end: remember the state we are abandoning, then backtrack.
-                    memo.insert((linearized.clone(), value));
-                    stack.pop();
-                    if let Some(last) = order.pop() {
-                        clear(&mut linearized, last);
-                    } else if stack.is_empty() {
-                        return Some(CheckOutcome::NotLinearizable);
-                    }
-                }
+        let (mut forward, backward): (Vec<Cluster>, Vec<Cluster>) =
+            clusters.into_iter().partition(Cluster::is_forward);
+        forward.sort_unstable_by_key(|f| f.min_ret);
+        if forward.windows(2).any(|w| w[1].min_ret < w[0].max_invoke) {
+            return CheckOutcome::NotLinearizable;
+        }
+        // Forward zones are now disjoint, so the only one that can hold a backward zone
+        // is the last to start strictly before it.
+        for b in &backward {
+            let i = forward.partition_point(|f| f.min_ret < b.max_invoke);
+            if i > 0 && b.min_ret < forward[i - 1].max_invoke {
+                return CheckOutcome::NotLinearizable;
             }
         }
-        if order.len() == n {
-            Some(CheckOutcome::Linearizable { order })
-        } else {
-            Some(CheckOutcome::NotLinearizable)
-        }
+        CheckOutcome::Linearizable
     }
 }
 
@@ -355,19 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_order_respects_real_time_and_semantics() {
-        let mut h = History::new(0);
-        h.push(Operation::write(1, 10, 0, 1));
-        h.push(Operation::read(2, 10, 2, 3));
-        let CheckOutcome::Linearizable { order } = h.check() else {
-            panic!("expected linearizable");
-        };
-        assert_eq!(order.len(), 2);
-        // The write must be linearized before the read.
-        assert!(order[0] < order[1]);
-    }
-
-    #[test]
     fn malformed_history_detected() {
         let mut h = History::new(0);
         h.push(Operation::write(1, 1, 10, 5));
@@ -397,12 +309,17 @@ mod tests {
 
     #[test]
     fn repeated_values_are_handled() {
-        // Writing the same value twice must not confuse the checker.
+        // A read of a repeated value names no single write, so the history is malformed.
         let mut h = History::new(0);
         h.push(Operation::write(1, 5, 0, 1));
         h.push(Operation::write(2, 5, 2, 3));
         h.push(Operation::read(3, 5, 4, 5));
-        assert!(h.check().is_ok());
+        assert_eq!(h.check(), CheckOutcome::Malformed { index: 1 });
+        // Rewriting the initial value counts as a repeat too.
+        let mut h = History::new(0);
+        h.push(Operation::read(1, 0, 0, 1));
+        h.push(Operation::write(2, 0, 2, 3));
+        assert_eq!(h.check(), CheckOutcome::Malformed { index: 1 });
     }
 
     #[test]
@@ -420,20 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_reports_undecided_not_a_verdict() {
-        // A decidable history under a one-step budget must come back None — never a
-        // (wrong) verdict in either direction.
-        let mut h = History::new(0);
-        for c in 0..8u32 {
-            h.push(Operation::write(c, 100 + c as u64, 0, 100));
-        }
-        h.push(Operation::read(9, 103, 200, 201));
-        assert_eq!(h.check_within(1), None);
-        // With room to finish, the budgeted and unbounded answers agree.
-        assert_eq!(h.check_within(1_000_000), Some(h.check()));
-    }
-
-    #[test]
     fn read_between_two_writes_pins_their_order() {
         // w(1) [0,10], r->1 [20,30], w(2) [15,40]: linearizable (w1, r, w2).
         let mut h = History::new(0);
@@ -448,5 +351,179 @@ mod tests {
         h2.push(Operation::read(4, 2, 50, 55));
         h2.push(Operation::read(5, 1, 60, 65));
         assert_eq!(h2.check(), CheckOutcome::NotLinearizable);
+    }
+
+    /// A failed PUT (`ret = u64::MAX`) may take effect at any point after its
+    /// invocation, or never.
+    #[test]
+    fn failed_puts_take_effect_after_invocation_or_never() {
+        let failed = |value, invoke| Operation::write(1, value, invoke, u64::MAX);
+        let rows = [
+            // Nobody read it: it never took effect.
+            (
+                vec![
+                    Operation::write(1, 1, 0, 5),
+                    failed(2, 10),
+                    Operation::read(3, 1, 20, 25),
+                ],
+                CheckOutcome::Linearizable,
+            ),
+            // Read once, then a strictly later read sees the older value.
+            (
+                vec![
+                    Operation::write(1, 1, 0, 5),
+                    failed(2, 10),
+                    Operation::read(3, 2, 20, 25),
+                    Operation::read(3, 1, 30, 35),
+                ],
+                CheckOutcome::NotLinearizable,
+            ),
+            // Read once, then overwritten by a completed PUT.
+            (
+                vec![
+                    failed(1, 0),
+                    Operation::read(2, 1, 10, 15),
+                    Operation::write(3, 2, 20, 25),
+                    Operation::read(2, 2, 30, 35),
+                ],
+                CheckOutcome::Linearizable,
+            ),
+        ];
+        for (row, (operations, expected)) in rows.into_iter().enumerate() {
+            let h = History {
+                initial_value: 0,
+                operations,
+            };
+            assert_eq!(h.check(), expected, "row {row}");
+        }
+    }
+
+    /// 24 concurrent writes, then two strictly ordered reads that disagree: the search the
+    /// zone checker replaced tries every order of the writes before giving up.
+    #[test]
+    fn wide_concurrent_writes_with_disagreeing_reads_are_rejected() {
+        let mut h = History::new(0);
+        for c in 0..24u32 {
+            h.push(Operation::write(c, 100 + u64::from(c), 0, 100));
+        }
+        h.push(Operation::read(100, 105, 200, 201));
+        h.push(Operation::read(101, 117, 300, 301));
+        assert_eq!(h.check(), CheckOutcome::NotLinearizable);
+    }
+
+    /// The memoized Wing & Gong search that `History::check` replaced, kept as the
+    /// reference the zone checker is tested against. Exponential in per-register
+    /// concurrency; takes well-formed histories only.
+    fn dfs_linearizable(history: &History) -> bool {
+        let mut ops = history.operations.clone();
+        ops.sort_by_key(|o| (o.invoke, o.ret));
+        let n = ops.len();
+        let mut linearized = vec![false; n];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut memo: std::collections::HashSet<(Vec<bool>, u64)> = Default::default();
+        // Each frame is (register value before it, next candidate index to try).
+        let mut stack: Vec<(u64, usize)> = vec![(history.initial_value, 0)];
+        while let Some(&(value, start)) = stack.last() {
+            if order.len() == n {
+                return true;
+            }
+            // Candidates must be invoked no later than the earliest pending response.
+            let min_ret = (0..n)
+                .filter(|&i| !linearized[i])
+                .map(|i| ops[i].ret)
+                .min()
+                .unwrap_or(u64::MAX);
+            let pending = (0..n).filter(|&i| !linearized[i] && ops[i].invoke <= min_ret);
+            // A candidate read of the current value is a forced move: linearizing it now
+            // discards no witness, so its frame has no alternatives to resume.
+            let forced = (start == 0)
+                .then(|| {
+                    pending
+                        .clone()
+                        .find(|&i| ops[i].kind == OperationKind::Read { value })
+                })
+                .flatten();
+            let candidate = forced.map(|i| (i, value)).or_else(|| {
+                pending.filter(|&i| i >= start).find_map(|i| match ops[i].kind {
+                    OperationKind::Read { value: v } => (v == value).then_some((i, value)),
+                    OperationKind::Write { value: v } => Some((i, v)),
+                })
+            });
+            match candidate {
+                Some((i, new_value)) => {
+                    stack.last_mut().unwrap().1 = if forced.is_some() { n } else { i + 1 };
+                    linearized[i] = true;
+                    if memo.contains(&(linearized.clone(), new_value)) {
+                        linearized[i] = false;
+                        continue;
+                    }
+                    order.push(i);
+                    stack.push((new_value, 0));
+                }
+                None => {
+                    memo.insert((linearized.clone(), value));
+                    stack.pop();
+                    if let Some(last) = order.pop() {
+                        linearized[last] = false;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// SplitMix64: a seeded stream for the differential test, without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random histories of up to 10 operations with timestamps in `0..12`, so ties are
+    /// common. Writes carry distinct values; a fifth of them failed (`ret = u64::MAX`).
+    /// Reads return the initial value, any write's value, or a value nobody wrote.
+    fn random_history(state: &mut u64) -> History {
+        let mut h = History::new(0);
+        let n = next(state) % 11;
+        let writes = if n == 0 { 0 } else { next(state) % (n + 1) };
+        for i in 0..n {
+            let invoke = next(state) % 12;
+            let span = next(state) % (12 - invoke);
+            let op = if i < writes {
+                let ret = if next(state) % 5 == 0 { u64::MAX } else { invoke + span };
+                Operation::write(i as u32, 1 + i, invoke, ret)
+            } else {
+                // 0 is the initial value, 1..=writes were written, writes + 1 was not.
+                let value = next(state) % (writes + 2);
+                Operation::read(i as u32, value, invoke, invoke + span)
+            };
+            h.push(op);
+        }
+        let len = h.operations.len();
+        for i in (1..len).rev() {
+            h.operations.swap(i, (next(state) % (i as u64 + 1)) as usize);
+        }
+        h
+    }
+
+    #[test]
+    fn zone_checker_agrees_with_the_search_on_random_histories() {
+        let mut state = 0x4c45_474f;
+        let (mut yes, mut no) = (0, 0);
+        for case in 0..20_000 {
+            let h = random_history(&mut state);
+            let expected = dfs_linearizable(&h);
+            assert_eq!(h.check().is_ok(), expected, "case {case}: {h:?}");
+            assert_ne!(h.check(), CheckOutcome::Malformed { index: 0 });
+            if expected {
+                yes += 1;
+            } else {
+                no += 1;
+            }
+        }
+        // Both verdicts are common, so neither side of the agreement is vacuous.
+        assert!(yes > 4_000 && no > 4_000, "{yes} linearizable, {no} not");
     }
 }

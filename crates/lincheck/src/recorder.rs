@@ -80,6 +80,12 @@ fn fmix64(mut h: u64) -> u64 {
 }
 
 /// Thread-safe, per-key history collector.
+///
+/// Contract: every PUT to a key writes a value distinct from the key's initial value and
+/// from every other PUT to that key. The checker relies on it to tell which write each
+/// GET observed; a repeated value makes the key's history [`CheckOutcome::Malformed`],
+/// which [`HistoryRecorder::check_all`] reports as a failure. The simulator stamps each PUT
+/// with its op token, and the benchmark stamps each value with its writer and counter.
 #[derive(Debug, Default)]
 pub struct HistoryRecorder {
     inner: Mutex<HashMap<String, History>>,
@@ -151,33 +157,29 @@ impl HistoryRecorder {
         ks
     }
 
-    /// Checks every recorded key and returns the keys that failed (empty ⇒ all linearizable).
+    /// Checks every recorded key and returns the keys that failed (empty ⇒ all
+    /// linearizable), sorted by key so the result does not depend on map order.
     pub fn check_all(&self) -> Vec<(String, CheckOutcome)> {
-        self.check_all_within(u64::MAX).0
+        let map = self.lock();
+        let mut failures: Vec<(String, CheckOutcome)> = map
+            .iter()
+            .filter_map(|(key, history)| {
+                let outcome = history.check();
+                (!outcome.is_ok()).then(|| (key.clone(), outcome))
+            })
+            .collect();
+        failures.sort_by(|a, b| a.0.cmp(&b.0));
+        failures
     }
 
-    /// Like [`HistoryRecorder::check_all`], but each key's search gets a step budget
-    /// (see [`History::check_within`]). Returns `(failures, undecided)`: keys whose
-    /// search exhausted the budget land in `undecided` — neither passed nor failed —
-    /// instead of stalling the whole sweep on one adversarial interleaving. Both lists
-    /// are sorted, so the result is deterministic regardless of map iteration order.
+    /// [`HistoryRecorder::check_all`], plus an always-empty list of undecided keys. The
+    /// checker decides every history, so the argument is ignored; this remains only for
+    /// the benchmark package's caller, and a change to the benchmark deletes it.
     pub fn check_all_within(
         &self,
-        max_steps_per_key: u64,
+        _max_steps_per_key: u64,
     ) -> (Vec<(String, CheckOutcome)>, Vec<String>) {
-        let map = self.lock();
-        let mut failures = Vec::new();
-        let mut undecided = Vec::new();
-        for (key, history) in map.iter() {
-            match history.check_within(max_steps_per_key) {
-                None => undecided.push(key.clone()),
-                Some(outcome) if !outcome.is_ok() => failures.push((key.clone(), outcome)),
-                Some(_) => {}
-            }
-        }
-        failures.sort_by(|a, b| a.0.cmp(&b.0));
-        undecided.sort();
-        (failures, undecided)
+        (self.check_all(), Vec::new())
     }
 }
 
@@ -302,21 +304,17 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_check_separates_undecided_from_failed() {
+    fn budgeted_sweep_ignores_its_budget() {
         let rec = HistoryRecorder::new();
-        // "wide": eight concurrent writes force the search to actually branch.
         for c in 0..8u32 {
             rec.record_put("wide", c, 100 + u64::from(c), 0, 100);
         }
         rec.record_get("wide", 9, 103, 200, 201);
-        // "bad": a stale read that any budget large enough to run at all will catch.
         rec.record_put("bad", 1, 1, 0, 1);
         rec.record_get("bad", 2, 0, 5, 6);
         let (failures, undecided) = rec.check_all_within(1);
-        assert_eq!(undecided, vec!["bad".to_string(), "wide".to_string()]);
-        assert!(failures.is_empty());
-        let (failures, undecided) = rec.check_all_within(1_000_000);
         assert!(undecided.is_empty());
+        assert_eq!(failures, rec.check_all());
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, "bad");
     }

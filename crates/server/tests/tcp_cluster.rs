@@ -131,7 +131,7 @@ fn fault_plan_over_sockets_stays_linearizable_within_f() {
         let cluster = Cluster::connect_tcp(model, options, &addrs).expect("connect");
         let key = Key::from("faulted");
         let config = Configuration::abd_majority(vec![DcId(0), DcId(1), DcId(2)], 1);
-        cluster.install_key(key.clone(), config, &Value::from("v0"));
+        cluster.install_key(key.clone(), config, &Value::from("initial"));
 
         let mut client = cluster.client(DcId(0));
         for i in 0..20u32 {
@@ -178,7 +178,7 @@ fn exited_server_is_a_dropped_link_not_a_failed_operation() {
     let cluster = Cluster::connect_tcp(model, options, &addrs).expect("connect");
     let abd = Configuration::abd_majority(vec![DcId(0), DcId(1), DcId(2)], 1);
     let (key, doomed) = (Key::from("survivor"), Key::from("doomed"));
-    cluster.install_key(key.clone(), abd.clone(), &Value::from("v0"));
+    cluster.install_key(key.clone(), abd.clone(), &Value::from("initial"));
     cluster.install_key(doomed.clone(), abd, &Value::from("d0"));
 
     stop_server(addrs[&DcId(1)], handles[1].take().expect("DC 1 running"));
