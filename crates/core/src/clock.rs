@@ -13,15 +13,31 @@
 //!   clock tracks every participant (clients inside an operation, the reconfiguration
 //!   controller; in-process servers serve on their callers' threads) plus every reply
 //!   still in flight to them, and when *all* participants are quiescent it jumps
-//!   straight to the next scheduled wake-up instant. Wake-ups are targeted: every
-//!   waiter parks on a condvar of its own (a channel's receiver on the channel's, a
-//!   sleeper on a fresh one), so a send wakes only its receiver and a jump wakes only
-//!   the threads whose deadline is the new instant. Modeled multi-second RTT waits
+//!   straight to the next scheduled wake-up instant. Modeled multi-second RTT waits
 //!   collapse to microseconds of real time while preserving the arrival *order* and the
 //!   relative timestamps of every event, so latency accounting and linearizability
 //!   histories come out the same — and scheduler jitter no longer leaks into `now_ns`,
 //!   which makes sequential workloads byte-for-byte reproducible (concurrent client
 //!   threads can still race for the order in which servers see their requests).
+//!
+//! # How a participant waits on a virtual clock
+//!
+//! Wake-ups are targeted: every waiter has a wake-up of its own (a channel's receiver
+//! the channel's, a sleeper a fresh one), so a send wakes only its receiver and a jump
+//! wakes only the threads whose deadline is the new instant. A notification bumps the
+//! wake-up's epoch, an atomic counter; it reaches the kernel (a futex wake of a condvar)
+//! only if the waiter is actually parked. A waiter whose own deadline is the earliest
+//! pending wake-up after `now_ns` is *next in line*: the next jump is its. It releases
+//! the clock lock and spins on its epoch for up to 50 µs before it parks, so when two
+//! participants hand the clock back and forth, no futex wake-up is needed. The spinner
+//! yields its core between checks, so on an oversubscribed machine the threads it waits
+//! for still run. At most `available_parallelism() - 1` threads spin at once across the
+//! process, and a notification frees its spinner's slot on the spot, so the thread that
+//! just woke it can spin next.
+//!
+//! `now_ns` reads an atomic mirror of logical time, stored under the clock lock wherever
+//! time advances, so it never waits for that lock. A running participant cannot see time
+//! move, so it reads what it would have read under the lock.
 //!
 //! # Example: a virtual-time cluster in a few lines
 //!
@@ -46,12 +62,34 @@
 use crossbeam::channel::{Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Floor applied to real-clock channel waits so a deadline in the past still yields to the
 /// scheduler instead of busy-spinning.
 const MIN_REAL_WAIT: Duration = Duration::from_micros(50);
+
+/// How long a next-in-line waiter spins before it parks (see [`Wake::wait`]).
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Threads spinning in [`Wake::wait`] right now, over every virtual clock of the process.
+static SPINNERS: AtomicUsize = AtomicUsize::new(0);
+
+/// How many threads may spin at once: one core is always left to the thread that will
+/// wake them.
+fn max_spinners() -> usize {
+    static MAX: OnceLock<usize> = OnceLock::new();
+    *MAX.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()) - 1)
+}
+
+/// Takes a spinner slot if one is free.
+fn take_spinner_slot() -> bool {
+    SPINNERS
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < max_spinners()).then_some(n + 1))
+        .is_ok()
+}
 
 thread_local! {
     /// How many [`ClockGuard`]s the current thread holds, *per virtual clock* (keyed by the
@@ -115,7 +153,7 @@ impl std::fmt::Debug for ClockKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClockKind::Real { .. } => write!(f, "RealClock"),
-            ClockKind::Virtual(v) => write!(f, "VirtualClock(now={}ns)", v.lock().now_ns),
+            ClockKind::Virtual(v) => write!(f, "VirtualClock(now={}ns)", v.now_ns()),
         }
     }
 }
@@ -151,11 +189,12 @@ impl Clock {
     }
 
     /// Nanoseconds elapsed since the clock's epoch (creation for real clocks, 0 for
-    /// virtual clocks). Monotonic; used as linearizability-history timestamps.
+    /// virtual clocks). Monotonic; used as linearizability-history timestamps. Never waits
+    /// for a virtual clock's lock.
     pub fn now_ns(&self) -> u64 {
         match &self.kind {
             ClockKind::Real { epoch } => epoch.elapsed().as_nanos() as u64,
-            ClockKind::Virtual(v) => v.lock().now_ns,
+            ClockKind::Virtual(v) => v.now_ns(),
         }
     }
 
@@ -183,7 +222,7 @@ impl Clock {
         match &self.kind {
             ClockKind::Real { .. } => std::thread::sleep(duration),
             ClockKind::Virtual(v) => {
-                let deadline = v.lock().now_ns.saturating_add(duration.as_nanos() as u64);
+                let deadline = v.now_ns().saturating_add(duration.as_nanos() as u64);
                 v.sleep_until(deadline);
             }
         }
@@ -217,7 +256,7 @@ impl Clock {
     /// clock counts every undelivered message as in-flight and refuses to advance past it.
     pub(crate) fn channel<T>(&self) -> (ClockedSender<T>, ClockedReceiver<T>) {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let wake = self.is_virtual().then(|| Arc::new(Condvar::new()));
+        let wake = self.is_virtual().then(|| Arc::new(Wake::default()));
         (
             ClockedSender { tx, clock: self.clone(), wake: wake.clone() },
             ClockedReceiver { rx: Some(rx), clock: self.clone(), wake },
@@ -247,7 +286,7 @@ impl Drop for ClockGuard {
             let mut s = v.lock();
             s.busy -= 1;
             change_thread_depth(v, -1);
-            s.advance_if_quiescent();
+            v.advance_if_quiescent(&mut s);
         }
     }
 }
@@ -257,7 +296,7 @@ pub(crate) struct ClockedSender<T> {
     tx: Sender<T>,
     clock: Clock,
     /// The receiver's wake-up, shared by the whole channel; `None` on a real clock.
-    wake: Option<Arc<Condvar>>,
+    wake: Option<Arc<Wake>>,
 }
 
 impl<T> Clone for ClockedSender<T> {
@@ -281,7 +320,7 @@ impl<T> ClockedSender<T> {
                 let mut s = v.lock();
                 self.tx.send(msg)?;
                 s.in_flight += 1;
-                wake.notify_all();
+                wake.notify();
                 Ok(())
             }
             _ => self.tx.send(msg),
@@ -299,8 +338,8 @@ pub(crate) struct ClockedReceiver<T> {
     /// can slip between the final drain and the disconnect.
     rx: Option<Receiver<T>>,
     clock: Clock,
-    /// The condvar this receiver parks on; `None` on a real clock.
-    wake: Option<Arc<Condvar>>,
+    /// The wake-up this receiver waits on; `None` on a real clock.
+    wake: Option<Arc<Wake>>,
 }
 
 impl<T> ClockedReceiver<T> {
@@ -309,7 +348,7 @@ impl<T> ClockedReceiver<T> {
     }
 
     /// The virtual clock and this channel's wake-up, or `None` on a real clock.
-    fn virtual_wake(&self) -> Option<(&Arc<VirtualClock>, &Arc<Condvar>)> {
+    fn virtual_wake(&self) -> Option<(&Arc<VirtualClock>, &Arc<Wake>)> {
         Some((self.clock.virtual_clock()?, self.wake.as_ref()?))
     }
 
@@ -355,12 +394,12 @@ impl<T> ClockedReceiver<T> {
                     }
                     s.busy -= depth;
                     s.add_sleeper(deadline_ns, wake);
-                    s.advance_if_quiescent();
+                    v.advance_if_quiescent(&mut s);
                     // Re-check after the advance: it may have jumped to *our own*
                     // deadline, in which case its notification already fired and waiting
                     // would sleep forever.
                     if s.now_ns < deadline_ns {
-                        s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
+                        s = wake.wait(v, s, Some(deadline_ns));
                     }
                     s.remove_sleeper(deadline_ns, wake);
                     s.busy += depth;
@@ -382,16 +421,98 @@ impl<T> Drop for ClockedReceiver<T> {
                 // before us (its message was just drained) or will observe the disconnect.
                 drop(rx);
             }
-            s.advance_if_quiescent();
+            v.advance_if_quiescent(&mut s);
         }
     }
 }
 
-/// Shared state of a virtual clock. Waiters park on condvars of their own (see
+/// The wake-up of one waiter: a channel's receiver, or one sleeper. Every field changes
+/// under the clock lock, but a spinning waiter watches `epoch` without it.
+#[derive(Default)]
+struct Wake {
+    /// Bumped by every notification.
+    epoch: AtomicU64,
+    /// The waiter spins on `epoch` and holds a spinner slot, which the notification frees.
+    spinning: AtomicBool,
+    /// Waiters parked on `cv`; a notification calls the condvar only if there is one.
+    parked: AtomicUsize,
+    cv: Condvar,
+}
+
+impl Wake {
+    /// Wakes the waiter. Called under the clock lock, like every wait's final check, so a
+    /// waiter never misses a notification between that check and parking.
+    fn notify(&self) {
+        self.epoch.fetch_add(1, Ordering::Release);
+        if self.spinning.swap(false, Ordering::Relaxed) {
+            SPINNERS.fetch_sub(1, Ordering::Relaxed);
+        }
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Waits, with the clock lock `s` held on entry and on return, until a notification
+    /// (or a spurious wake-up: callers re-check their condition).
+    ///
+    /// A waiter with a `deadline_ns` that is the earliest pending wake-up after `now_ns`
+    /// is next in line: if a spinner slot is free, it releases the lock and spins on the
+    /// epoch for up to [`SPIN`] before it parks. While it spins it stays registered as a
+    /// quiescent sleeper, exactly as if it were parked.
+    fn wait<'a>(
+        &self,
+        clock: &'a VirtualClock,
+        mut s: MutexGuard<'a, VirtualState>,
+        deadline_ns: Option<u64>,
+    ) -> MutexGuard<'a, VirtualState> {
+        let seen = self.epoch.load(Ordering::Relaxed);
+        let next_in_line = deadline_ns.is_some_and(|d| s.next_wake_up() == Some(d));
+        if next_in_line && !self.spinning.load(Ordering::Relaxed) && take_spinner_slot() {
+            self.spinning.store(true, Ordering::Relaxed);
+            drop(s);
+            let woken = self.spin(seen);
+            s = clock.lock();
+            if woken || self.epoch.load(Ordering::Relaxed) != seen {
+                return s;
+            }
+            // Nobody notified since `seen`, so the slot is still this waiter's.
+            self.spinning.store(false, Ordering::Relaxed);
+            SPINNERS.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        s
+    }
+
+    /// Spins until the epoch moves past `seen` (true) or [`SPIN`] runs out (false). The
+    /// spinner yields its core between checks, so it never holds a core from a thread that
+    /// could run instead (when no other thread is runnable, the yield returns at once).
+    fn spin(&self, seen: u64) -> bool {
+        let started = Instant::now();
+        loop {
+            for _ in 0..16 {
+                if self.epoch.load(Ordering::Acquire) != seen {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            if started.elapsed() >= SPIN {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Shared state of a virtual clock. Waiters wait on wake-ups of their own (see
 /// [`VirtualState::sleepers`]), all paired with this one mutex.
 #[derive(Default)]
 struct VirtualClock {
     state: Mutex<VirtualState>,
+    /// A mirror of [`VirtualState::now_ns`], stored under the lock wherever time advances,
+    /// so reading the time takes no lock.
+    now_ns: AtomicU64,
 }
 
 #[derive(Default)]
@@ -403,37 +524,31 @@ struct VirtualState {
     busy: usize,
     /// Messages sent through a [`ClockedSender`] and not yet received.
     in_flight: usize,
-    /// Pending wake-up instants of blocked threads (deadline → the condvars they wait
+    /// Pending wake-up instants of blocked threads (deadline → the wake-ups they wait
     /// on). A notified sleeper keeps its entry until it runs again, so the smallest
     /// deadline is then `<= now_ns` and blocks the next jump until the sleeper is back.
-    sleepers: BTreeMap<u64, Vec<Arc<Condvar>>>,
+    sleepers: BTreeMap<u64, Vec<Arc<Wake>>>,
 }
 
 impl VirtualState {
-    fn add_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Condvar>) {
+    fn add_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Wake>) {
         self.sleepers.entry(deadline_ns).or_default().push(wake.clone());
     }
 
-    fn remove_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Condvar>) {
+    /// The earliest pending wake-up after `now_ns`: the instant of the next jump, unless
+    /// an earlier deadline is registered first.
+    fn next_wake_up(&self) -> Option<u64> {
+        let after_now = (Bound::Excluded(self.now_ns), Bound::Unbounded);
+        self.sleepers.range(after_now).next().map(|(&at, _)| at)
+    }
+
+    fn remove_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Wake>) {
         if let Some(waiters) = self.sleepers.get_mut(&deadline_ns) {
             if let Some(i) = waiters.iter().position(|w| Arc::ptr_eq(w, wake)) {
                 waiters.swap_remove(i);
             }
             if waiters.is_empty() {
                 self.sleepers.remove(&deadline_ns);
-            }
-        }
-    }
-    /// The advance rule: once no participant is running and no message is undelivered,
-    /// jump logical time to the earliest pending wake-up and wake exactly the waiters
-    /// registered at that instant.
-    fn advance_if_quiescent(&mut self) {
-        if self.busy == 0 && self.in_flight == 0 {
-            if let Some((&at, waiters)) = self.sleepers.first_key_value() {
-                if at > self.now_ns {
-                    self.now_ns = at;
-                    waiters.iter().for_each(|w| w.notify_all());
-                }
             }
         }
     }
@@ -444,18 +559,37 @@ impl VirtualClock {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn now_ns(&self) -> u64 {
+        self.now_ns.load(Ordering::Acquire)
+    }
+
+    /// The advance rule: once no participant is running and no message is undelivered,
+    /// jump logical time to the earliest pending wake-up and wake exactly the waiters
+    /// registered at that instant.
+    fn advance_if_quiescent(&self, s: &mut VirtualState) {
+        if s.busy == 0 && s.in_flight == 0 {
+            if let Some((&at, waiters)) = s.sleepers.first_key_value() {
+                if at > s.now_ns {
+                    s.now_ns = at;
+                    self.now_ns.store(at, Ordering::Release);
+                    waiters.iter().for_each(|w| w.notify());
+                }
+            }
+        }
+    }
+
     fn sleep_until(&self, deadline_ns: u64) {
         let depth = thread_depth(self);
         let mut s = self.lock();
         if s.now_ns >= deadline_ns {
             return;
         }
-        let wake = Arc::new(Condvar::new());
+        let wake = Arc::new(Wake::default());
         s.busy -= depth;
         s.add_sleeper(deadline_ns, &wake);
-        s.advance_if_quiescent();
+        self.advance_if_quiescent(&mut s);
         while s.now_ns < deadline_ns {
-            s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
+            s = wake.wait(self, s, Some(deadline_ns));
         }
         s.remove_sleeper(deadline_ns, &wake);
         s.busy += depth;
@@ -504,8 +638,8 @@ mod tests {
                             Err(TryRecvError::Empty) => {}
                         }
                         s.busy -= depth;
-                        s.advance_if_quiescent();
-                        s = wake.wait(s).unwrap_or_else(|e| e.into_inner());
+                        v.advance_if_quiescent(&mut s);
+                        s = wake.wait(v, s, None);
                         s.busy += depth;
                     }
                 }
@@ -752,6 +886,70 @@ mod tests {
         assert_eq!(clock.now_ns(), 0, "no deadline was reached");
     }
 
+    /// Parks per participant while two participants hand a fresh clock back and forth
+    /// `turns` times each: each sleeps to the instant after the other's.
+    #[cfg(target_os = "linux")]
+    fn hand_off_parks(turns: u64) -> Vec<u64> {
+        let clock = Clock::virtual_time();
+        let entered = Arc::new(std::sync::Barrier::new(2));
+        let players: Vec<_> = (0..2)
+            .map(|me| {
+                let (clock, entered) = (clock.clone(), entered.clone());
+                std::thread::spawn(move || {
+                    let _participant = clock.enter();
+                    entered.wait();
+                    let before = voluntary_switches();
+                    for turn in 0..turns {
+                        clock.sleep_until_ns(2 * turn + me + 1);
+                    }
+                    voluntary_switches() - before
+                })
+            })
+            .collect();
+        let parks = players.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(clock.now_ns(), 2 * turns);
+        parks
+    }
+
+    /// The waiter that is next in line spins, so a hand-off rarely parks; without the spin
+    /// every hand-off costs one park. Spinner slots are process-wide, and other tests of
+    /// this binary may hold them for a while, so the pair gets a few tries.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_hand_off_between_two_participants_rarely_parks() {
+        const TURNS: u64 = 2_000;
+        const TRIES: usize = 10;
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return; // nowhere to spin while the other participant runs
+        }
+        let mut tries = Vec::new();
+        let rare = (0..TRIES).any(|_| {
+            let parks = hand_off_parks(TURNS);
+            let rare = parks.iter().all(|&n| n < TURNS / 2);
+            tries.push(parks);
+            rare
+        });
+        println!("hand-off: parks per participant over {TURNS} turns, per try: {tries:?}");
+        assert!(rare, "hand-offs parked in every try: {tries:?} parks over {TURNS} turns each");
+    }
+
+    #[test]
+    fn now_ns_does_not_wait_for_the_clock_lock() {
+        let clock = Clock::virtual_time();
+        clock.sleep_until_ns(42);
+        let v = clock.virtual_clock().unwrap().clone();
+        let held = v.lock();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let clock = clock.clone();
+            std::thread::spawn(move || done_tx.send(clock.now_ns()).unwrap())
+        };
+        let read = done_rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        reader.join().unwrap();
+        assert_eq!(read.expect("now_ns waited for the clock lock"), 42);
+    }
+
     #[test]
     fn sleepers_at_one_instant_all_wake_there() {
         let clock = Clock::virtual_time();
@@ -811,11 +1009,15 @@ mod tests {
     fn stress(clock: &Clock, threads: usize, rounds: u32, seed: u64) -> usize {
         type Slots = Mutex<Vec<Option<ClockedSender<u64>>>>;
         let slots: Arc<Slots> = Arc::new(Mutex::new((0..threads).map(|_| None).collect()));
+        let entered = Arc::new(std::sync::Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
             .map(|me| {
-                let (clock, slots) = (clock.clone(), slots.clone());
+                let (clock, slots, entered) = (clock.clone(), slots.clone(), entered.clone());
                 std::thread::spawn(move || {
                     let _participant = clock.enter();
+                    // Start together: a thread that ran its rounds before the next one
+                    // was scheduled would never meet a receiver.
+                    entered.wait();
                     let mut rng = seed ^ (me as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
                     let mut last = clock.now_ns();
                     let mut delivered = 0;

@@ -13,7 +13,7 @@ use crate::msg::{Outbound, ProtoMsg, ProtoReply, ReconfigPayload, MSG_KIND_NAMES
 use legostore_erasure::Shard;
 use legostore_obs::{MetricsSnapshot, Obs, ServerMetrics};
 use legostore_types::{ConfigEpoch, Configuration, DcId, Key, ProtocolKind, StoreError, Tag, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Opaque identifier of the endpoint (client, controller, …) that sent a request; the
 /// runtime uses it to route the reply.
@@ -184,6 +184,12 @@ pub struct DcServer {
     /// sweep. A key that finishes or re-arms leaves the bound too early, which only
     /// costs one extra sweep.
     next_expiry_ns: u64,
+    /// Keys with a CAS state touched since the last [`DcServer::garbage_collect`] (by a
+    /// handled message, an install or a transfer): only these can have become
+    /// collectable since.
+    touched: HashSet<Key>,
+    /// The `keep_recent` of the last collection; a lower one walks every key.
+    last_keep: usize,
 }
 
 impl DcServer {
@@ -195,6 +201,8 @@ impl DcServer {
             failed: false,
             lease_ns: u64::MAX,
             next_expiry_ns: u64::MAX,
+            touched: HashSet::new(),
+            last_keep: 0,
         }
     }
 
@@ -260,6 +268,9 @@ impl DcServer {
                 ProtoState::Cas(CasKeyState::new(tag, Some(v.bytes())))
             }
         };
+        if let ProtoState::Cas(_) = proto {
+            touch(&mut self.touched, &key);
+        }
         self.keys.entry(key).or_default().insert(
             config.epoch,
             KeyServerState {
@@ -273,6 +284,7 @@ impl DcServer {
 
     /// Removes every epoch of `key` (DELETE).
     pub fn remove_key(&mut self, key: &Key) -> bool {
+        self.touched.remove(key);
         self.keys.remove(key).is_some()
     }
 
@@ -290,13 +302,24 @@ impl DcServer {
 
     /// Runs CAS garbage collection on every hosted key, returning the number of removed
     /// versions.
+    ///
+    /// Its cost follows the writes, not the hosted keys: a key left untouched since the
+    /// last collection has nothing more to collect at the same or a larger `keep_recent`,
+    /// so only the keys touched since are visited. A `keep_recent` lower than the last
+    /// call's walks every key.
     pub fn garbage_collect(&mut self, keep_recent: usize) -> usize {
+        let every_key = keep_recent < self.last_keep;
+        self.last_keep = keep_recent;
         let mut removed = 0;
-        for epochs in self.keys.values_mut() {
-            for state in epochs.values_mut() {
-                if let ProtoState::Cas(cas) = &mut state.proto {
-                    removed += cas.garbage_collect(keep_recent);
-                }
+        if every_key {
+            self.touched.clear();
+            for epochs in self.keys.values_mut() {
+                removed += collect_key(epochs, keep_recent);
+            }
+        }
+        for key in self.touched.drain() {
+            if let Some(epochs) = self.keys.get_mut(&key) {
+                removed += collect_key(epochs, keep_recent);
             }
         }
         removed
@@ -349,6 +372,9 @@ impl DcServer {
             // already started writing in the new epoch), merge by tag through the
             // protocol state machine instead of clobbering — ABD ignores a transferred
             // tag at or below its current one, CAS inserts the version only if absent.
+            if config.protocol == ProtocolKind::Cas {
+                touch(&mut self.touched, &inbound.key);
+            }
             let existing = self
                 .keys
                 .get_mut(&inbound.key)
@@ -392,6 +418,9 @@ impl DcServer {
             replies.push(Self::reply_of(&inbound, reply));
             return replies;
         };
+        if let ProtoState::Cas(_) = state.proto {
+            touch(&mut self.touched, &inbound.key);
+        }
         let finished = matches!(inbound.msg, ProtoMsg::FinishReconfig { .. });
         replies.extend(Self::handle_at_state(state, inbound, now_ns));
         if let KeyStatus::Blocked { since_ns, .. } = &state.status {
@@ -415,7 +444,7 @@ impl DcServer {
         }
         let mut replies = Vec::new();
         let mut next_expiry_ns = u64::MAX;
-        for epochs in self.keys.values_mut() {
+        for (key, epochs) in self.keys.iter_mut() {
             for state in epochs.values_mut() {
                 let KeyStatus::Blocked { since_ns, new_config, .. } = &state.status else {
                     continue;
@@ -434,6 +463,9 @@ impl DcServer {
                     _ => Vec::new(),
                 };
                 state.aborted_target = Some(target);
+                if let ProtoState::Cas(_) = state.proto {
+                    touch(&mut self.touched, key);
+                }
                 for parked in deferred {
                     replies.extend(Self::handle_at_state(state, parked, now_ns));
                 }
@@ -655,6 +687,24 @@ impl DcServer {
             }
         }
     }
+}
+
+/// Adds `key` to `touched`, cloning it only on its first touch since the last collection.
+fn touch(touched: &mut HashSet<Key>, key: &Key) {
+    if !touched.contains(key) {
+        touched.insert(key.clone());
+    }
+}
+
+/// Collects every CAS epoch of one key; see [`CasKeyState::garbage_collect`].
+fn collect_key(epochs: &mut BTreeMap<ConfigEpoch, KeyServerState>, keep_recent: usize) -> usize {
+    epochs
+        .values_mut()
+        .map(|state| match &mut state.proto {
+            ProtoState::Cas(cas) => cas.garbage_collect(keep_recent),
+            ProtoState::Abd(_) => 0,
+        })
+        .sum()
 }
 
 /// Upper bound on a [`RequestServer`]'s reply-routing table; crossing it evicts the
@@ -1125,6 +1175,120 @@ mod tests {
         let ratio = many / few;
         println!("handle_at: {few:.0} ns/msg at 20 keys, {many:.0} ns/msg at 20 000 ({ratio:.1}x)");
         assert!(ratio < 10.0, "per-message cost grows with hosted keys: {ratio:.1}x");
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The collection before it followed the writes: every CAS state of every key.
+    fn collect_every_key(s: &mut DcServer, keep_recent: usize) -> usize {
+        s.keys.values_mut().map(|epochs| collect_key(epochs, keep_recent)).sum()
+    }
+
+    fn cas_config(epoch: u64) -> Configuration {
+        let mut config = Configuration::cas_default(dcs(5), 3, 1);
+        config.epoch = ConfigEpoch(epoch);
+        config
+    }
+
+    /// A server hosting the CAS keys `k0..k{hosted}` at epoch 0.
+    fn cas_server_with_keys(hosted: usize) -> DcServer {
+        let mut s = DcServer::new(DcId(0));
+        for i in 0..hosted {
+            let shard = ReconfigPayload::Shard(vec![0u8; 8].into());
+            s.install_key(Key::new(format!("k{i}")), cas_config(0), Tag::INITIAL, shard);
+        }
+        s
+    }
+
+    #[test]
+    fn touched_key_collection_matches_a_full_walk() {
+        for seed in 0..200u64 {
+            let mut rng = seed;
+            let mut s = cas_server_with_keys(6);
+            s.install_key(
+                Key::from("abd"),
+                Configuration::abd_majority(dcs(3), 1),
+                Tag::INITIAL,
+                ReconfigPayload::Value(Value::from("init")),
+            );
+            s.set_epoch_lease_ns(1_000);
+            let mut full = s.clone();
+            let mut now_ns = 0;
+            for step in 0..300 {
+                let r = splitmix(&mut rng);
+                let key = if r % 13 == 0 { Key::from("abd") } else { Key::new(format!("k{}", r % 6)) };
+                let tag = Tag::new((r >> 8) % 24 + 1, ClientId(((r >> 16) % 3) as u32));
+                let shard = || vec![1u8; ((r >> 20) % 8 + 1) as usize].into();
+                let msg = match (r >> 24) % 9 {
+                    0 | 1 => ProtoMsg::CasPreWrite { tag, shard: shard() },
+                    2 | 3 => ProtoMsg::CasFinalizeWrite { tag },
+                    4 => ProtoMsg::CasFinalizeRead { tag },
+                    5 => ProtoMsg::AbdWrite { tag, value: Value::from("w") },
+                    6 => ProtoMsg::ReconfigQuery { new_config: Box::new(cas_config(1)) },
+                    7 => ProtoMsg::FinishReconfig { highest_tag: tag, new_config: Box::new(cas_config(1)) },
+                    _ => ProtoMsg::ReconfigWrite {
+                        tag,
+                        data: ReconfigPayload::Shard(shard()),
+                        config: Box::new(cas_config(1)),
+                    },
+                };
+                let epoch = ConfigEpoch((r >> 28) % 2);
+                let inbound = Inbound { from: 1, msg_id: step, phase: 1, key, epoch, msg };
+                now_ns += (r >> 32) % 400;
+                assert_eq!(s.handle_at(inbound.clone(), now_ns), full.handle_at(inbound, now_ns));
+                if (r >> 48) % 6 == 0 {
+                    let keep = ((r >> 52) % 4) as usize;
+                    let removed = s.garbage_collect(keep);
+                    assert_eq!(removed, collect_every_key(&mut full, keep), "seed {seed} step {step}");
+                    assert_eq!(s.storage_bytes(), full.storage_bytes(), "seed {seed} step {step}");
+                }
+            }
+        }
+    }
+
+    /// Median nanoseconds per collection over 5 rounds of 200, on a server hosting
+    /// `hosted` CAS keys; before each collection the same 20 keys take a write.
+    fn median_gc_ns(hosted: usize) -> f64 {
+        let mut s = cas_server_with_keys(hosted);
+        s.garbage_collect(1);
+        let mut seq = 0;
+        let mut rounds: Vec<f64> = (0..5)
+            .map(|_| {
+                let mut spent = std::time::Duration::ZERO;
+                for _ in 0..200 {
+                    seq += 1;
+                    let tag = Tag::new(seq, ClientId(1));
+                    for i in 0..20 {
+                        let key = format!("k{i}");
+                        let shard = vec![1u8; 8].into();
+                        s.handle(inbound_for(&key, seq, ProtoMsg::CasPreWrite { tag, shard }));
+                        s.handle(inbound_for(&key, seq, ProtoMsg::CasFinalizeWrite { tag }));
+                    }
+                    let start = std::time::Instant::now();
+                    assert_eq!(s.garbage_collect(1), if seq > 1 { 20 } else { 0 });
+                    spent += start.elapsed();
+                }
+                spent.as_nanos() as f64 / 200.0
+            })
+            .collect();
+        rounds.sort_by(f64::total_cmp);
+        rounds[2]
+    }
+
+    #[test]
+    fn garbage_collect_cost_does_not_grow_with_idle_keys() {
+        let few = median_gc_ns(20);
+        let many = median_gc_ns(20_000);
+        let ratio = many / few;
+        println!("garbage_collect: {few:.0} ns at 20 keys, {many:.0} ns at 20 000 ({ratio:.1}x)");
+        assert!(ratio < 10.0, "collection cost grows with idle keys: {ratio:.1}x");
     }
 
     #[test]
