@@ -42,128 +42,162 @@ pub fn cost_of(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) 
     }
 }
 
-/// Networking cost of PUTs ($/hour): equation (12) for ABD, (13) for CAS.
-pub fn put_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
-    let put_rate = spec.put_rate();
-    if put_rate <= 0.0 {
-        return 0.0;
+/// One priced byte flow of an operation: bytes that cross between the client and every
+/// member of a quorum, in one direction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Flow {
+    /// `bytes` from the client to each member of the quorum.
+    ToServers(QuorumId, f64),
+    /// `bytes` from each member of the quorum back to the client.
+    FromServers(QuorumId, f64),
+}
+
+impl Flow {
+    pub(crate) fn quorum(&self) -> QuorumId {
+        match *self {
+            Flow::ToServers(quorum, _) | Flow::FromServers(quorum, _) => quorum,
+        }
     }
+
+    /// $ one request from `client` pays for this flow's bytes to or from `member`.
+    pub(crate) fn member_cost(&self, model: &CloudModel, client: DcId, member: DcId) -> f64 {
+        match *self {
+            Flow::ToServers(_, bytes) => bytes * model.net_price_per_byte(client, member),
+            Flow::FromServers(_, bytes) => bytes * model.net_price_per_byte(member, client),
+        }
+    }
+}
+
+/// The priced flows of one PUT, in billing order: equation (12) for ABD, (13) for CAS.
+pub(crate) fn put_flows(spec: &WorkloadSpec, protocol: ProtocolKind, k: usize) -> Vec<Flow> {
     let om = spec.metadata_size as f64;
     let og = spec.object_size as f64;
+    match protocol {
+        // Phase 1: servers in Q1 respond with their tags (metadata, server → client);
+        // phase 2: the client ships the full value to Q2 (client → server).
+        ProtocolKind::Abd => vec![
+            Flow::FromServers(QuorumId::Q1, om),
+            Flow::ToServers(QuorumId::Q2, og),
+        ],
+        // Tags from Q1, codeword symbols to Q2, the finalize metadata to Q3.
+        ProtocolKind::Cas => vec![
+            Flow::FromServers(QuorumId::Q1, om),
+            Flow::ToServers(QuorumId::Q2, og / k as f64),
+            Flow::ToServers(QuorumId::Q3, om),
+        ],
+    }
+}
+
+/// The priced flows of one GET, in billing order: equation (28) for ABD, (29) for CAS.
+pub(crate) fn get_flows(spec: &WorkloadSpec, protocol: ProtocolKind, k: usize) -> Vec<Flow> {
+    let om = spec.metadata_size as f64;
+    let og = spec.object_size as f64;
+    match protocol {
+        // Phase 1: Q1 servers return whole values; phase 2: the client writes the value
+        // back to Q2 — both move `og` bytes per contacted server.
+        ProtocolKind::Abd => vec![
+            Flow::FromServers(QuorumId::Q1, og),
+            Flow::ToServers(QuorumId::Q2, og),
+        ],
+        // Phase 1 metadata from Q1; phase 2 metadata to Q4 plus codeword symbols back
+        // from Q4.
+        ProtocolKind::Cas => vec![
+            Flow::FromServers(QuorumId::Q1, om),
+            Flow::ToServers(QuorumId::Q4, om),
+            Flow::FromServers(QuorumId::Q4, og / k as f64),
+        ],
+    }
+}
+
+/// $/hour of `rate` requests/second split over client locations as `(fraction, $ per
+/// request)` pairs; `per_client` is not consumed when the rate is zero.
+pub(crate) fn network_cost_per_hour(
+    rate: f64,
+    per_client: impl Iterator<Item = (f64, f64)>,
+) -> f64 {
+    if rate <= 0.0 {
+        return 0.0;
+    }
     let mut dollars_per_sec = 0.0;
-    for (client, frac) in &spec.client_distribution {
-        if *frac <= 0.0 {
-            continue;
-        }
-        let rate_i = put_rate * frac;
-        let per_request = match config.protocol {
-            ProtocolKind::Abd => {
-                // Phase 1: servers in Q1 respond with their tags (metadata, server → client).
-                let phase1: f64 = config
-                    .quorum_for(*client, QuorumId::Q1)
-                    .iter()
-                    .map(|j| om * model.net_price_per_byte(*j, *client))
-                    .sum();
-                // Phase 2: the client ships the full value to Q2 (client → server).
-                let phase2: f64 = config
-                    .quorum_for(*client, QuorumId::Q2)
-                    .iter()
-                    .map(|k| og * model.net_price_per_byte(*client, *k))
-                    .sum();
-                phase1 + phase2
-            }
-            ProtocolKind::Cas => {
-                let phase1: f64 = config
-                    .quorum_for(*client, QuorumId::Q1)
-                    .iter()
-                    .map(|j| om * model.net_price_per_byte(*j, *client))
-                    .sum();
-                let phase3: f64 = config
-                    .quorum_for(*client, QuorumId::Q3)
-                    .iter()
-                    .map(|k| om * model.net_price_per_byte(*client, *k))
-                    .sum();
-                let symbol = og / config.k as f64;
-                let phase2: f64 = config
-                    .quorum_for(*client, QuorumId::Q2)
-                    .iter()
-                    .map(|m| symbol * model.net_price_per_byte(*client, *m))
-                    .sum();
-                phase1 + phase2 + phase3
-            }
-        };
-        dollars_per_sec += rate_i * per_request;
+    for (frac, per_request) in per_client {
+        dollars_per_sec += rate * frac * per_request;
     }
     dollars_per_sec * SECONDS_PER_HOUR
+}
+
+/// Network $/hour of `flows` at `rate` requests/second under `config`'s quorums.
+fn network_cost(
+    model: &CloudModel,
+    spec: &WorkloadSpec,
+    config: &Configuration,
+    rate: f64,
+    flows: &[Flow],
+) -> f64 {
+    let per_client = spec
+        .client_distribution
+        .iter()
+        .filter(|(_, frac)| *frac > 0.0)
+        .map(|(client, frac)| {
+            let per_request: f64 = flows
+                .iter()
+                .map(|flow| {
+                    config
+                        .quorum_for(*client, flow.quorum())
+                        .iter()
+                        .map(|j| flow.member_cost(model, *client, *j))
+                        .sum::<f64>()
+                })
+                .sum();
+            (*frac, per_request)
+        });
+    network_cost_per_hour(rate, per_client)
+}
+
+/// Networking cost of PUTs ($/hour): equation (12) for ABD, (13) for CAS.
+pub fn put_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
+    let flows = put_flows(spec, config.protocol, config.k);
+    network_cost(model, spec, config, spec.put_rate(), &flows)
 }
 
 /// Networking cost of GETs ($/hour): equation (28) for ABD, (29) for CAS.
 pub fn get_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
-    let get_rate = spec.get_rate();
-    if get_rate <= 0.0 {
-        return 0.0;
-    }
-    let om = spec.metadata_size as f64;
-    let og = spec.object_size as f64;
-    let mut dollars_per_sec = 0.0;
-    for (client, frac) in &spec.client_distribution {
-        if *frac <= 0.0 {
-            continue;
-        }
-        let rate_i = get_rate * frac;
-        let per_request = match config.protocol {
-            ProtocolKind::Abd => {
-                // Phase 1: Q1 servers return whole values; phase 2: the client writes the
-                // value back to Q2 — both move `og` bytes per contacted server.
-                let phase1: f64 = config
-                    .quorum_for(*client, QuorumId::Q1)
-                    .iter()
-                    .map(|j| og * model.net_price_per_byte(*j, *client))
-                    .sum();
-                let phase2: f64 = config
-                    .quorum_for(*client, QuorumId::Q2)
-                    .iter()
-                    .map(|k| og * model.net_price_per_byte(*client, *k))
-                    .sum();
-                phase1 + phase2
-            }
-            ProtocolKind::Cas => {
-                // Phase 1 metadata from Q1; phase 2 metadata to Q4 plus codeword symbols
-                // back from Q4.
-                let phase1: f64 = config
-                    .quorum_for(*client, QuorumId::Q1)
-                    .iter()
-                    .map(|j| om * model.net_price_per_byte(*j, *client))
-                    .sum();
-                let q4 = config.quorum_for(*client, QuorumId::Q4);
-                let phase2_meta: f64 = q4
-                    .iter()
-                    .map(|k| om * model.net_price_per_byte(*client, *k))
-                    .sum();
-                let symbol = og / config.k as f64;
-                let phase2_data: f64 = q4
-                    .iter()
-                    .map(|k| symbol * model.net_price_per_byte(*k, *client))
-                    .sum();
-                phase1 + phase2_meta + phase2_data
-            }
-        };
-        dollars_per_sec += rate_i * per_request;
-    }
-    dollars_per_sec * SECONDS_PER_HOUR
+    let flows = get_flows(spec, config.protocol, config.k);
+    network_cost(model, spec, config, spec.get_rate(), &flows)
+}
+
+/// Storage $/hour of one host (the summand of equation (14)): its share of the key group's
+/// total data footprint.
+pub(crate) fn host_storage_cost(
+    model: &CloudModel,
+    spec: &WorkloadSpec,
+    protocol: ProtocolKind,
+    k: usize,
+    dc: DcId,
+) -> f64 {
+    let per_dc_bytes = match protocol {
+        ProtocolKind::Abd => spec.total_data_bytes as f64,
+        ProtocolKind::Cas => spec.total_data_bytes as f64 / k as f64,
+    };
+    per_dc_bytes * model.storage_price_per_byte_hour(dc)
 }
 
 /// Storage cost ($/hour): equation (14), applied to the key group's total data footprint.
 pub fn storage_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
-    let per_dc_bytes = match config.protocol {
-        ProtocolKind::Abd => spec.total_data_bytes as f64,
-        ProtocolKind::Cas => spec.total_data_bytes as f64 / config.k as f64,
-    };
     config
         .dcs
         .iter()
-        .map(|dc| per_dc_bytes * model.storage_price_per_byte_hour(*dc))
+        .map(|dc| host_storage_cost(model, spec, config.protocol, config.k, *dc))
         .sum()
+}
+
+/// Requests/second a client location with traffic fraction `frac` sends to each quorum.
+pub(crate) fn client_request_rate(spec: &WorkloadSpec, frac: f64) -> f64 {
+    spec.arrival_rate * frac
+}
+
+/// VM $/hour at `dc` per request/second of load.
+pub(crate) fn vm_price_per_request_rate(model: &CloudModel, dc: DcId) -> f64 {
+    model.theta_v() * model.vm_price_hour(dc)
 }
 
 /// VM cost ($/hour): equation (15). Each data center needs VM capacity proportional to the
@@ -178,16 +212,13 @@ pub fn vm_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) 
             if *frac <= 0.0 {
                 continue;
             }
-            let mut phases_including_j = 0usize;
-            for qi in 0..quorum_count {
-                let q = QuorumId::from_index(qi).expect("quorum index in range");
-                if config.quorum_for(*client, q).contains(j) {
-                    phases_including_j += 1;
-                }
-            }
-            rate_at_j += spec.arrival_rate * frac * phases_including_j as f64;
+            let phases_including_j = QuorumId::ALL[..quorum_count]
+                .iter()
+                .filter(|q| config.quorum_for(*client, **q).contains(j))
+                .count();
+            rate_at_j += client_request_rate(spec, *frac) * phases_including_j as f64;
         }
-        cost += model.theta_v() * model.vm_price_hour(*j) * rate_at_j;
+        cost += vm_price_per_request_rate(model, *j) * rate_at_j;
     }
     cost
 }

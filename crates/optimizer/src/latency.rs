@@ -10,23 +10,87 @@ use legostore_cloud::CloudModel;
 use legostore_types::{Configuration, DcId, ProtocolKind, QuorumId};
 use legostore_workload::WorkloadSpec;
 
-/// Worst-case latency of one phase for a client at `client` contacting `members`, where
-/// `to_server_bytes` travel client→server and `from_server_bytes` travel server→client.
-fn phase_latency_ms(
-    model: &CloudModel,
-    client: DcId,
-    members: &[DcId],
+/// One phase of an operation in the latency model: the client contacts every member of
+/// `quorum`, sending `to_server_bytes` and receiving `from_server_bytes` from each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Phase {
+    pub(crate) quorum: QuorumId,
     to_server_bytes: u64,
     from_server_bytes: u64,
-) -> f64 {
-    members
+}
+
+impl Phase {
+    fn new(quorum: QuorumId, to_server_bytes: u64, from_server_bytes: u64) -> Self {
+        Phase {
+            quorum,
+            to_server_bytes,
+            from_server_bytes,
+        }
+    }
+
+    /// The phase's duration if `member` is its slowest quorum member: the round trip plus
+    /// both transfer times.
+    pub(crate) fn member_ms(&self, model: &CloudModel, client: DcId, member: DcId) -> f64 {
+        model.rtt_ms(client, member)
+            + model.transfer_time_ms(client, member, self.to_server_bytes)
+            + model.transfer_time_ms(member, client, self.from_server_bytes)
+    }
+}
+
+/// The phases of a GET, in order (equations (16)/(18)).
+pub(crate) fn get_phases(spec: &WorkloadSpec, protocol: ProtocolKind, k: usize) -> Vec<Phase> {
+    let om = spec.metadata_size;
+    let og = spec.object_size;
+    match protocol {
+        // Phase 1: query goes out (metadata), tag+value come back; phase 2: the write-back
+        // ships the value, the ack returns.
+        ProtocolKind::Abd => vec![
+            Phase::new(QuorumId::Q1, om, om + og),
+            Phase::new(QuorumId::Q2, om + og, om),
+        ],
+        ProtocolKind::Cas => {
+            let symbol = og / k as u64;
+            vec![
+                Phase::new(QuorumId::Q1, om, om),
+                Phase::new(QuorumId::Q4, om, om + symbol),
+            ]
+        }
+    }
+}
+
+/// The phases of a PUT, in order (equations (17)/(19)).
+pub(crate) fn put_phases(spec: &WorkloadSpec, protocol: ProtocolKind, k: usize) -> Vec<Phase> {
+    let om = spec.metadata_size;
+    let og = spec.object_size;
+    match protocol {
+        ProtocolKind::Abd => vec![
+            Phase::new(QuorumId::Q1, om, om),
+            Phase::new(QuorumId::Q2, om + og, om),
+        ],
+        ProtocolKind::Cas => {
+            let symbol = og / k as u64;
+            vec![
+                Phase::new(QuorumId::Q1, om, om),
+                Phase::new(QuorumId::Q2, om + symbol, om),
+                Phase::new(QuorumId::Q3, om, om),
+            ]
+        }
+    }
+}
+
+/// Worst-case latency (ms) of `phases` for a client at `client`: each phase lasts as long
+/// as its slowest quorum member, and phases add.
+fn latency_ms(model: &CloudModel, config: &Configuration, client: DcId, phases: &[Phase]) -> f64 {
+    phases
         .iter()
-        .map(|j| {
-            model.rtt_ms(client, *j)
-                + model.transfer_time_ms(client, *j, to_server_bytes)
-                + model.transfer_time_ms(*j, client, from_server_bytes)
+        .map(|phase| {
+            config
+                .quorum_for(client, phase.quorum)
+                .iter()
+                .map(|j| phase.member_ms(model, client, *j))
+                .fold(0.0, f64::max)
         })
-        .fold(0.0, f64::max)
+        .sum()
 }
 
 /// Worst-case GET latency (ms) for a client located at `client` (equations (16)/(18)).
@@ -36,27 +100,8 @@ pub fn get_latency_ms(
     config: &Configuration,
     client: DcId,
 ) -> f64 {
-    let om = spec.metadata_size;
-    let og = spec.object_size;
-    match config.protocol {
-        ProtocolKind::Abd => {
-            // Phase 1: query goes out (metadata), tag+value come back.
-            let q1 = config.quorum_for(client, QuorumId::Q1);
-            let p1 = phase_latency_ms(model, client, q1, om, om + og);
-            // Phase 2: write-back ships the value, ack returns.
-            let q2 = config.quorum_for(client, QuorumId::Q2);
-            let p2 = phase_latency_ms(model, client, q2, om + og, om);
-            p1 + p2
-        }
-        ProtocolKind::Cas => {
-            let symbol = og / config.k as u64;
-            let q1 = config.quorum_for(client, QuorumId::Q1);
-            let p1 = phase_latency_ms(model, client, q1, om, om);
-            let q4 = config.quorum_for(client, QuorumId::Q4);
-            let p2 = phase_latency_ms(model, client, q4, om, om + symbol);
-            p1 + p2
-        }
-    }
+    let phases = get_phases(spec, config.protocol, config.k);
+    latency_ms(model, config, client, &phases)
 }
 
 /// Worst-case PUT latency (ms) for a client located at `client` (equations (17)/(19)).
@@ -66,27 +111,8 @@ pub fn put_latency_ms(
     config: &Configuration,
     client: DcId,
 ) -> f64 {
-    let om = spec.metadata_size;
-    let og = spec.object_size;
-    match config.protocol {
-        ProtocolKind::Abd => {
-            let q1 = config.quorum_for(client, QuorumId::Q1);
-            let p1 = phase_latency_ms(model, client, q1, om, om);
-            let q2 = config.quorum_for(client, QuorumId::Q2);
-            let p2 = phase_latency_ms(model, client, q2, om + og, om);
-            p1 + p2
-        }
-        ProtocolKind::Cas => {
-            let symbol = og / config.k as u64;
-            let q1 = config.quorum_for(client, QuorumId::Q1);
-            let p1 = phase_latency_ms(model, client, q1, om, om);
-            let q2 = config.quorum_for(client, QuorumId::Q2);
-            let p2 = phase_latency_ms(model, client, q2, om + symbol, om);
-            let q3 = config.quorum_for(client, QuorumId::Q3);
-            let p3 = phase_latency_ms(model, client, q3, om, om);
-            p1 + p2 + p3
-        }
-    }
+    let phases = put_phases(spec, config.protocol, config.k);
+    latency_ms(model, config, client, &phases)
 }
 
 /// Worst-case GET/PUT latencies over every client location with non-zero traffic.

@@ -2,17 +2,42 @@
 //!
 //! The search enumerates protocol, code parameters and quorum sizes exactly, and tames the
 //! exponential placement space with the paper's heuristic: data centers are ranked by their
-//! (traffic-weighted) network price toward the workload's client locations, only the best
-//! few form the candidate pool, and per-client quorums are then filled greedily — by price
+//! (traffic-weighted) network price toward the workload's client locations, and placements
+//! are drawn only from a candidate pool — the best `n + 3` data centers by that ranking plus
+//! each client location's 3 nearest. Per-client quorums are then filled greedily — by price
 //! under the cost objective, falling back to a nearest-first fill when the cheap choice
 //! violates the latency SLO.
+//!
+//! Candidates are priced from tables, not from a built [`Configuration`]:
+//!
+//! * once per search and code dimension, every (client location, data center) pair gets each
+//!   phase's latency term (round trip plus both transfer times) and each byte flow's price,
+//!   from the same per-member functions [`cost_of`](crate::cost::cost_of) and the latency
+//!   model use;
+//! * once per placement, each client's price order and RTT order over it are derived, by
+//!   dropping non-members from the candidate pool's orders (sorted once per pool);
+//! * per quorum-size combination, a phase's latency is the maximum of table entries over the
+//!   quorum's prefix of the client's order, and a cost term their sum in the member order
+//!   `cost_of` sums them in, so every figure matches `cost_of` and
+//!   [`worst_latencies_ms`](crate::latency::worst_latencies_ms) bit for bit. Nothing is
+//!   allocated; a [`Plan`] is built only for a candidate that beats the incumbent.
+//!
+//! Under the cost objective a placement whose storage term alone is at least the incumbent's
+//! total is skipped unpriced. The cut is exact: the other three terms are non-negative and
+//! floating-point addition is monotone, so no quorum choice over that placement can pass the
+//! strict `<` that replaces the incumbent.
 
-use crate::cost::{cost_of, CostBreakdown};
-use crate::latency::{get_latency_ms, put_latency_ms};
+use crate::cost::{self, CostBreakdown, Flow};
+use crate::latency::{self, Phase};
 use crate::plan::Plan;
 use legostore_cloud::CloudModel;
-use legostore_types::{Configuration, DcId, ProtocolKind, QuorumId, QuorumSpec};
+use legostore_types::{ConfigEpoch, Configuration, DcId, ProtocolKind, QuorumId, QuorumSpec};
 use legostore_workload::WorkloadSpec;
+use std::collections::BTreeMap;
+
+/// How many data centers beyond `n` the ranked candidate pool keeps (the paper's heuristic
+/// prunes the combinatorial placement space this way).
+const CANDIDATE_POOL_EXTRA: usize = 3;
 
 /// What the search minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,13 +65,8 @@ pub enum ProtocolFilter {
 pub struct SearchOptions {
     /// Objective to minimize.
     pub objective: Objective,
-    /// How many data centers beyond `n` the ranked candidate pool keeps (the paper's
-    /// heuristic prunes the combinatorial placement space this way).
-    pub candidate_pool_extra: usize,
     /// Data centers that must not be used (e.g. ones suspected to have failed, §3.4/§4.5).
     pub excluded_dcs: Vec<DcId>,
-    /// Upper bound on the code length / replication degree (defaults to the number of DCs).
-    pub max_n: Option<usize>,
     /// Restrict CAS candidates to this code dimension (used by the K-sweep of Figure 3).
     pub fixed_k: Option<usize>,
 }
@@ -55,9 +75,7 @@ impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             objective: Objective::Cost,
-            candidate_pool_extra: 3,
             excluded_dcs: Vec::new(),
-            max_n: None,
             fixed_k: None,
         }
     }
@@ -100,13 +118,36 @@ impl Optimizer {
     }
 
     /// Finds the best feasible configuration restricted to `filter`.
+    ///
+    /// Every feasible candidate is folded into one incumbent as it is priced (the search only
+    /// ever needs the winner): ABD by growing `n`, then CAS by `k` and `n`, each over the
+    /// candidate pool's placements in order and the quorum-size combinations in order; a tie
+    /// keeps the earlier candidate.
     pub fn optimize_filtered(&self, spec: &WorkloadSpec, filter: ProtocolFilter) -> Option<Plan> {
+        let f = spec.fault_tolerance;
+        let ranked = self.ranked_candidates(spec);
+        let d = ranked.len();
         let mut best: Option<Plan> = None;
         if matches!(filter, ProtocolFilter::Any | ProtocolFilter::AbdOnly) {
-            best = self.enumerate_abd(spec, best);
+            let tables = Tables::new(self, spec, ProtocolKind::Abd, 1);
+            for n in (f + 1).max(2)..=d {
+                let pool = self.candidate_pool(spec, &ranked, n);
+                let quorums = quorum_combinations(ProtocolKind::Abd, n, 1, f);
+                tables.search(&pool, &combinations(&pool, n), &quorums, &mut best);
+            }
         }
         if matches!(filter, ProtocolFilter::Any | ProtocolFilter::CasOnly) {
-            best = self.enumerate_cas(spec, best);
+            for k in 1..=d.saturating_sub(2 * f) {
+                if self.options.fixed_k.is_some_and(|fixed| k != fixed) {
+                    continue;
+                }
+                let tables = Tables::new(self, spec, ProtocolKind::Cas, k);
+                for n in (k + 2 * f)..=d {
+                    let pool = self.candidate_pool(spec, &ranked, n);
+                    let quorums = quorum_combinations(ProtocolKind::Cas, n, k, f);
+                    tables.search(&pool, &combinations(&pool, n), &quorums, &mut best);
+                }
+            }
         }
         best
     }
@@ -121,31 +162,31 @@ impl Optimizer {
         k: usize,
         placement: Vec<DcId>,
     ) -> Option<Plan> {
-        let n = placement.len();
-        let mut best: Option<Plan> = None;
-        for quorums in quorum_combinations(protocol, n, k, spec.fault_tolerance) {
-            if let Some(plan) = self.evaluate_candidate(spec, protocol, k, &placement, quorums) {
-                best = Self::better(self.options.objective, best, plan);
-            }
-        }
+        let f = spec.fault_tolerance;
+        let quorums = quorum_combinations(protocol, placement.len(), k, f);
+        // Every combination over a valid placement is valid (`quorum_combinations_are_valid`),
+        // so checking the caller's placement and parameters once stands for all of them.
+        let first = Configuration {
+            protocol,
+            n: placement.len(),
+            k,
+            quorums: *quorums.first()?,
+            dcs: placement,
+            f,
+            epoch: ConfigEpoch::INITIAL,
+            preferred_quorums: BTreeMap::new(),
+        };
+        first.validate().ok()?;
+        let mut best = None;
+        let placement = first.dcs;
+        let tables = Tables::new(self, spec, protocol, k);
+        tables.search(
+            &placement,
+            std::slice::from_ref(&placement),
+            &quorums,
+            &mut best,
+        );
         best
-    }
-
-    fn better(objective: Objective, best: Option<Plan>, candidate: Plan) -> Option<Plan> {
-        match best {
-            None => Some(candidate),
-            Some(b) => {
-                let better = match objective {
-                    Objective::Cost => candidate.total_cost() < b.total_cost(),
-                    Objective::Latency => {
-                        let cl = candidate.worst_get_latency_ms + candidate.worst_put_latency_ms;
-                        let bl = b.worst_get_latency_ms + b.worst_put_latency_ms;
-                        cl < bl || ((cl - bl).abs() < 1e-9 && candidate.total_cost() < b.total_cost())
-                    }
-                };
-                Some(if better { candidate } else { b })
-            }
-        }
     }
 
     fn available_dcs(&self) -> Vec<DcId> {
@@ -191,12 +232,12 @@ impl Optimizer {
         dcs
     }
 
-    /// The candidate pool for code length `n`: the best `n + extra` data centers by the
-    /// heuristic ranking, widened with each client location's nearest data centers so that a
-    /// latency-critical host (e.g. the only DC within SLO reach of a remote client) is never
-    /// pruned away by the price ranking.
+    /// The candidate pool for code length `n`: the best `n + CANDIDATE_POOL_EXTRA` data
+    /// centers by the heuristic ranking, widened with each client location's nearest data
+    /// centers so that a latency-critical host (e.g. the only DC within SLO reach of a remote
+    /// client) is never pruned away by the price ranking.
     fn candidate_pool(&self, spec: &WorkloadSpec, ranked: &[DcId], n: usize) -> Vec<DcId> {
-        let pool_size = (n + self.options.candidate_pool_extra).min(ranked.len());
+        let pool_size = (n + CANDIDATE_POOL_EXTRA).min(ranked.len());
         let mut pool: Vec<DcId> = ranked[..pool_size].to_vec();
         for (client, frac) in &spec.client_distribution {
             if *frac <= 0.0 {
@@ -217,166 +258,364 @@ impl Optimizer {
         pool
     }
 
-    /// Folds every feasible ABD candidate into `best` (plans are reduced as they are
-    /// produced instead of being collected, since the search only ever needs the winner).
-    fn enumerate_abd(&self, spec: &WorkloadSpec, mut best: Option<Plan>) -> Option<Plan> {
-        let f = spec.fault_tolerance;
-        let ranked = self.ranked_candidates(spec);
-        let d = ranked.len();
-        let max_n = self.options.max_n.unwrap_or(d).min(d);
-        for n in (f + 1).max(2)..=max_n {
-            let pool = self.candidate_pool(spec, &ranked, n);
-            for placement in combinations(&pool, n) {
-                for quorums in quorum_combinations(ProtocolKind::Abd, n, 1, f) {
-                    if let Some(plan) =
-                        self.evaluate_candidate(spec, ProtocolKind::Abd, 1, &placement, quorums)
-                    {
-                        best = Self::better(self.options.objective, best, plan);
-                    }
-                }
+    /// True if a candidate with `cost` and worst latencies `(get_ms, put_ms)` replaces
+    /// `incumbent` under `objective`.
+    fn beats(
+        objective: Objective,
+        incumbent: Option<&Plan>,
+        cost: &CostBreakdown,
+        get_ms: f64,
+        put_ms: f64,
+    ) -> bool {
+        let Some(b) = incumbent else { return true };
+        match objective {
+            Objective::Cost => cost.total() < b.total_cost(),
+            Objective::Latency => {
+                let cl = get_ms + put_ms;
+                let bl = b.worst_get_latency_ms + b.worst_put_latency_ms;
+                cl < bl || ((cl - bl).abs() < 1e-9 && cost.total() < b.total_cost())
             }
         }
-        best
+    }
+}
+
+/// The fill orders a client's quorums are drawn from, tried in turn until one meets the SLOs:
+/// cheapest-first then nearest-first under the cost objective, nearest-first under the
+/// latency objective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    ByPrice,
+    ByRtt,
+}
+
+/// Each client's fill orders over the current placement, flattened
+/// `[client][fill][position]`, and the fill each client settled on.
+struct ClientOrders {
+    orders: Vec<DcId>,
+    fills: usize,
+    n: usize,
+    chosen: Vec<usize>,
+}
+
+impl ClientOrders {
+    fn order(&self, c: usize, fill: usize) -> &[DcId] {
+        &self.orders[(c * self.fills + fill) * self.n..][..self.n]
     }
 
-    /// Folds every feasible CAS candidate into `best` (see [`Optimizer::enumerate_abd`]).
-    fn enumerate_cas(&self, spec: &WorkloadSpec, mut best: Option<Plan>) -> Option<Plan> {
-        let f = spec.fault_tolerance;
-        let ranked = self.ranked_candidates(spec);
-        let d = ranked.len();
-        let max_n = self.options.max_n.unwrap_or(d).min(d);
-        for k in 1..=d.saturating_sub(2 * f) {
-            if let Some(fixed) = self.options.fixed_k {
-                if k != fixed {
-                    continue;
-                }
-            }
-            for n in (k + 2 * f)..=max_n {
-                let pool = self.candidate_pool(spec, &ranked, n);
-                for placement in combinations(&pool, n) {
-                    for quorums in quorum_combinations(ProtocolKind::Cas, n, k, f) {
-                        if let Some(plan) =
-                            self.evaluate_candidate(spec, ProtocolKind::Cas, k, &placement, quorums)
-                        {
-                            best = Self::better(self.options.objective, best, plan);
-                        }
-                    }
-                }
-            }
-        }
-        best
+    fn chosen_order(&self, c: usize) -> &[DcId] {
+        self.order(c, self.chosen[c])
+    }
+}
+
+/// One phase's latency term or one flow's price, per (client, DC).
+struct Term {
+    quorum: QuorumId,
+    per_member: Vec<Vec<f64>>,
+}
+
+impl Term {
+    /// The slowest of `members` for client `c` (a phase's latency).
+    fn max_over(&self, c: usize, members: &[DcId]) -> f64 {
+        let row = &self.per_member[c];
+        members.iter().map(|j| row[j.index()]).fold(0.0, f64::max)
     }
 
-    /// Evaluates one fully parameterized candidate, filling per-client quorums greedily and
-    /// rejecting it if any client location cannot meet the SLOs.
-    fn evaluate_candidate(
-        &self,
-        spec: &WorkloadSpec,
+    /// The sum over `members`, in order, for client `c` (a flow's price).
+    fn sum_over(&self, c: usize, members: &[DcId]) -> f64 {
+        let row = &self.per_member[c];
+        members.iter().map(|j| row[j.index()]).sum()
+    }
+}
+
+/// Tabulates `term(client, dc)` for every client location in `clients` and every DC, indexed
+/// `[client][dc.index()]`.
+fn per_pair(
+    model: &CloudModel,
+    clients: &[(DcId, f64)],
+    term: impl Fn(DcId, DcId) -> f64,
+) -> Vec<Vec<f64>> {
+    let dcs = model.dc_ids();
+    clients
+        .iter()
+        .map(|(client, _)| dcs.iter().map(|j| term(*client, *j)).collect())
+        .collect()
+}
+
+/// Everything one search prices the candidates of one protocol and code dimension with.
+/// Per-(client, DC) tables are indexed `[client][dc.index()]`, where `client` counts only
+/// the locations with traffic, in `spec` order.
+struct Tables<'a> {
+    spec: &'a WorkloadSpec,
+    objective: Objective,
+    protocol: ProtocolKind,
+    k: usize,
+    fills: &'static [Fill],
+    /// The client locations with traffic, with their fractions.
+    clients: Vec<(DcId, f64)>,
+    dc_count: usize,
+    /// Network price both ways ($/GB), the cheapest-first fill's key.
+    price: Vec<Vec<f64>>,
+    /// Round-trip time (ms), the nearest-first fill's key and the price fill's tie-break.
+    rtt: Vec<Vec<f64>>,
+    get_phases: Vec<Term>,
+    put_phases: Vec<Term>,
+    get_flows: Vec<Term>,
+    put_flows: Vec<Term>,
+    /// Storage $/hour per hosting DC.
+    storage: Vec<f64>,
+    /// Requests/second each client location sends to each quorum.
+    request_rate: Vec<f64>,
+    /// VM $/hour per request/second, per DC.
+    vm_price: Vec<f64>,
+}
+
+impl<'a> Tables<'a> {
+    fn new(
+        optimizer: &Optimizer,
+        spec: &'a WorkloadSpec,
         protocol: ProtocolKind,
         k: usize,
-        placement: &[DcId],
-        quorums: QuorumSpec,
-    ) -> Option<Plan> {
-        let n = placement.len();
-        let mut config = Configuration {
-            protocol,
-            n,
-            k,
-            quorums,
-            dcs: placement.to_vec(),
-            f: spec.fault_tolerance,
-            epoch: legostore_types::ConfigEpoch::INITIAL,
-            preferred_quorums: Default::default(),
-        };
-        if config.validate().is_err() {
-            return None;
-        }
-        let quorum_count = protocol.quorum_count();
-        let mut worst_get: f64 = 0.0;
-        let mut worst_put: f64 = 0.0;
-        for (client, frac) in &spec.client_distribution {
-            if *frac <= 0.0 {
-                continue;
-            }
-            let (g, p) = self.fill_quorums_for_client(spec, &mut config, *client, quorum_count)?;
-            worst_get = worst_get.max(g);
-            worst_put = worst_put.max(p);
-        }
-        let cost: CostBreakdown = cost_of(&self.model, spec, &config);
-        Some(Plan {
-            config,
-            cost,
-            worst_get_latency_ms: worst_get,
-            worst_put_latency_ms: worst_put,
-        })
-    }
-
-    /// Chooses, for one client location, the members of each quorum: cheapest-first under
-    /// the cost objective (retrying nearest-first if that breaks the SLO), nearest-first
-    /// under the latency objective. On success the winning choice is left installed in
-    /// `config.preferred_quorums` and the client's (GET, PUT) worst-case latencies are
-    /// returned; `None` means even the nearest-first choice misses the SLO.
-    fn fill_quorums_for_client(
-        &self,
-        spec: &WorkloadSpec,
-        config: &mut Configuration,
-        client: DcId,
-        quorum_count: usize,
-    ) -> Option<(f64, f64)> {
-        let by_price = {
-            let mut v = config.dcs.clone();
-            v.sort_by(|a, b| {
-                let pa = self.model.net_price_gb(*a, client) + self.model.net_price_gb(client, *a);
-                let pb = self.model.net_price_gb(*b, client) + self.model.net_price_gb(client, *b);
-                pa.partial_cmp(&pb)
-                    .unwrap()
-                    .then(
-                        self.model
-                            .rtt_ms(client, *a)
-                            .partial_cmp(&self.model.rtt_ms(client, *b))
-                            .unwrap(),
-                    )
-            });
-            v
-        };
-        let by_rtt = {
-            let mut v = config.dcs.clone();
-            v.sort_by(|a, b| {
-                self.model
-                    .rtt_ms(client, *a)
-                    .partial_cmp(&self.model.rtt_ms(client, *b))
-                    .unwrap()
-            });
-            v
-        };
-        let build = |order: &[DcId]| -> Vec<Vec<DcId>> {
-            (0..4)
-                .map(|qi| {
-                    if qi >= quorum_count {
-                        return Vec::new();
-                    }
-                    let q = QuorumId::from_index(qi).expect("in range");
-                    let size = config.quorums.size(q);
-                    order[..size.min(order.len())].to_vec()
+    ) -> Self {
+        let model = &optimizer.model;
+        let objective = optimizer.options.objective;
+        let clients: Vec<(DcId, f64)> = spec
+            .client_distribution
+            .iter()
+            .copied()
+            .filter(|(_, frac)| *frac > 0.0)
+            .collect();
+        let phase_terms = |phases: Vec<Phase>| -> Vec<Term> {
+            phases
+                .iter()
+                .map(|phase| Term {
+                    quorum: phase.quorum,
+                    per_member: per_pair(model, &clients, |c, j| phase.member_ms(model, c, j)),
                 })
                 .collect()
         };
-        let candidates: Vec<Vec<Vec<DcId>>> = match self.options.objective {
-            Objective::Cost => vec![build(&by_price), build(&by_rtt)],
-            Objective::Latency => vec![build(&by_rtt)],
+        let flow_terms = |flows: Vec<Flow>| -> Vec<Term> {
+            flows
+                .iter()
+                .map(|flow| Term {
+                    quorum: flow.quorum(),
+                    per_member: per_pair(model, &clients, |c, j| flow.member_cost(model, c, j)),
+                })
+                .collect()
         };
-        for chosen in candidates {
-            // Install the trial choice in place (no clone): the candidate `config` is
-            // either kept with the winning choice or discarded wholesale by the caller.
-            config.preferred_quorums.insert(client, chosen);
-            let g = get_latency_ms(&self.model, spec, config, client);
-            let p = put_latency_ms(&self.model, spec, config, client);
-            if g <= spec.slo_get_ms && p <= spec.slo_put_ms {
-                return Some((g, p));
+        let per_dc = |term: &dyn Fn(DcId) -> f64| model.dc_ids().into_iter().map(term).collect();
+        Tables {
+            spec,
+            objective,
+            protocol,
+            k,
+            fills: match objective {
+                Objective::Cost => &[Fill::ByPrice, Fill::ByRtt],
+                Objective::Latency => &[Fill::ByRtt],
+            },
+            dc_count: model.num_dcs(),
+            price: per_pair(model, &clients, |c, j| {
+                model.net_price_gb(j, c) + model.net_price_gb(c, j)
+            }),
+            rtt: per_pair(model, &clients, |c, j| model.rtt_ms(c, j)),
+            get_phases: phase_terms(latency::get_phases(spec, protocol, k)),
+            put_phases: phase_terms(latency::put_phases(spec, protocol, k)),
+            get_flows: flow_terms(cost::get_flows(spec, protocol, k)),
+            put_flows: flow_terms(cost::put_flows(spec, protocol, k)),
+            storage: per_dc(&|j| cost::host_storage_cost(model, spec, protocol, k, j)),
+            request_rate: clients
+                .iter()
+                .map(|(_, frac)| cost::client_request_rate(spec, *frac))
+                .collect(),
+            vm_price: per_dc(&|j| cost::vm_price_per_request_rate(model, j)),
+            clients,
+        }
+    }
+
+    /// `pool` in each client's fill orders, flattened `[client][fill][pool position]`. The
+    /// sorts are stable, so a placement drawn from `pool` in pool order, sorted the same way,
+    /// is this order with the non-members dropped.
+    fn pool_orders(&self, pool: &[DcId]) -> Vec<DcId> {
+        let mut orders = Vec::with_capacity(self.clients.len() * self.fills.len() * pool.len());
+        for c in 0..self.clients.len() {
+            let (price, rtt) = (&self.price[c], &self.rtt[c]);
+            for fill in self.fills {
+                let mut order = pool.to_vec();
+                match fill {
+                    Fill::ByPrice => order.sort_by(|a, b| {
+                        let (a, b) = (a.index(), b.index());
+                        price[a]
+                            .partial_cmp(&price[b])
+                            .unwrap()
+                            .then(rtt[a].partial_cmp(&rtt[b]).unwrap())
+                    }),
+                    Fill::ByRtt => {
+                        order.sort_by(|a, b| rtt[a.index()].partial_cmp(&rtt[b.index()]).unwrap())
+                    }
+                }
+                orders.extend(order);
             }
         }
-        config.preferred_quorums.remove(&client);
-        None
+        orders
+    }
+
+    /// Prices every quorum-size combination in `quorums` over every placement of
+    /// `placements` (each a subsequence of `pool`), folding the feasible ones into `best`.
+    fn search(
+        &self,
+        pool: &[DcId],
+        placements: &[Vec<DcId>],
+        quorums: &[QuorumSpec],
+        best: &mut Option<Plan>,
+    ) {
+        let Some(n) = placements.first().map(Vec::len) else {
+            return;
+        };
+        let pool_orders = self.pool_orders(pool);
+        let mut fill = ClientOrders {
+            orders: vec![DcId(0); self.clients.len() * self.fills.len() * n],
+            fills: self.fills.len(),
+            n,
+            chosen: vec![0; self.clients.len()],
+        };
+        let mut hosted = vec![false; self.dc_count];
+        let mut rate_at = vec![0.0; self.dc_count];
+        for placement in placements {
+            let storage: f64 = placement.iter().map(|j| self.storage[j.index()]).sum();
+            if self.objective == Objective::Cost
+                && best.as_ref().is_some_and(|b| storage >= b.total_cost())
+            {
+                continue;
+            }
+            for j in placement {
+                hosted[j.index()] = true;
+            }
+            for (order, pool_order) in fill
+                .orders
+                .chunks_mut(n)
+                .zip(pool_orders.chunks(pool.len()))
+            {
+                let members = pool_order.iter().filter(|j| hosted[j.index()]);
+                for (slot, j) in order.iter_mut().zip(members) {
+                    *slot = *j;
+                }
+            }
+            for j in placement {
+                hosted[j.index()] = false;
+            }
+            for quorum_spec in quorums {
+                let sizes = &quorum_spec.sizes()[..self.protocol.quorum_count()];
+                let Some((get_ms, put_ms)) = self.fill_quorums(&mut fill, sizes) else {
+                    continue;
+                };
+                let network = |rate, flows| self.network_cost(rate, flows, &fill, sizes);
+                let cost = CostBreakdown {
+                    get_network: network(self.spec.get_rate(), &self.get_flows),
+                    put_network: network(self.spec.put_rate(), &self.put_flows),
+                    storage,
+                    vm: self.vm_cost(placement, &fill, sizes, &mut rate_at),
+                };
+                if !Optimizer::beats(self.objective, best.as_ref(), &cost, get_ms, put_ms) {
+                    continue;
+                }
+                let preferred_quorums = self
+                    .clients
+                    .iter()
+                    .enumerate()
+                    .map(|(c, (client, _))| {
+                        let order = fill.chosen_order(c);
+                        let quorums = (0..4)
+                            .map(|qi| match sizes.get(qi) {
+                                Some(size) => order[..*size].to_vec(),
+                                None => Vec::new(),
+                            })
+                            .collect();
+                        (*client, quorums)
+                    })
+                    .collect();
+                *best = Some(Plan {
+                    config: Configuration {
+                        protocol: self.protocol,
+                        n,
+                        k: self.k,
+                        quorums: *quorum_spec,
+                        dcs: placement.clone(),
+                        f: self.spec.fault_tolerance,
+                        epoch: ConfigEpoch::INITIAL,
+                        preferred_quorums,
+                    },
+                    cost,
+                    worst_get_latency_ms: get_ms,
+                    worst_put_latency_ms: put_ms,
+                });
+            }
+        }
+    }
+
+    /// Settles each client on the first fill order whose quorums (prefixes of `sizes`) meet
+    /// the SLOs, and returns the worst (GET, PUT) latencies; `None` if some client meets
+    /// them with none.
+    fn fill_quorums(&self, fill: &mut ClientOrders, sizes: &[usize]) -> Option<(f64, f64)> {
+        let mut worst_get: f64 = 0.0;
+        let mut worst_put: f64 = 0.0;
+        for c in 0..self.clients.len() {
+            let (choice, g, p) = (0..fill.fills).find_map(|choice| {
+                let order = fill.order(c, choice);
+                let g = self.latency_ms(&self.get_phases, c, order, sizes);
+                let p = self.latency_ms(&self.put_phases, c, order, sizes);
+                (g <= self.spec.slo_get_ms && p <= self.spec.slo_put_ms).then_some((choice, g, p))
+            })?;
+            fill.chosen[c] = choice;
+            worst_get = worst_get.max(g);
+            worst_put = worst_put.max(p);
+        }
+        Some((worst_get, worst_put))
+    }
+
+    /// Worst-case latency of `phases` for client `c` whose quorums are prefixes of `order`:
+    /// each phase lasts as long as its slowest member, and phases add.
+    fn latency_ms(&self, phases: &[Term], c: usize, order: &[DcId], sizes: &[usize]) -> f64 {
+        phases
+            .iter()
+            .map(|phase| phase.max_over(c, &order[..sizes[phase.quorum.index()]]))
+            .sum()
+    }
+
+    /// Network $/hour of `flows` at `rate` requests/second, each client on its chosen fill.
+    fn network_cost(&self, rate: f64, flows: &[Term], fill: &ClientOrders, sizes: &[usize]) -> f64 {
+        let per_client = self.clients.iter().enumerate().map(|(c, (_, frac))| {
+            let order = fill.chosen_order(c);
+            let per_request: f64 = flows
+                .iter()
+                .map(|flow| flow.sum_over(c, &order[..sizes[flow.quorum.index()]]))
+                .sum();
+            (*frac, per_request)
+        });
+        cost::network_cost_per_hour(rate, per_client)
+    }
+
+    /// VM $/hour of `placement`, each client on its chosen fill. `rate_at` is scratch space
+    /// indexed by DC: the request rate each host receives, summed in client order.
+    fn vm_cost(
+        &self,
+        placement: &[DcId],
+        fill: &ClientOrders,
+        sizes: &[usize],
+        rate_at: &mut [f64],
+    ) -> f64 {
+        for j in placement {
+            rate_at[j.index()] = 0.0;
+        }
+        for (c, rate) in self.request_rate.iter().enumerate() {
+            for (position, j) in fill.chosen_order(c).iter().enumerate() {
+                let phases = sizes.iter().filter(|size| position < **size).count();
+                rate_at[j.index()] += rate * phases as f64;
+            }
+        }
+        let mut vm = 0.0;
+        for j in placement {
+            vm += self.vm_price[j.index()] * rate_at[j.index()];
+        }
+        vm
     }
 }
 
@@ -384,12 +623,7 @@ impl Optimizer {
 ///
 /// Quorums are kept as small as the safety constraints allow: for ABD, `q2 = n + 1 - q1`;
 /// for CAS, `q3 = n + 1 - q1` and `q2 = n + k - q4`, enumerating the `(q1, q4)` trade-off.
-pub fn quorum_combinations(
-    protocol: ProtocolKind,
-    n: usize,
-    k: usize,
-    f: usize,
-) -> Vec<QuorumSpec> {
+fn quorum_combinations(protocol: ProtocolKind, n: usize, k: usize, f: usize) -> Vec<QuorumSpec> {
     let mut out = Vec::new();
     if n <= f {
         return out;
@@ -428,7 +662,7 @@ pub fn quorum_combinations(
 }
 
 /// All `size`-subsets of `items`, preserving order.
-pub fn combinations(items: &[DcId], size: usize) -> Vec<Vec<DcId>> {
+fn combinations(items: &[DcId], size: usize) -> Vec<Vec<DcId>> {
     let mut out = Vec::new();
     if size == 0 || size > items.len() {
         return out;
@@ -454,11 +688,213 @@ pub fn combinations(items: &[DcId], size: usize) -> Vec<Vec<DcId>> {
     }
 }
 
+/// The search as it priced candidates before the tables: each candidate is built as a
+/// [`Configuration`], validated, given per-client quorums through `get_latency_ms` /
+/// `put_latency_ms` and billed by `cost_of`. The differential test holds the table-driven
+/// search to it.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::cost::cost_of;
+    use crate::latency::{get_latency_ms, put_latency_ms};
+
+    impl Optimizer {
+        /// [`Optimizer::optimize_filtered`], candidate by candidate.
+        pub(super) fn oracle_optimize_filtered(
+            &self,
+            spec: &WorkloadSpec,
+            filter: ProtocolFilter,
+        ) -> Option<Plan> {
+            let f = spec.fault_tolerance;
+            let ranked = self.ranked_candidates(spec);
+            let d = ranked.len();
+            let mut best: Option<Plan> = None;
+            let mut fold = |protocol, k, n| {
+                let pool = self.candidate_pool(spec, &ranked, n);
+                for placement in combinations(&pool, n) {
+                    for quorums in quorum_combinations(protocol, n, k, f) {
+                        if let Some(plan) =
+                            self.evaluate_candidate(spec, protocol, k, &placement, quorums)
+                        {
+                            best = Self::better(self.options.objective, best.take(), plan);
+                        }
+                    }
+                }
+            };
+            if matches!(filter, ProtocolFilter::Any | ProtocolFilter::AbdOnly) {
+                for n in (f + 1).max(2)..=d {
+                    fold(ProtocolKind::Abd, 1, n);
+                }
+            }
+            if matches!(filter, ProtocolFilter::Any | ProtocolFilter::CasOnly) {
+                for k in 1..=d.saturating_sub(2 * f) {
+                    if self.options.fixed_k.is_some_and(|fixed| k != fixed) {
+                        continue;
+                    }
+                    for n in (k + 2 * f)..=d {
+                        fold(ProtocolKind::Cas, k, n);
+                    }
+                }
+            }
+            best
+        }
+
+        /// [`Optimizer::evaluate_placement`], candidate by candidate.
+        pub(super) fn oracle_evaluate_placement(
+            &self,
+            spec: &WorkloadSpec,
+            protocol: ProtocolKind,
+            k: usize,
+            placement: Vec<DcId>,
+        ) -> Option<Plan> {
+            let n = placement.len();
+            let mut best: Option<Plan> = None;
+            for quorums in quorum_combinations(protocol, n, k, spec.fault_tolerance) {
+                if let Some(plan) = self.evaluate_candidate(spec, protocol, k, &placement, quorums)
+                {
+                    best = Self::better(self.options.objective, best, plan);
+                }
+            }
+            best
+        }
+
+        fn better(objective: Objective, best: Option<Plan>, candidate: Plan) -> Option<Plan> {
+            match best {
+                None => Some(candidate),
+                Some(b) => {
+                    let better = match objective {
+                        Objective::Cost => candidate.total_cost() < b.total_cost(),
+                        Objective::Latency => {
+                            let cl =
+                                candidate.worst_get_latency_ms + candidate.worst_put_latency_ms;
+                            let bl = b.worst_get_latency_ms + b.worst_put_latency_ms;
+                            cl < bl
+                                || ((cl - bl).abs() < 1e-9
+                                    && candidate.total_cost() < b.total_cost())
+                        }
+                    };
+                    Some(if better { candidate } else { b })
+                }
+            }
+        }
+
+        /// Evaluates one fully parameterized candidate, filling per-client quorums greedily
+        /// and rejecting it if any client location cannot meet the SLOs.
+        fn evaluate_candidate(
+            &self,
+            spec: &WorkloadSpec,
+            protocol: ProtocolKind,
+            k: usize,
+            placement: &[DcId],
+            quorums: QuorumSpec,
+        ) -> Option<Plan> {
+            let n = placement.len();
+            let mut config = Configuration {
+                protocol,
+                n,
+                k,
+                quorums,
+                dcs: placement.to_vec(),
+                f: spec.fault_tolerance,
+                epoch: ConfigEpoch::INITIAL,
+                preferred_quorums: Default::default(),
+            };
+            if config.validate().is_err() {
+                return None;
+            }
+            let quorum_count = protocol.quorum_count();
+            let mut worst_get: f64 = 0.0;
+            let mut worst_put: f64 = 0.0;
+            for (client, frac) in &spec.client_distribution {
+                if *frac <= 0.0 {
+                    continue;
+                }
+                let (g, p) =
+                    self.fill_quorums_for_client(spec, &mut config, *client, quorum_count)?;
+                worst_get = worst_get.max(g);
+                worst_put = worst_put.max(p);
+            }
+            let cost: CostBreakdown = cost_of(&self.model, spec, &config);
+            Some(Plan {
+                config,
+                cost,
+                worst_get_latency_ms: worst_get,
+                worst_put_latency_ms: worst_put,
+            })
+        }
+
+        /// Chooses, for one client location, the members of each quorum: cheapest-first
+        /// under the cost objective (retrying nearest-first if that breaks the SLO),
+        /// nearest-first under the latency objective. On success the winning choice is left
+        /// installed in `config.preferred_quorums` and the client's (GET, PUT) worst-case
+        /// latencies are returned; `None` means even the nearest-first choice misses the SLO.
+        fn fill_quorums_for_client(
+            &self,
+            spec: &WorkloadSpec,
+            config: &mut Configuration,
+            client: DcId,
+            quorum_count: usize,
+        ) -> Option<(f64, f64)> {
+            let by_price = {
+                let mut v = config.dcs.clone();
+                v.sort_by(|a, b| {
+                    let pa =
+                        self.model.net_price_gb(*a, client) + self.model.net_price_gb(client, *a);
+                    let pb =
+                        self.model.net_price_gb(*b, client) + self.model.net_price_gb(client, *b);
+                    pa.partial_cmp(&pb).unwrap().then(
+                        self.model
+                            .rtt_ms(client, *a)
+                            .partial_cmp(&self.model.rtt_ms(client, *b))
+                            .unwrap(),
+                    )
+                });
+                v
+            };
+            let by_rtt = {
+                let mut v = config.dcs.clone();
+                v.sort_by(|a, b| {
+                    self.model
+                        .rtt_ms(client, *a)
+                        .partial_cmp(&self.model.rtt_ms(client, *b))
+                        .unwrap()
+                });
+                v
+            };
+            let build = |order: &[DcId]| -> Vec<Vec<DcId>> {
+                (0..4)
+                    .map(|qi| {
+                        if qi >= quorum_count {
+                            return Vec::new();
+                        }
+                        let q = QuorumId::from_index(qi).expect("in range");
+                        let size = config.quorums.size(q);
+                        order[..size.min(order.len())].to_vec()
+                    })
+                    .collect()
+            };
+            let candidates: Vec<Vec<Vec<DcId>>> = match self.options.objective {
+                Objective::Cost => vec![build(&by_price), build(&by_rtt)],
+                Objective::Latency => vec![build(&by_rtt)],
+            };
+            for chosen in candidates {
+                config.preferred_quorums.insert(client, chosen);
+                let g = get_latency_ms(&self.model, spec, config, client);
+                let p = put_latency_ms(&self.model, spec, config, client);
+                if g <= spec.slo_get_ms && p <= spec.slo_put_ms {
+                    return Some((g, p));
+                }
+            }
+            config.preferred_quorums.remove(&client);
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legostore_cloud::{CloudModel, GcpLocation};
-    use legostore_types::ConfigEpoch;
+    use legostore_cloud::{CloudModel, CloudModelBuilder, GcpLocation};
     use legostore_workload::{client_distribution, ClientDistribution, WorkloadSpec};
 
     fn gcp_spec(dist: ClientDistribution, slo_ms: f64, rho: f64) -> (CloudModel, WorkloadSpec) {
@@ -488,7 +924,7 @@ mod tests {
     #[test]
     fn quorum_combinations_are_valid() {
         for n in 2..=9usize {
-            for f in 1..=2usize {
+            for f in 0..=2usize {
                 if n <= f {
                     continue;
                 }
@@ -654,5 +1090,194 @@ mod tests {
             .optimize_filtered(&spec, ProtocolFilter::CasOnly)
             .expect("feasible");
         assert!(cas.config.n >= cas.config.k + 4);
+    }
+
+    /// SplitMix64, so the differential cases need no RNG crate.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+
+        /// A uniform draw from `[lo, hi)`.
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// `count` distinct data centers out of `dcs`, in draw order.
+        fn distinct(&mut self, dcs: usize, count: usize) -> Vec<DcId> {
+            let mut all: Vec<DcId> = (0..dcs).map(DcId::from).collect();
+            for i in 0..count {
+                let j = i + self.below(dcs - i);
+                all.swap(i, j);
+            }
+            all.truncate(count);
+            all
+        }
+    }
+
+    /// Either the paper's nine GCP data centers or a random 4–7 DC topology whose RTTs and
+    /// prices come from small sets, so fill orders see ties.
+    fn random_model(rng: &mut Rng) -> CloudModel {
+        if rng.below(2) == 0 {
+            return CloudModel::gcp9();
+        }
+        let d = 4 + rng.below(4);
+        let mut b = CloudModelBuilder::uniform(d).theta_v(rng.pick(&[0.0, 0.001, 0.02]));
+        for i in 0..d {
+            b = b
+                .storage_price(i, rng.pick(&[0.02, 0.026, 0.04]))
+                .vm_price(i, rng.pick(&[0.0, 0.02, 0.05]));
+            for j in 0..d {
+                if i != j {
+                    b = b.net_price(i, j, rng.pick(&[0.01, 0.08, 0.08, 0.12, 0.15]));
+                }
+                if i < j {
+                    b = b.rtt(i, j, rng.pick(&[20.0, 60.0, 60.0, 110.0, 180.0, 250.0]));
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// A random workload over 1–4 client locations (one may carry no traffic), with an SLO
+    /// between 150 and 1000 ms and `f` of 1 or 2.
+    fn random_spec(rng: &mut Rng, model: &CloudModel) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::example();
+        let locations = 1 + rng.below(4);
+        spec.client_distribution = rng
+            .distinct(model.num_dcs(), locations)
+            .into_iter()
+            .map(|dc| (dc, rng.pick(&[0.0, 0.1, 0.25, 0.5, 1.0])))
+            .collect();
+        if spec
+            .client_distribution
+            .iter()
+            .all(|(_, frac)| *frac <= 0.0)
+        {
+            spec.client_distribution[0].1 = 1.0;
+        }
+        spec.object_size = rng.pick(&[1 << 10, 10 << 10, 100 << 10, 1 << 20]);
+        spec.read_ratio = rng.pick(&[0.0, 0.5, 30.0 / 31.0, 1.0]);
+        spec.arrival_rate = rng.pick(&[0.0, 50.0, 500.0]);
+        spec.total_data_bytes = rng.pick(&[1 << 30, 1 << 40, 10 << 40]);
+        spec.slo_get_ms = rng.range(150.0, 1000.0);
+        let other_slo = rng.range(150.0, 1000.0);
+        spec.slo_put_ms = rng.pick(&[spec.slo_get_ms, other_slo]);
+        spec.fault_tolerance = 1 + rng.below(2);
+        spec
+    }
+
+    fn random_options(rng: &mut Rng, model: &CloudModel) -> SearchOptions {
+        let excluded = rng.below(3);
+        SearchOptions {
+            objective: rng.pick(&[Objective::Cost, Objective::Latency]),
+            excluded_dcs: rng.distinct(model.num_dcs(), excluded),
+            fixed_k: rng.pick(&[None, None, Some(1), Some(2), Some(3)]),
+        }
+    }
+
+    /// A returned plan is valid and carries exactly what `cost_of` and
+    /// `worst_latencies_ms` say of its configuration.
+    fn assert_consistent(model: &CloudModel, spec: &WorkloadSpec, plan: &Plan, case: u64) {
+        plan.config.validate().unwrap();
+        let cost = crate::cost::cost_of(model, spec, &plan.config);
+        let bits =
+            |c: &CostBreakdown| [c.get_network, c.put_network, c.storage, c.vm].map(f64::to_bits);
+        assert_eq!(
+            bits(&plan.cost),
+            bits(&cost),
+            "case {case}: cost differs from cost_of"
+        );
+        let (g, p) = crate::latency::worst_latencies_ms(model, spec, &plan.config);
+        assert_eq!(
+            (
+                plan.worst_get_latency_ms.to_bits(),
+                plan.worst_put_latency_ms.to_bits()
+            ),
+            (g.to_bits(), p.to_bits()),
+            "case {case}: latencies differ from worst_latencies_ms"
+        );
+    }
+
+    #[test]
+    fn table_driven_search_matches_the_candidate_by_candidate_oracle() {
+        let mut rng = Rng(0x1e60_5707e);
+        let mut feasible = 0;
+        for case in 0..600u64 {
+            let model = random_model(&mut rng);
+            let spec = random_spec(&mut rng, &model);
+            let options = random_options(&mut rng, &model);
+            let filter = rng.pick(&[
+                ProtocolFilter::Any,
+                ProtocolFilter::AbdOnly,
+                ProtocolFilter::CasOnly,
+            ]);
+            let optimizer = Optimizer::with_options(model.clone(), options);
+            let got = optimizer.optimize_filtered(&spec, filter);
+            let want = optimizer.oracle_optimize_filtered(&spec, filter);
+            assert_eq!(
+                got,
+                want,
+                "case {case}: {spec:?} {:?} {filter:?}",
+                optimizer.options()
+            );
+            if let Some(plan) = &got {
+                assert_consistent(&model, &spec, plan, case);
+                feasible += 1;
+            }
+        }
+        // The cases must exercise the search, not only its infeasible exits.
+        assert!(
+            feasible >= 300,
+            "only {feasible} of 600 cases were feasible"
+        );
+    }
+
+    #[test]
+    fn table_driven_placement_matches_the_candidate_by_candidate_oracle() {
+        let mut rng = Rng(0x91ace);
+        let mut feasible = 0;
+        for case in 0..1000u64 {
+            let model = random_model(&mut rng);
+            let spec = random_spec(&mut rng, &model);
+            let options = random_options(&mut rng, &model);
+            let protocol = rng.pick(&[ProtocolKind::Abd, ProtocolKind::Cas]);
+            let n = 1 + rng.below(model.num_dcs());
+            // Out-of-range dimensions and repeated DCs must be rejected the same way.
+            let k = match protocol {
+                ProtocolKind::Abd => rng.pick(&[1, 1, 1, 2]),
+                ProtocolKind::Cas => rng.below(n + 1),
+            };
+            let mut placement = rng.distinct(model.num_dcs(), n);
+            if rng.below(10) == 0 {
+                placement.push(placement[0]);
+            }
+            let optimizer = Optimizer::with_options(model.clone(), options);
+            let got = optimizer.evaluate_placement(&spec, protocol, k, placement.clone());
+            let want = optimizer.oracle_evaluate_placement(&spec, protocol, k, placement);
+            assert_eq!(got, want, "case {case}");
+            if let Some(plan) = &got {
+                assert_consistent(&model, &spec, plan, case);
+                feasible += 1;
+            }
+        }
+        assert!(
+            feasible >= 200,
+            "only {feasible} of 1000 cases were feasible"
+        );
     }
 }
