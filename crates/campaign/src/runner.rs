@@ -40,7 +40,6 @@ fn sim_options() -> SimOptions {
         // retries so within-`f` faults exhaust patience, not correctness.
         op_timeout_ms: 1_000.0,
         max_timeout_retries: 4,
-        ..SimOptions::default()
     }
 }
 

@@ -1,16 +1,19 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulator: a scheduler over the crate's world engine.
+//!
+//! The world holds the servers and the drivers; this file only decides when each input
+//! reaches it (modelled delays on an event queue), which messages the injected fault plan
+//! drops or duplicates, and what the run costs and records.
 
-use crate::net::SimNet;
 use crate::report::{CostMeter, OpRecord, SimReport};
+use crate::world::{OpInfo, Out, Tagged, TrafficClass, World, CONTROLLER_DC};
 use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_lincheck::{recorder::fingerprint, HistoryRecorder};
-use legostore_proto::msg::{Outbound, ProtoReply};
-use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
-use legostore_proto::server::{DcServer, Inbound};
-use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
-use legostore_types::{ClientId, ConfigEpoch, Configuration, DcId, FaultPlan, Key, OpKind, Tag, Value};
+use legostore_proto::msg::Outbound;
+use legostore_proto::server::{Inbound, Reply};
+use legostore_proto::{Completed, RetryCause};
+use legostore_types::{Configuration, DcId, FaultPlan, FaultState, Key, OpKind, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Tunables of a simulation run.
@@ -25,101 +28,31 @@ pub struct SimOptions {
     /// `max_timeout_retries + 1`, and every new attempt counts against it, whatever caused
     /// it (timeout, reconfiguration redirect, retryable failure).
     pub max_timeout_retries: u32,
-    /// Data center hosting the reconfiguration controller and the authoritative metadata
-    /// (the paper places it in Los Angeles).
-    pub controller_dc: DcId,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            op_timeout_ms: 1500.0,
-            max_timeout_retries: 2,
-            controller_dc: DcId(7), // Los Angeles in the gcp9 model
-        }
+        SimOptions { op_timeout_ms: 1500.0, max_timeout_retries: 2 }
     }
 }
 
-/// Traffic class used for cost attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TrafficClass {
-    Get,
-    Put,
-    Reconfig,
-}
-
-/// What an operation's driver may ask of the simulator: no clock (no spans are recorded
-/// here), the metadata service, and the GET cache its origin DC's clients share.
-macro_rules! host {
-    ($sim:expr, $origin:expr, $key:expr) => {
-        Host {
-            now_ns: &|| 0,
-            metadata: &|| $sim.metadata.get($key).cloned(),
-            cache: &|| $sim.get_cache.get(&($origin, $key.clone())).cloned(),
-        }
-    };
-}
-
-/// One client operation in flight, keyed in [`Simulation::ops`] by the token of its
-/// current attempt's reply route.
-#[derive(Debug, Clone)]
-struct PendingOp {
-    driver: OpDriver,
-    key: Key,
-    /// Token of the first attempt: the operation's identity in recorded histories.
-    op_id: u64,
+/// What the simulator keeps of each operation in flight.
+#[derive(Debug, Clone, Copy)]
+struct OpMeta {
     start_ms: f64,
     object_bytes: u64,
-    reconfig_retries: u32,
-    timeout_retries: u32,
-    /// True between a `Step::Reopen` and the event that opens the next attempt: the
-    /// closed attempt's replies and timer are ignored.
-    closed: bool,
-}
-
-#[derive(Debug, Clone)]
-struct PendingReconfig {
-    driver: ReconfigDriver,
-    key: Key,
-    start_ms: f64,
 }
 
 #[derive(Debug, Clone)]
 enum Event {
-    StartRequest {
-        origin: DcId,
-        kind: OpKind,
-        key: Key,
-        value_size: u64,
-    },
-    DeliverToServer {
-        to: DcId,
-        inbound: Inbound,
-    },
-    DeliverReply {
-        token: u64,
-        from: DcId,
-        phase: u8,
-        epoch: ConfigEpoch,
-        reply: ProtoReply,
-    },
-    OpTimeout {
-        token: u64,
-    },
-    ReconfigTick {
-        token: u64,
-    },
-    StartReconfig {
-        key: Key,
-        new_config: Configuration,
-    },
-    OpenAttempt {
-        token: u64,
-    },
-    SetDcFailed {
-        dc: DcId,
-        failed: bool,
-    },
+    StartRequest { origin: DcId, kind: OpKind, key: Key, value_size: u64 },
+    DeliverToServer { to: DcId, inbound: Inbound },
+    DeliverReply { from: DcId, reply: Reply },
+    OpTimeout { token: u64 },
+    ReconfigTick { token: u64 },
+    StartReconfig { key: Key, new_config: Configuration },
+    OpenAttempt { token: u64 },
+    SetDcFailed { dc: DcId, failed: bool },
 }
 
 /// The pending events, popped in `(instant_us, seq)` order, where `seq` numbers the
@@ -185,19 +118,13 @@ pub struct Simulation {
     options: SimOptions,
     now_us: u64,
     queue: EventQueue,
-    servers: HashMap<DcId, DcServer>,
-    ops: HashMap<u64, PendingOp>,
-    reconfigs: HashMap<u64, PendingReconfig>,
-    next_token: u64,
-    next_client_id: u32,
-    metadata: HashMap<Key, Configuration>,
-    client_views: HashMap<(DcId, Key), Configuration>,
-    get_cache: HashMap<(DcId, Key), (Tag, Value)>,
+    world: World<OpMeta>,
     records: Vec<OpRecord>,
     cost: CostMeter,
     reconfig_durations: Vec<f64>,
-    /// The simulated network's delivery-decision seam (see [`Simulation::set_fault_plan`]).
-    net: SimNet,
+    /// The injected fault plan's interpreter (see [`Simulation::set_fault_plan`]); `None`
+    /// makes the fault-free delivery decision free.
+    faults: Option<FaultState>,
     /// Per-key operation histories, recorded only when
     /// [`Simulation::enable_history_recording`] was called.
     recorder: Option<Arc<HistoryRecorder>>,
@@ -211,34 +138,17 @@ impl Simulation {
 
     /// Creates a simulator with explicit options.
     pub fn with_options(model: CloudModel, options: SimOptions) -> Self {
-        let lease_ns =
-            (options.op_timeout_ms * 1e6) as u64 * 2 * ReconfigDriver::DEADLINE_TIMEOUTS;
-        let servers = model
-            .dc_ids()
-            .into_iter()
-            .map(|d| {
-                let mut server = DcServer::new(d);
-                server.set_epoch_lease_ns(lease_ns);
-                (d, server)
-            })
-            .collect();
+        let op_timeout_ns = (options.op_timeout_ms * 1e6) as u64;
         Simulation {
+            world: World::new(model.dc_ids(), op_timeout_ns, options.max_timeout_retries + 1),
             model,
             options,
             now_us: 0,
             queue: EventQueue::default(),
-            servers,
-            ops: HashMap::new(),
-            reconfigs: HashMap::new(),
-            next_token: 1,
-            next_client_id: 1,
-            metadata: HashMap::new(),
-            client_views: HashMap::new(),
-            get_cache: HashMap::new(),
             records: Vec::new(),
             cost: CostMeter::default(),
             reconfig_durations: Vec::new(),
-            net: SimNet::new(),
+            faults: None,
             recorder: None,
         }
     }
@@ -249,10 +159,11 @@ impl Simulation {
     /// as reproducible as a fault-free one. The same plan fed to a virtual-time
     /// `legostore-core` deployment injects the same schedule there.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.net.set_plan(plan);
+        self.faults = (!plan.is_empty()).then(|| FaultState::new(plan));
     }
 
-    /// Starts recording per-key operation histories for linearizability checking.
+    /// Starts recording per-key operation histories for linearizability checking; the
+    /// report carries them in [`SimReport::histories`].
     ///
     /// Must be called before any key is created. While recording, PUT payloads are
     /// stamped with the operation token (same size as requested, so latency and cost
@@ -266,14 +177,8 @@ impl Simulation {
         }
     }
 
-    /// The history recorder, if [`Simulation::enable_history_recording`] was called
-    /// (also carried into [`SimReport::histories`] by [`Simulation::run`]).
-    pub fn recorder(&self) -> Option<Arc<HistoryRecorder>> {
-        self.recorder.clone()
-    }
-
     /// Current virtual time in milliseconds.
-    pub fn now_ms(&self) -> f64 {
+    fn now_ms(&self) -> f64 {
         self.now_us as f64 / 1000.0
     }
 
@@ -281,36 +186,15 @@ impl Simulation {
     /// it in the metadata service (the CREATE operation, performed before the run starts).
     pub fn create_key(&mut self, key: impl Into<Key>, config: Configuration, initial_value: &Value) {
         let key = key.into();
-        for (dc, payload) in DcServer::initial_payloads(&config, initial_value) {
-            self.servers
-                .get_mut(&dc)
-                .expect("dc exists")
-                .install_key(key.clone(), config.clone(), Tag::INITIAL, payload);
-        }
         if let Some(recorder) = &self.recorder {
             recorder.register_key(key.as_str(), fingerprint(initial_value.as_bytes()));
         }
-        self.metadata.insert(key, config);
+        self.world.create_key(key, config, initial_value);
     }
 
     /// Schedules a single client request at virtual time `at_ms`.
-    pub fn schedule_request(
-        &mut self,
-        at_ms: f64,
-        origin: DcId,
-        kind: OpKind,
-        key: impl Into<Key>,
-        value_size: u64,
-    ) {
-        self.schedule_event(
-            at_ms,
-            Event::StartRequest {
-                origin,
-                kind,
-                key: key.into(),
-                value_size,
-            },
-        );
+    pub fn schedule_request(&mut self, at_ms: f64, origin: DcId, kind: OpKind, key: impl Into<Key>, value_size: u64) {
+        self.schedule_event(at_ms, Event::StartRequest { origin, kind, key: key.into(), value_size });
     }
 
     /// Schedules every request of a workload trace; `key_of` maps the trace's key index to a
@@ -322,26 +206,14 @@ impl Simulation {
         key_of: F,
     ) {
         for r in trace {
-            self.schedule_request(
-                offset_ms + r.time_ms,
-                r.origin,
-                r.kind,
-                key_of(r.key_index),
-                r.object_size,
-            );
+            self.schedule_request(offset_ms + r.time_ms, r.origin, r.kind, key_of(r.key_index), r.object_size);
         }
     }
 
     /// Schedules a reconfiguration of `key` to `new_config` at `at_ms` (the controller reads
     /// the old configuration from the metadata service when the event fires).
     pub fn schedule_reconfig(&mut self, at_ms: f64, key: impl Into<Key>, new_config: Configuration) {
-        self.schedule_event(
-            at_ms,
-            Event::StartReconfig {
-                key: key.into(),
-                new_config,
-            },
-        );
+        self.schedule_event(at_ms, Event::StartReconfig { key: key.into(), new_config });
     }
 
     /// Schedules a whole-DC failure at `at_ms`.
@@ -375,8 +247,6 @@ impl Simulation {
         }
     }
 
-    // ---- internals ----
-
     /// The event queue's microsecond for `at_ms` (negative times clamp to 0).
     fn instant_us(at_ms: f64) -> u64 {
         (at_ms.max(0.0) * 1000.0).round() as u64
@@ -393,19 +263,6 @@ impl Simulation {
         self.queue.push(Self::instant_us(at_ms), event);
     }
 
-    fn class_of(&self, token: u64) -> TrafficClass {
-        if self.reconfigs.contains_key(&token) {
-            TrafficClass::Reconfig
-        } else if let Some(op) = self.ops.get(&token) {
-            match op.driver.kind() {
-                OpKind::Get => TrafficClass::Get,
-                OpKind::Put => TrafficClass::Put,
-            }
-        } else {
-            TrafficClass::Reconfig
-        }
-    }
-
     fn meter(&mut self, from: DcId, to: DcId, bytes: u64, class: TrafficClass) {
         let dollars = self.model.transfer_cost(from, to, bytes);
         self.cost.bytes_moved += bytes;
@@ -416,7 +273,15 @@ impl Simulation {
         }
     }
 
-    /// Sends protocol messages from `origin` on behalf of endpoint `token`.
+    /// The fault plan's verdict on one message on the `from → to` link, drawn now: `None`
+    /// if it is dropped, otherwise `(copies, extra_delay_ms)`.
+    fn deliveries(&mut self, from: DcId, to: DcId) -> Option<(u32, f64)> {
+        let Some(state) = &mut self.faults else { return Some((1, 0.0)) };
+        state.advance_to(self.now_us as f64 / 1000.0);
+        state.verdict(from, to).deliveries()
+    }
+
+    /// Sends protocol messages from `from` on behalf of route `token`.
     ///
     /// Request-leg fault interposition. Cost is metered once per *logical* send: the
     /// sender pays for its egress exactly once, and both dropping and duplication
@@ -424,157 +289,82 @@ impl Simulation {
     /// network-duplicated one was not sent twice). Extra fault delay is applied on the
     /// reply leg only, mirroring `legostore-core`, which models the whole round trip
     /// on the reply side.
-    fn send_outbound(&mut self, token: u64, origin: DcId, msgs: Vec<Outbound>) {
-        let class = self.class_of(token);
+    fn send_outbound(&mut self, token: u64, from: DcId, msgs: Vec<Outbound>) {
+        let (_, class) = self.world.endpoint(token);
         for out in msgs {
             let bytes = out.msg.wire_size(METADATA_BYTES);
-            self.meter(origin, out.to, bytes, class);
-            let now_ms = self.now_us as f64 / 1000.0;
-            let Some((copies, _)) = self.net.deliveries(now_ms, origin, out.to) else {
-                continue;
-            };
-            let delay_ms = self.model.latency_ms(origin, out.to)
-                + self.model.transfer_time_ms(origin, out.to, bytes);
+            self.meter(from, out.to, bytes, class);
+            let Some((copies, _)) = self.deliveries(from, out.to) else { continue };
+            let delay_ms = self.model.latency_ms(from, out.to)
+                + self.model.transfer_time_ms(from, out.to, bytes);
             let to = out.to;
             let inbound = Inbound { msg_id: self.queue.seq, ..Inbound::new(token, out) };
             for _ in 1..copies {
-                self.push_event(
-                    self.now_ms() + delay_ms,
-                    Event::DeliverToServer { to, inbound: inbound.clone() },
-                );
+                self.push_event(self.now_ms() + delay_ms, Event::DeliverToServer { to, inbound: inbound.clone() });
             }
-            self.push_event(
-                self.now_ms() + delay_ms,
-                Event::DeliverToServer { to, inbound },
-            );
+            self.push_event(self.now_ms() + delay_ms, Event::DeliverToServer { to, inbound });
         }
     }
 
-    fn endpoint_dc(&self, token: u64) -> DcId {
-        if let Some(op) = self.ops.get(&token) {
-            op.driver.client_dc()
-        } else {
-            self.options.controller_dc
+    /// Serves a request at `to` and sends its replies back. Reply-leg fault
+    /// interposition: this is where slow-DC / lossy-link extra delay lands (see
+    /// [`Simulation::send_outbound`]).
+    fn serve(&mut self, to: DcId, inbound: Inbound) {
+        for reply in self.world.deliver_request(to, inbound, self.now_us * 1000) {
+            let (dest_dc, class) = self.world.endpoint(reply.to);
+            let bytes = reply.reply.wire_size(METADATA_BYTES);
+            self.meter(to, dest_dc, bytes, class);
+            let Some((copies, extra_ms)) = self.deliveries(to, dest_dc) else { continue };
+            let delay_ms = self.model.latency_ms(to, dest_dc)
+                + self.model.transfer_time_ms(to, dest_dc, bytes)
+                + extra_ms;
+            // Clone only for duplicated deliveries; the common single-copy case moves the
+            // reply (CAS shards carry real payloads).
+            for _ in 1..copies {
+                self.push_event(self.now_ms() + delay_ms, Event::DeliverReply { from: to, reply: reply.clone() });
+            }
+            self.push_event(self.now_ms() + delay_ms, Event::DeliverReply { from: to, reply });
         }
     }
 
     fn handle_event(&mut self, event: Event) {
-        match event {
-            Event::StartRequest {
-                origin,
-                kind,
-                key,
-                value_size,
-            } => self.start_request(origin, kind, key, value_size),
-            Event::DeliverToServer { to, inbound } => {
-                let Some(server) = self.servers.get_mut(&to) else { return };
-                let replies = server.handle_at(inbound, self.now_us * 1000);
-                for reply in replies {
-                    let dest_dc = self.endpoint_dc(reply.to);
-                    let bytes = reply.reply.wire_size(METADATA_BYTES);
-                    let class = self.class_of(reply.to);
-                    self.meter(to, dest_dc, bytes, class);
-                    // Reply-leg fault interposition (this is where slow-DC / lossy-link
-                    // extra delay lands; see `send_outbound`).
-                    let now_ms = self.now_us as f64 / 1000.0;
-                    let Some((copies, extra_ms)) = self.net.deliveries(now_ms, to, dest_dc)
-                    else {
-                        continue;
-                    };
-                    let delay_ms = self.model.latency_ms(to, dest_dc)
-                        + self.model.transfer_time_ms(to, dest_dc, bytes)
-                        + extra_ms;
-                    // Clone only for duplicated deliveries; the common single-copy case
-                    // moves the reply (CAS shards carry real payloads).
-                    for _ in 1..copies {
-                        self.push_event(
-                            self.now_ms() + delay_ms,
-                            Event::DeliverReply {
-                                token: reply.to,
-                                from: to,
-                                phase: reply.phase,
-                                epoch: reply.epoch,
-                                reply: reply.reply.clone(),
-                            },
-                        );
-                    }
-                    self.push_event(
-                        self.now_ms() + delay_ms,
-                        Event::DeliverReply {
-                            token: reply.to,
-                            from: to,
-                            phase: reply.phase,
-                            epoch: reply.epoch,
-                            reply: reply.reply,
-                        },
-                    );
-                }
+        let now_ns = self.now_us * 1000;
+        let step = match event {
+            Event::StartRequest { origin, kind, key, value_size } => {
+                return self.start_request(origin, kind, key, value_size);
             }
-            Event::DeliverReply {
-                token,
-                from,
-                phase,
-                epoch,
-                reply,
-            } => {
-                if self.ops.contains_key(&token) {
-                    self.op_input(token, Some((from, phase, epoch, reply)));
-                } else if let Some(rc) = self.reconfigs.get_mut(&token) {
-                    let step = rc.driver.on_reply(from, phase, reply, self.now_us * 1000);
-                    self.reconfig_step(token, step);
-                }
-            }
-            Event::OpTimeout { token } => self.op_input(token, None),
+            Event::DeliverToServer { to, inbound } => return self.serve(to, inbound),
+            Event::DeliverReply { from, reply } => self.world.deliver_reply(from, reply, now_ns),
+            Event::OpTimeout { token } => self.world.time_out(token),
+            Event::OpenAttempt { token } => self.world.reopen(token),
             Event::ReconfigTick { token } => {
-                let Some(rc) = self.reconfigs.get_mut(&token) else { return };
-                let step = rc.driver.tick(self.now_us * 1000);
-                self.reconfig_step(token, step);
-                self.arm_reconfig_tick(token);
-            }
-            Event::StartReconfig { key, new_config } => self.start_reconfig(key, new_config),
-            Event::OpenAttempt { token } => self.reopen(token),
-            Event::SetDcFailed { dc, failed } => {
-                if let Some(s) = self.servers.get_mut(&dc) {
-                    s.set_failed(failed);
+                if let Some(step) = self.world.tick(token, now_ns) {
+                    self.carry_out(step);
                 }
+                return self.arm_reconfig_tick(token);
             }
+            Event::StartReconfig { key, new_config } => {
+                let Some(step) = self.world.start_reconfig(key, new_config, now_ns) else { return };
+                let token = step.route;
+                self.carry_out(step);
+                return self.arm_reconfig_tick(token);
+            }
+            Event::SetDcFailed { dc, failed } => return self.world.set_failed(dc, failed),
+        };
+        if let Some(step) = step {
+            self.carry_out(step);
         }
-    }
-
-    fn config_for_client(&mut self, origin: DcId, key: &Key) -> Option<Configuration> {
-        if let Some(c) = self.client_views.get(&(origin, key.clone())) {
-            return Some(c.clone());
-        }
-        let c = self.metadata.get(key)?.clone();
-        self.client_views.insert((origin, key.clone()), c.clone());
-        Some(c)
     }
 
     fn start_request(&mut self, origin: DcId, kind: OpKind, key: Key, value_size: u64) {
-        let Some(config) = self.config_for_client(origin, &key) else {
-            // Key unknown anywhere: record an immediate failure.
-            self.records.push(OpRecord {
-                origin,
-                kind,
-                key: key.0,
-                start_ms: self.now_ms(),
-                end_ms: self.now_ms(),
-                ok: false,
-                one_phase: false,
-                reconfig_retries: 0,
-                timeout_retries: 0,
-                object_bytes: value_size,
-            });
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        let value = match kind {
+        let meta = OpMeta { start_ms: self.now_ms(), object_bytes: value_size };
+        let recording = self.recorder.is_some();
+        let value_of = |token: u64| match kind {
             // While recording histories, stamp the payload with the operation token
             // (same length — truncating the stamp for tiny payloads — so latency and
             // cost accounting are identical with recording on or off): distinct writes
             // must have distinct fingerprints or the linearizability check is vacuous.
-            OpKind::Put if self.recorder.is_some() => {
+            OpKind::Put if recording => {
                 let mut bytes = vec![0xABu8; value_size as usize];
                 let stamp = (value_size as usize).min(8);
                 bytes[..stamp].copy_from_slice(&token.to_le_bytes()[..stamp]);
@@ -583,98 +373,54 @@ impl Simulation {
             OpKind::Put => Some(Value::filler(value_size as usize)),
             OpKind::Get => None,
         };
-        let spec = OpSpec {
-            key: key.clone(),
-            client_dc: origin,
-            client_id: ClientId(self.next_client_id),
-            max_attempts: self.options.max_timeout_retries + 1,
-        };
-        self.next_client_id += 1;
-        let op = PendingOp {
-            driver: OpDriver::new(spec, config, value, None, &host!(self, origin, &key)),
-            key,
-            op_id: token,
-            start_ms: self.now_ms(),
-            object_bytes: value_size,
-            reconfig_retries: 0,
-            timeout_retries: 0,
-            closed: false,
-        };
-        self.open_attempt(token, op);
-    }
-
-    /// Opens an attempt of `op` on the reply route `route`: the driver's messages and a
-    /// new timer. Replies and timers addressed to an earlier route find nothing.
-    fn open_attempt(&mut self, route: u64, mut op: PendingOp) {
-        op.closed = false;
-        let origin = op.driver.client_dc();
-        let msgs = op.driver.open_attempt(&host!(self, origin, &op.key));
-        self.ops.insert(route, op);
-        self.send_outbound(route, origin, msgs);
-        self.push_event(self.now_ms() + self.options.op_timeout_ms, Event::OpTimeout { token: route });
-    }
-
-    /// Feeds a reply (or, with `None`, the attempt's timeout) to the operation behind
-    /// `token` and does what its driver says.
-    fn op_input(&mut self, token: u64, reply: Option<(DcId, u8, ConfigEpoch, ProtoReply)>) {
-        let Some(op) = self.ops.get_mut(&token).filter(|op| !op.closed) else { return };
-        let origin = op.driver.client_dc();
-        let host = host!(self, origin, &op.key);
-        let step = match reply {
-            Some((from, phase, epoch, reply)) => op.driver.on_reply(from, phase, epoch, 0, reply, &host),
-            None => op.driver.on_timeout(&host),
-        };
-        match step {
-            Step::Wait => {}
-            Step::Send(msgs) => self.send_outbound(token, origin, msgs),
-            Step::Reopen(cause) => {
-                op.closed = true;
-                // Hosts own the modelled pauses: learning the new configuration costs
-                // one RTT to the controller's metadata service.
-                let pause_ms = match cause {
-                    RetryCause::Redirect => {
-                        op.reconfig_retries += 1;
-                        self.model.rtt_ms(origin, self.options.controller_dc).max(1.0)
-                    }
-                    RetryCause::Timeout => {
-                        op.timeout_retries += 1;
-                        0.0
-                    }
-                    RetryCause::EpochMoved | RetryCause::Failure => 0.0,
-                };
-                if matches!(cause, RetryCause::Redirect | RetryCause::EpochMoved) {
-                    self.client_views.insert((origin, op.key.clone()), op.driver.config().clone());
-                }
-                if pause_ms > 0.0 {
-                    self.push_event(self.now_ms() + pause_ms, Event::OpenAttempt { token });
-                } else {
-                    self.reopen(token);
-                }
+        match self.world.start_op(origin, key, value_of, meta) {
+            Ok(step) => self.carry_out(step),
+            // Key unknown anywhere: record an immediate failure.
+            Err(key) => {
+                self.finish_op(origin, OpInfo { key, kind, id: 0, redirects: 0, timeouts: 0, meta }, None);
             }
-            Step::Done(result) => self.finish_op(token, origin, result.ok()),
         }
     }
 
-    /// Moves the closed operation under `token` to a fresh reply route and opens its
-    /// next attempt there.
-    fn reopen(&mut self, token: u64) {
-        let Some(op) = self.ops.remove(&token) else { return };
-        self.next_token += 1;
-        self.open_attempt(self.next_token - 1, op);
+    /// Does what a driver's step asks of the host: moves its messages, arms an opened
+    /// attempt's timer, pauses before a reopen, records a finished operation and measures
+    /// a reconfiguration up to its publication.
+    fn carry_out(&mut self, Tagged { route, from, step }: Tagged<OpMeta>) {
+        match step {
+            Out::Opened(msgs) => {
+                self.send_outbound(route, from, msgs);
+                self.push_event(self.now_ms() + self.options.op_timeout_ms, Event::OpTimeout { token: route });
+            }
+            Out::Send(msgs) => self.send_outbound(route, from, msgs),
+            // Hosts own the modelled pauses: learning the new configuration costs one
+            // RTT to the controller's metadata service.
+            Out::Reopen(RetryCause::Redirect) => {
+                let pause_ms = self.model.rtt_ms(from, CONTROLLER_DC).max(1.0);
+                self.push_event(self.now_ms() + pause_ms, Event::OpenAttempt { token: route });
+            }
+            Out::Reopen(_) => {
+                if let Some(step) = self.world.reopen(route) {
+                    self.carry_out(step);
+                }
+            }
+            Out::Done(op, done) => self.finish_op(from, op, done),
+            Out::Published { started_ns, finish } => {
+                self.reconfig_durations.push(self.now_ms() - started_ns as f64 / 1e6);
+                self.send_outbound(route, from, finish);
+            }
+        }
     }
 
-    /// Records the finished operation (and, when it succeeded, its history entry and the
-    /// client-side GET cache). Failed operations are never entered into a history,
-    /// matching the threaded runtime: an operation without a response has no place in a
-    /// completed-operation history.
-    fn finish_op(&mut self, token: u64, origin: DcId, done: Option<Completed>) {
-        let Some(op) = self.ops.remove(&token) else { return };
-        let kind = op.driver.kind();
+    /// Records the finished operation and, when it succeeded, its history entry. Failed
+    /// operations are never entered into a history, matching the threaded runtime: an
+    /// operation without a response has no place in a completed-operation history.
+    fn finish_op(&mut self, origin: DcId, op: OpInfo<OpMeta>, done: Option<Completed>) {
+        let kind = op.kind;
         if let (Some(recorder), Some(done)) = (&self.recorder, &done) {
-            let invoke_us = (op.start_ms * 1000.0).round() as u64;
+            let invoke_us = (op.meta.start_ms * 1000.0).round() as u64;
             let ret_us = self.now_us.max(invoke_us);
             let fp = fingerprint(done.value.as_bytes());
-            let id = op.op_id as u32;
+            let id = op.id as u32;
             match kind {
                 OpKind::Get => recorder.record_get(op.key.as_str(), id, fp, invoke_us, ret_us),
                 OpKind::Put => recorder.record_put(op.key.as_str(), id, fp, invoke_us, ret_us),
@@ -683,60 +429,23 @@ impl Simulation {
         self.records.push(OpRecord {
             origin,
             kind,
-            key: op.key.0.clone(),
-            start_ms: op.start_ms,
+            key: op.key.0,
+            start_ms: op.meta.start_ms,
             end_ms: self.now_ms(),
             ok: done.is_some(),
-            one_phase: done.as_ref().is_some_and(|d| d.one_phase),
-            reconfig_retries: op.reconfig_retries,
-            timeout_retries: op.timeout_retries,
-            object_bytes: op.object_bytes,
+            one_phase: done.is_some_and(|d| d.one_phase),
+            reconfig_retries: op.redirects,
+            timeout_retries: op.timeouts,
+            object_bytes: op.meta.object_bytes,
         });
-        if let Some(done) = done {
-            self.get_cache.insert((origin, op.key), (done.tag, done.value));
-        }
-    }
-
-    fn start_reconfig(&mut self, key: Key, new_config: Configuration) {
-        let Some(old) = self.metadata.get(&key).cloned() else { return };
-        let op_timeout_ns = (self.options.op_timeout_ms * 1e6) as u64;
-        let driver =
-            ReconfigDriver::new(key.clone(), old, new_config, op_timeout_ns, self.now_us * 1000);
-        let msgs = driver.start();
-        let token = self.next_token;
-        self.next_token += 1;
-        self.reconfigs.insert(token, PendingReconfig { driver, key, start_ms: self.now_ms() });
-        self.send_outbound(token, self.options.controller_dc, msgs);
-        self.arm_reconfig_tick(token);
     }
 
     /// Schedules the next `tick` of a still-running reconfiguration at its driver's
     /// wake-up time (rounded up to the event queue's microsecond, never early).
     fn arm_reconfig_tick(&mut self, token: u64) {
-        if let Some(rc) = self.reconfigs.get(&token) {
-            let wake_us = rc.driver.wake_ns().div_ceil(1000);
+        if let Some(wake_ns) = self.world.reconfig_wake_ns(token) {
+            let wake_us = wake_ns.div_ceil(1000);
             self.push_event(wake_us as f64 / 1000.0, Event::ReconfigTick { token });
-        }
-    }
-
-    /// Does what the reconfiguration's driver says: this host only moves its messages,
-    /// publishes the metadata when told to, and measures the transfer up to that point.
-    fn reconfig_step(&mut self, token: u64, step: ReconfigStep) {
-        let controller_dc = self.options.controller_dc;
-        match step {
-            ReconfigStep::Wait => {}
-            ReconfigStep::Send(msgs) => self.send_outbound(token, controller_dc, msgs),
-            ReconfigStep::Publish { new_config, finish } => {
-                let rc = self.reconfigs.get(&token).expect("stepped just now");
-                self.reconfig_durations.push(self.now_ms() - rc.start_ms);
-                self.metadata.insert(rc.key.clone(), *new_config);
-                self.send_outbound(token, controller_dc, finish);
-            }
-            // A stalled transfer leaves the metadata at the old configuration; the
-            // blocked servers re-activate on their epoch lease.
-            ReconfigStep::Done(_) => {
-                self.reconfigs.remove(&token);
-            }
         }
     }
 }
@@ -745,7 +454,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use legostore_cloud::{CloudModel, GcpLocation};
-    use legostore_types::ConfigEpoch;
+    use legostore_types::{ClientId, ConfigEpoch, Tag};
 
     fn gcp() -> CloudModel {
         CloudModel::gcp9()
@@ -986,14 +695,15 @@ mod tests {
         // gathers zero of the k = 3 symbols — the retryable `DecodeFailed`.
         let tag = Tag::new(9, ClientId(99));
         for dc in &config.dcs {
-            sim.servers.get_mut(dc).expect("host").handle(Inbound {
+            let inbound = Inbound {
                 from: 0,
                 msg_id: 0,
                 phase: 3,
                 key: Key::from("k"),
                 epoch: config.epoch,
                 msg: ProtoMsg::CasFinalizeWrite { tag },
-            });
+            };
+            sim.world.deliver_request(*dc, inbound, 0);
         }
         sim.schedule_request(0.0, GcpLocation::Virginia.dc(), OpKind::Get, "k", 1024);
         let report = sim.run();

@@ -108,7 +108,6 @@ fn run_simulator(trace: &[Request]) -> Vec<f64> {
         SimOptions {
             op_timeout_ms: 2_000.0,
             max_timeout_retries: 3,
-            ..Default::default()
         },
     );
     sim.enable_history_recording();

@@ -428,7 +428,7 @@ fn reconfigurations_finish_within_a_second_through_load_change_and_dc_failure() 
     use GcpLocation::*;
     let mut sim = Simulation::with_options(
         CloudModel::gcp9(),
-        SimOptions { controller_dc: LosAngeles.dc(), ..Default::default() },
+        SimOptions::default(),
     );
     let start = dcs(&[Tokyo, Sydney, Singapore, Virginia, Oregon]);
     let start = Configuration::cas_default(start, 3, 1);
@@ -470,7 +470,7 @@ fn wikipedia_hot_key_moves_to_eight_dcs_without_failing_an_operation() {
     let t2 = t1.with_arrival_rate(35.0).with_clients(everywhere);
     let mut sim = Simulation::with_options(
         CloudModel::gcp9(),
-        SimOptions { controller_dc: LosAngeles.dc(), ..Default::default() },
+        SimOptions::default(),
     );
     let t1_config = Configuration::cas_default(dcs(&t1_dcs), 1, 1);
     sim.create_key("wiki-hot", t1_config, &Value::filler(20 * 1024));

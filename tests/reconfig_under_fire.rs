@@ -299,7 +299,6 @@ fn sim_reconfig_storm_stays_linearizable_across_seeds() {
             SimOptions {
                 op_timeout_ms: 1_000.0,
                 max_timeout_retries: 7,
-                ..Default::default()
             },
         );
         sim.enable_history_recording();
