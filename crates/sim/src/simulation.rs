@@ -5,7 +5,7 @@
 //! drops or duplicates, and what the run costs and records.
 
 use crate::report::{CostMeter, OpRecord, SimReport};
-use crate::world::{OpInfo, Out, Tagged, TrafficClass, World, CONTROLLER_DC};
+use crate::world::{endpoint, OpInfo, Out, Tagged, TrafficClass, World, CONTROLLER_DC};
 use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_lincheck::{recorder::fingerprint, HistoryRecorder};
 use legostore_proto::msg::Outbound;
@@ -290,7 +290,7 @@ impl Simulation {
     /// reply leg only, mirroring `legostore-core`, which models the whole round trip
     /// on the reply side.
     fn send_outbound(&mut self, token: u64, from: DcId, msgs: Vec<Outbound>) {
-        let (_, class) = self.world.endpoint(token);
+        let (_, class) = endpoint(token);
         for out in msgs {
             let bytes = out.msg.wire_size(METADATA_BYTES);
             self.meter(from, out.to, bytes, class);
@@ -311,7 +311,7 @@ impl Simulation {
     /// [`Simulation::send_outbound`]).
     fn serve(&mut self, to: DcId, inbound: Inbound) {
         for reply in self.world.deliver_request(to, inbound, self.now_us * 1000) {
-            let (dest_dc, class) = self.world.endpoint(reply.to);
+            let (dest_dc, class) = endpoint(reply.to);
             let bytes = reply.reply.wire_size(METADATA_BYTES);
             self.meter(to, dest_dc, bytes, class);
             let Some((copies, extra_ms)) = self.deliveries(to, dest_dc) else { continue };
@@ -615,6 +615,36 @@ mod tests {
         // And their latency is inflated by at least the timeout.
         let slow = report.latency(None, None, None, None);
         assert!(slow.max_ms >= 800.0);
+    }
+
+    #[test]
+    fn replies_to_a_closed_attempt_are_billed_to_its_operation() {
+        // LA, a member of the CAS(5,3) placement, is down: Virginia's GETs time out, widen
+        // and finish before their slowest replies arrive. Those stragglers are GET traffic
+        // on server → Virginia, not reconfiguration traffic to the controller's DC.
+        let mut sim = Simulation::with_options(gcp(), SimOptions { op_timeout_ms: 800.0, ..Default::default() });
+        sim.create_key("k", cas53_config(), &Value::filler(1024));
+        sim.schedule_failure(0.0, GcpLocation::LosAngeles.dc());
+        let virginia = GcpLocation::Virginia.dc();
+        for i in 0..10 {
+            sim.schedule_request(10.0 + i as f64 * 100.0, virginia, OpKind::Get, "k", 1024);
+        }
+        let report = sim.run();
+        assert!(report.operations.iter().any(|o| o.timeout_retries > 0));
+        assert_eq!(report.cost.reconfig_network, 0.0, "{:?}", report.cost);
+        assert!(report.cost.get_network > 0.0);
+
+        // A route names its client for good: after its attempt closed and after its
+        // operation finished, a reply to it still goes to Virginia, billed as a GET.
+        let mut world = World::new(gcp().dc_ids(), 800_000_000, 3);
+        world.create_key(Key::from("k"), cas53_config(), &Value::filler(64));
+        let first = world.start_op(virginia, Key::from("k"), |_| None, ()).expect("listed").route;
+        assert!(matches!(world.time_out(first).map(|t| t.step), Some(Out::Reopen(RetryCause::Timeout))));
+        let second = world.reopen(first).expect("closed").route;
+        assert_ne!(first, second);
+        for route in [first, second] {
+            assert_eq!(endpoint(route), (virginia, TrafficClass::Get));
+        }
     }
 
     #[test]

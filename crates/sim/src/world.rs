@@ -28,6 +28,17 @@ pub(crate) enum TrafficClass {
     Reconfig,
 }
 
+/// Bits below a route's serial number: its endpoint's DC (16) and traffic class (2).
+const ENDPOINT_BITS: u32 = 18;
+
+/// The DC a reply to `route` goes to, and who pays for it. Both ride in the route itself,
+/// so a reply that outlives its attempt, or its operation, is still billed on its own link
+/// and class.
+pub(crate) fn endpoint(route: u64) -> (DcId, TrafficClass) {
+    let class = [TrafficClass::Get, TrafficClass::Put, TrafficClass::Reconfig][(route & 3) as usize];
+    (DcId((route >> 2) as u16), class)
+}
+
 /// What an operation's driver may ask of the world: no clock (no spans are recorded
 /// here), the metadata service, and the GET cache its origin DC's clients share.
 macro_rules! host {
@@ -44,7 +55,8 @@ macro_rules! host {
 pub(crate) struct OpInfo<M> {
     pub(crate) key: Key,
     pub(crate) kind: OpKind,
-    /// Route of the first attempt: the operation's identity in recorded histories.
+    /// Serial number of the first attempt's route: the operation's identity in recorded
+    /// histories.
     pub(crate) id: u64,
     /// Attempts ended by a reconfiguration's redirect.
     pub(crate) redirects: u32,
@@ -143,20 +155,15 @@ impl<M> World<M> {
         self.metadata.insert(key, config);
     }
 
-    fn new_route(&mut self) -> u64 {
+    /// The next route serial number.
+    fn serial(&mut self) -> u64 {
         self.next_route += 1;
         self.next_route - 1
     }
 
-    /// The DC a reply to `route` goes to, and who pays for it.
-    pub(crate) fn endpoint(&self, route: u64) -> (DcId, TrafficClass) {
-        match self.ops.get(&route) {
-            Some(op) => match op.info.kind {
-                OpKind::Get => (op.driver.client_dc(), TrafficClass::Get),
-                OpKind::Put => (op.driver.client_dc(), TrafficClass::Put),
-            },
-            None => (CONTROLLER_DC, TrafficClass::Reconfig),
-        }
+    /// A route for replies to `dc`, billed to `class`.
+    fn route(serial: u64, dc: DcId, class: TrafficClass) -> u64 {
+        (serial << ENDPOINT_BITS) | (u64::from(dc.0) << 2) | class as u64
     }
 
     /// Starts an operation of a client in `origin` on `key` and opens its first attempt:
@@ -177,7 +184,7 @@ impl<M> World<M> {
                 listed
             }
         };
-        let id = self.new_route();
+        let id = self.serial();
         let spec = OpSpec {
             key: key.clone(),
             client_dc: origin,
@@ -192,11 +199,13 @@ impl<M> World<M> {
         Ok(self.open(id, LiveOp { driver, info, closed: false }))
     }
 
-    /// Opens an attempt of `op` on `route`. Replies and timers addressed to an earlier
-    /// route find nothing.
-    fn open(&mut self, route: u64, mut op: LiveOp<M>) -> Tagged<M> {
+    /// Opens an attempt of `op` on the route numbered `serial`. Replies and timers
+    /// addressed to an earlier route find nothing.
+    fn open(&mut self, serial: u64, mut op: LiveOp<M>) -> Tagged<M> {
         op.closed = false;
         let from = op.driver.client_dc();
+        let class = if op.info.kind == OpKind::Put { TrafficClass::Put } else { TrafficClass::Get };
+        let route = Self::route(serial, from, class);
         let msgs = op.driver.open_attempt(&host!(self, from, &op.info.key));
         self.ops.insert(route, op);
         Tagged { route, from, step: Out::Opened(msgs) }
@@ -205,16 +214,13 @@ impl<M> World<M> {
     /// Moves the closed operation on `route` to a fresh route and opens its next attempt.
     pub(crate) fn reopen(&mut self, route: u64) -> Option<Tagged<M>> {
         let op = self.ops.remove(&route)?;
-        let route = self.new_route();
-        Some(self.open(route, op))
+        let serial = self.serial();
+        Some(self.open(serial, op))
     }
 
     /// Serves one request at DC `to`.
     pub(crate) fn deliver_request(&mut self, to: DcId, inbound: Inbound, now_ns: u64) -> Vec<Reply> {
-        match self.servers.get_mut(&to) {
-            Some(server) => server.handle_at(inbound, now_ns),
-            None => Vec::new(),
-        }
+        self.servers.get_mut(&to).map_or_else(Vec::new, |server| server.handle_at(inbound, now_ns))
     }
 
     /// Feeds a reply from `from` to the driver listening on its route, if any.
@@ -273,7 +279,7 @@ impl<M> World<M> {
         let old = self.metadata.get(&key)?.clone();
         let driver = ReconfigDriver::new(key.clone(), old, new_config, self.op_timeout_ns, now_ns);
         let msgs = driver.start();
-        let route = self.new_route();
+        let route = Self::route(self.serial(), CONTROLLER_DC, TrafficClass::Reconfig);
         self.reconfigs.insert(route, LiveReconfig { driver, key, started_ns: now_ns });
         Some(Tagged { route, from: CONTROLLER_DC, step: Out::Send(msgs) })
     }

@@ -55,5 +55,5 @@ fn hand_built_schedule_has_a_pinned_fingerprint() {
     assert_eq!(report.reconfig_durations_ms.len(), 1);
     let histories = report.histories.as_ref().expect("recording enabled");
     assert!(histories.check_all().is_empty());
-    assert_eq!(report.fingerprint(), 0x0994_f45c_f9ae_8fd2);
+    assert_eq!(report.fingerprint(), 0x2c76_12d5_de74_e461);
 }
