@@ -24,9 +24,8 @@
 //! [`Transport::send_request`] (request leg) and [`Transport::buffer_reply`] (reply leg).
 //! Because the verdicts are drawn on the client side of the seam, the *same seeded plan*
 //! produces the same drop/duplicate/delay schedule whether the request is served
-//! in-process or crosses a socket. (The simulator's seam is the delivery-decision object
-//! in `legostore_sim::net`, which consumes the same `LinkVerdict`s inside its
-//! single-threaded event loop.)
+//! in-process or crosses a socket. (The simulator draws the same `LinkVerdict`s from its
+//! own `FaultState` inside its single-threaded event loop, on the same two legs.)
 
 use crate::clock::{Clock, ClockedReceiver, ClockedSender};
 use crate::inbox::DelayedInbox;

@@ -451,7 +451,7 @@ impl Simulation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use legostore_cloud::{CloudModel, GcpLocation};
     use legostore_types::{ClientId, ConfigEpoch, Tag};
@@ -747,10 +747,11 @@ mod tests {
     }
 
     /// SplitMix64, the generator behind the workspace's `StdRng` shim.
-    struct SplitMix64(u64);
+    pub(crate) struct SplitMix64(pub(crate) u64);
 
     impl SplitMix64 {
-        fn below(&mut self, n: u64) -> u64 {
+        /// A draw from `0..n`.
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -337,6 +337,7 @@ mod interleaver {
     //! small-scope exploration sampled instead of enumerated.
 
     use super::*;
+    use crate::simulation::tests::SplitMix64;
     use legostore_lincheck::recorder::fingerprint;
     use legostore_lincheck::{CheckOutcome, History, Operation};
 
@@ -344,20 +345,6 @@ mod interleaver {
     const OPS_PER_CLIENT: usize = 12;
     /// An attempt's timeout and the controller's resend interval, in interleaver steps.
     const TIMEOUT_STEPS: u64 = 60;
-
-    /// SplitMix64: all the randomness a seed stands for.
-    struct Rng(u64);
-
-    impl Rng {
-        /// A draw from `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        }
-    }
 
     enum Flight {
         Request { to: DcId, inbound: Inbound },
@@ -390,7 +377,8 @@ mod interleaver {
     /// the fingerprint it writes.
     struct Run<'t> {
         world: World<(u64, Option<u64>)>,
-        rng: Rng,
+        /// All the randomness a seed stands for.
+        rng: SplitMix64,
         now: u64,
         bag: Vec<Flight>,
         clients: Vec<Client>,
@@ -472,7 +460,7 @@ mod interleaver {
         let clients = [DcId(0), DcId(2)].map(|dc| Client { dc, issued: 0, busy: false, route: None, deadline: 0 });
         let mut run = Run {
             world,
-            rng: Rng(seed),
+            rng: SplitMix64(seed),
             now: 0,
             bag: Vec::new(),
             clients: clients.into(),
