@@ -88,7 +88,7 @@ impl CloudModel {
     }
 
     /// Bandwidth from `from` to `to` in bytes/second.
-    pub fn bandwidth_bytes_per_sec(&self, from: DcId, to: DcId) -> f64 {
+    fn bandwidth_bytes_per_sec(&self, from: DcId, to: DcId) -> f64 {
         self.bandwidth[from.index()][to.index()]
     }
 
@@ -144,24 +144,6 @@ impl CloudModel {
             self.rtt_ms(from, *a)
                 .partial_cmp(&self.rtt_ms(from, *b))
                 .unwrap()
-        });
-        ids
-    }
-
-    /// Data centers sorted by ascending network price *into* the client location `client`
-    /// (the paper's search heuristic sorts candidate servers this way).
-    pub fn cheapest_into(&self, client: DcId) -> Vec<DcId> {
-        let mut ids = self.dc_ids();
-        ids.sort_by(|a, b| {
-            let pa = self.net_price_gb(*a, client);
-            let pb = self.net_price_gb(*b, client);
-            pa.partial_cmp(&pb)
-                .unwrap()
-                .then_with(|| {
-                    self.rtt_ms(client, *a)
-                        .partial_cmp(&self.rtt_ms(client, *b))
-                        .unwrap()
-                })
         });
         ids
     }
@@ -332,20 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_cheapest_orderings() {
-        let m = CloudModelBuilder::uniform(3)
-            .rtt(0, 1, 10.0)
-            .rtt(0, 2, 300.0)
-            .net_price(1, 0, 0.15)
-            .net_price(2, 0, 0.01)
-            .build();
+    fn nearest_ordering() {
+        let m = CloudModelBuilder::uniform(3).rtt(0, 1, 10.0).rtt(0, 2, 300.0).build();
         let near = m.nearest_dcs(DcId(0));
         assert_eq!(near[0], DcId(0)); // itself: 2ms
         assert_eq!(near[1], DcId(1));
         assert_eq!(near[2], DcId(2));
-        let cheap = m.cheapest_into(DcId(0));
-        // dc0 itself is free, then dc2 (0.01), then dc1 (0.15).
-        assert_eq!(cheap, vec![DcId(0), DcId(2), DcId(1)]);
     }
 
     #[test]

@@ -331,11 +331,6 @@ impl Cluster {
         self.inner.control(dc, ControlMsg::SetFailed(true));
     }
 
-    /// Recovers a previously failed data center.
-    pub fn recover_dc(&self, dc: DcId) {
-        self.inner.control(dc, ControlMsg::SetFailed(false));
-    }
-
     /// Runs CAS garbage collection on every server, keeping `keep_recent` old versions.
     pub fn garbage_collect(&self, keep_recent: usize) {
         for dc in self.inner.model.dc_ids() {
@@ -537,7 +532,6 @@ mod tests {
         let got = client.get(&Key::from("k")).expect("tolerates one failure");
         assert_eq!(got, Value::from("v"));
         client.put(&Key::from("k"), Value::from("v2")).expect("puts tolerate failure too");
-        cluster.recover_dc(GcpLocation::LosAngeles.dc());
         assert_eq!(client.get(&Key::from("k")).unwrap(), Value::from("v2"));
         cluster.shutdown();
     }

@@ -11,8 +11,7 @@
 //! whole shard by one coefficient `c`. Three kernel tiers implement it:
 //!
 //! * **scalar** — the original byte-at-a-time log/exp loop, kept as the reference oracle
-//!   ([`mul_acc_slice_scalar`], [`mul_slice_scalar`]); every other kernel is proptested to
-//!   be byte-identical to it.
+//!   in this module's tests; every other kernel is proptested to be byte-identical to it.
 //! * **split** — the portable split-table kernel: two 16-entry tables per coefficient
 //!   (`lo[x] = c·x` for the low nibble, `hi[x] = c·(x«4)` for the high nibble, so
 //!   `c·s = lo[s & 0xF] ⊕ hi[s » 4]`), applied over 8-byte unrolled chunks. All 256
@@ -97,7 +96,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Field division; panics on division by zero.
 #[inline]
-pub fn div(a: u8, b: u8) -> u8 {
+fn div(a: u8, b: u8) -> u8 {
     assert!(b != 0, "division by zero in GF(256)");
     if a == 0 {
         return 0;
@@ -124,52 +123,6 @@ pub fn pow(a: u8, mut p: u32) -> u8 {
     p %= 255;
     let idx = (la * p as u64) % 255;
     t.exp[idx as usize]
-}
-
-// ---------------------------------------------------------------------------
-// Scalar reference kernels (the pre-optimization implementation)
-// ---------------------------------------------------------------------------
-
-/// Reference `dst[i] ^= c * src[i]`, byte-at-a-time through the log/exp tables.
-///
-/// This is the original implementation, kept as the behavioral oracle for the fast
-/// kernels (see the proptests in this module).
-pub fn mul_acc_slice_scalar(dst: &mut [u8], src: &[u8], c: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d ^= *s;
-        }
-        return;
-    }
-    let t = tables();
-    let lc = t.log[c as usize] as usize;
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        if *s != 0 {
-            *d ^= t.exp[lc + t.log[*s as usize] as usize];
-        }
-    }
-}
-
-/// Reference `dst[i] = c * dst[i]`, byte-at-a-time through the log/exp tables.
-pub fn mul_slice_scalar(dst: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    let t = tables();
-    let lc = t.log[c as usize] as usize;
-    for d in dst.iter_mut() {
-        if *d != 0 {
-            *d = t.exp[lc + t.log[*d as usize] as usize];
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +295,7 @@ mod simd {
 /// Multiply-accumulate over byte slices: `dst[i] ^= c * src[i]`.
 ///
 /// This is the inner loop of encoding and decoding. Dispatches to the fastest available
-/// kernel tier (see the module docs); byte-identical to [`mul_acc_slice_scalar`].
+/// kernel tier (see the module docs); byte-identical to the scalar reference.
 pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
     debug_assert_eq!(dst.len(), src.len());
     if c == 0 {
@@ -362,7 +315,7 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
 
 /// Multiply a slice in place by a constant: `dst[i] = c * dst[i]`.
 ///
-/// Dispatches like [`mul_acc_slice`]; byte-identical to [`mul_slice_scalar`].
+/// Dispatches like [`mul_acc_slice`]; byte-identical to the scalar reference.
 pub fn mul_slice(dst: &mut [u8], c: u8) {
     if c == 1 {
         return;
@@ -383,6 +336,48 @@ pub fn mul_slice(dst: &mut [u8], c: u8) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Reference `dst[i] ^= c * src[i]`, byte-at-a-time through the log/exp tables.
+    ///
+    /// This is the original implementation, kept as the behavioral oracle for the fast
+    /// kernels (see the proptests in this module).
+    fn mul_acc_slice_scalar(dst: &mut [u8], src: &[u8], c: u8) {
+        debug_assert_eq!(dst.len(), src.len());
+        if c == 0 {
+            return;
+        }
+        if c == 1 {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d ^= *s;
+            }
+            return;
+        }
+        let t = tables();
+        let lc = t.log[c as usize] as usize;
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            if *s != 0 {
+                *d ^= t.exp[lc + t.log[*s as usize] as usize];
+            }
+        }
+    }
+
+    /// Reference `dst[i] = c * dst[i]`, byte-at-a-time through the log/exp tables.
+    fn mul_slice_scalar(dst: &mut [u8], c: u8) {
+        if c == 1 {
+            return;
+        }
+        if c == 0 {
+            dst.fill(0);
+            return;
+        }
+        let t = tables();
+        let lc = t.log[c as usize] as usize;
+        for d in dst.iter_mut() {
+            if *d != 0 {
+                *d = t.exp[lc + t.log[*d as usize] as usize];
+            }
+        }
+    }
 
     #[test]
     fn small_multiplication_table_spot_checks() {

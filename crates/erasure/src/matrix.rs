@@ -30,18 +30,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from nested vectors (rows of equal length).
-    pub fn from_rows(rows: Vec<Vec<u8>>) -> Self {
-        let r = rows.len();
-        let c = rows.first().map(|x| x.len()).unwrap_or(0);
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.into_iter().flatten().collect(),
-        }
-    }
-
     /// `rows x cols` Vandermonde matrix with entry `(i, j) = i^j` (evaluation points
     /// `0, 1, 2, ...`). Any `cols` rows with distinct evaluation points are linearly
     /// independent, which is the property the RS construction relies on.
@@ -58,11 +46,6 @@ impl Matrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Element accessor.
@@ -177,6 +160,20 @@ impl Matrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Matrix {
+        /// Builds a matrix from nested vectors (rows of equal length).
+        fn from_rows(rows: Vec<Vec<u8>>) -> Self {
+            let r = rows.len();
+            let c = rows.first().map(|x| x.len()).unwrap_or(0);
+            assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
+            Matrix {
+                rows: r,
+                cols: c,
+                data: rows.into_iter().flatten().collect(),
+            }
+        }
+    }
 
     #[test]
     fn identity_times_anything_is_identity_mapping() {

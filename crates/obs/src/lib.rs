@@ -69,11 +69,6 @@ impl ObsConfig {
             ObsConfig::Off
         }
     }
-
-    /// True unless the level is [`ObsConfig::Off`].
-    pub fn is_enabled(self) -> bool {
-        self != ObsConfig::Off
-    }
 }
 
 /// One finished client operation, as fed to `WorkloadMonitor::ingest` — the live

@@ -135,7 +135,7 @@ impl OpSpan {
     /// A phase runs from its `PhaseStart` to the next `PhaseStart` (or to the last
     /// event). Retried phases accumulate: a phase that ran twice contributes both
     /// stretches to its total.
-    pub fn phase_durations(&self) -> [(u64, u32); MAX_PHASES] {
+    fn phase_durations(&self) -> [(u64, u32); MAX_PHASES] {
         let mut totals = [(0u64, 0u32); MAX_PHASES];
         let mut open: Option<(usize, u64)> = None;
         for ev in &self.events {

@@ -154,13 +154,13 @@ fn network_cost(
 }
 
 /// Networking cost of PUTs ($/hour): equation (12) for ABD, (13) for CAS.
-pub fn put_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
+fn put_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
     let flows = put_flows(spec, config.protocol, config.k);
     network_cost(model, spec, config, spec.put_rate(), &flows)
 }
 
 /// Networking cost of GETs ($/hour): equation (28) for ABD, (29) for CAS.
-pub fn get_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
+fn get_network_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
     let flows = get_flows(spec, config.protocol, config.k);
     network_cost(model, spec, config, spec.get_rate(), &flows)
 }
@@ -182,7 +182,7 @@ pub(crate) fn host_storage_cost(
 }
 
 /// Storage cost ($/hour): equation (14), applied to the key group's total data footprint.
-pub fn storage_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
+fn storage_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) -> f64 {
     config
         .dcs
         .iter()
@@ -223,27 +223,26 @@ pub fn vm_cost(model: &CloudModel, spec: &WorkloadSpec, config: &Configuration) 
     cost
 }
 
-/// Sets the per-client preferred quorums of `config` so that every client location in
-/// `spec` uses `members_per_quorum[q]` (one vector per quorum of the protocol). Helper for
-/// tests and the baselines.
-pub fn with_uniform_quorums(
-    mut config: Configuration,
-    spec: &WorkloadSpec,
-    members_per_quorum: Vec<Vec<DcId>>,
-) -> Configuration {
-    for (client, _) in &spec.client_distribution {
-        config
-            .preferred_quorums
-            .insert(*client, members_per_quorum.clone());
-    }
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use legostore_cloud::CloudModelBuilder;
     use legostore_types::DcId;
+
+    /// Sets the per-client preferred quorums of `config` so that every client location in
+    /// `spec` uses `members_per_quorum[q]` (one vector per quorum of the protocol).
+    fn with_uniform_quorums(
+        mut config: Configuration,
+        spec: &WorkloadSpec,
+        members_per_quorum: Vec<Vec<DcId>>,
+    ) -> Configuration {
+        for (client, _) in &spec.client_distribution {
+            config
+                .preferred_quorums
+                .insert(*client, members_per_quorum.clone());
+        }
+        config
+    }
 
     fn uniform_model() -> CloudModel {
         CloudModelBuilder::uniform(5)

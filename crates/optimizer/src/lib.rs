@@ -15,14 +15,11 @@
 //!
 //! * [`baselines`] — the six baselines of §4.1 (`ABD/CAS Fixed`, `ABD/CAS Nearest`,
 //!   `ABD/CAS Only Optimal`);
-//! * [`analytic`] — the closed-form cost model of §4.2.4 (Eq. 4) with its optimal code
-//!   dimension `Kopt`, and the coarse per-operation comparison of Table 3;
 //! * [`monitor`] — windowed workload estimation and the reactive "is this key configured
 //!   poorly?" triggers of §3.4;
 //! * [`reconfig_analysis`] — the cost/benefit rule of §3.4 that decides whether a key
 //!   should be reconfigured.
 
-pub mod analytic;
 pub mod baselines;
 pub mod cost;
 pub mod latency;
@@ -31,7 +28,6 @@ pub mod plan;
 pub mod reconfig_analysis;
 pub mod search;
 
-pub use analytic::{coarse_comparison, AnalyticModel, CoarseCosts};
 pub use baselines::{evaluate_baseline, Baseline};
 pub use cost::CostBreakdown;
 pub use monitor::{OpObservation, ReconfigTrigger, TriggerThresholds, WorkloadMonitor};

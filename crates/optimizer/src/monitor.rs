@@ -163,7 +163,7 @@ impl WorkloadMonitor {
     }
 
     /// Observed mean object size in bytes.
-    pub fn mean_object_bytes(&self) -> u64 {
+    fn mean_object_bytes(&self) -> u64 {
         if self.observations.is_empty() {
             return 0;
         }

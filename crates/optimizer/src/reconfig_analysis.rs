@@ -1,11 +1,10 @@
 //! The "when and what to reconfigure" heuristics of §3.4.
 //!
-//! Two reactive triggers mark a key as badly configured: persistent SLO violations and
-//! cost sub-optimality. Once a better configuration is computed, the move is only made if
+//! The reactive triggers that mark a key as badly configured live in [`crate::monitor`].
+//! Once a better configuration is computed, the move is only made if
 //! the projected savings over the workload's predicted stability window outweigh the
 //! explicit cost of the transfer by a safety factor `(1 + α)`.
 
-use crate::cost::CostBreakdown;
 use crate::plan::Plan;
 use legostore_cloud::CloudModel;
 use legostore_types::{Configuration, ProtocolKind};
@@ -120,23 +119,10 @@ pub fn should_reconfigure(
     }
 }
 
-/// Convenience: true if a measured cost overrun or SLO violation marks the key as badly
-/// configured (the reactive triggers of §3.4).
-pub fn is_badly_configured(
-    predicted: &CostBreakdown,
-    observed_cost_per_hour: f64,
-    cost_overrun_threshold: f64,
-    slo_violations: usize,
-    slo_violation_threshold: usize,
-) -> bool {
-    let overrun = observed_cost_per_hour > predicted.total() * (1.0 + cost_overrun_threshold);
-    let slo = slo_violations >= slo_violation_threshold;
-    overrun || slo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostBreakdown;
     use legostore_cloud::CloudModel;
     use legostore_types::DcId;
 
@@ -218,21 +204,5 @@ mod tests {
         let to_abd = transfer_cost(&model, &cas, &abd, 1024 * 1024, DcId(8));
         let to_cas = transfer_cost(&model, &abd, &cas, 1024 * 1024, DcId(8));
         assert!(to_abd > to_cas * 0.9);
-    }
-
-    #[test]
-    fn bad_configuration_triggers() {
-        let predicted = CostBreakdown {
-            get_network: 1.0,
-            put_network: 0.0,
-            storage: 0.0,
-            vm: 0.0,
-        };
-        // 30% overrun against a 20% threshold.
-        assert!(is_badly_configured(&predicted, 1.3, 0.2, 0, 100));
-        // Within budget and few violations: fine.
-        assert!(!is_badly_configured(&predicted, 1.1, 0.2, 3, 100));
-        // SLO violations alone trigger.
-        assert!(is_badly_configured(&predicted, 0.9, 0.2, 150, 100));
     }
 }

@@ -389,34 +389,26 @@ impl CasGet {
     }
 }
 
-/// Builds the per-server initial CAS states for a fresh key: encodes `initial` under the
-/// configuration's code and hands each hosting DC its own symbol with tag
-/// [`Tag::INITIAL`].
-pub fn initial_cas_states(
-    config: &Configuration,
-    initial: &Value,
-) -> BTreeMap<DcId, CasKeyState> {
-    let shards =
-        encode_value(initial.as_bytes(), config.n, config.k).expect("validated configuration");
-    config
-        .dcs
-        .iter()
-        .map(|dc| {
-            let idx = config.symbol_index(*dc).expect("dc in placement");
-            (
-                *dc,
-                CasKeyState::new(Tag::INITIAL, Some(shards[idx].data.clone())),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ReconfigPayload;
+    use crate::server::DcServer;
 
     fn dcs(n: usize) -> Vec<DcId> {
         (0..n).map(DcId::from).collect()
+    }
+
+    /// The CAS states CREATE installs for a fresh key: each host's own symbol of `initial`,
+    /// tagged [`Tag::INITIAL`].
+    fn initial_cas_states(config: &Configuration, initial: &Value) -> BTreeMap<DcId, CasKeyState> {
+        DcServer::initial_payloads(config, initial)
+            .into_iter()
+            .map(|(dc, payload)| {
+                let ReconfigPayload::Shard(symbol) = payload else { panic!("CAS payload") };
+                (dc, CasKeyState::new(Tag::INITIAL, Some(symbol)))
+            })
+            .collect()
     }
 
     fn config53() -> Configuration {

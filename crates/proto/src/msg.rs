@@ -214,11 +214,6 @@ impl ProtoMsg {
         }
     }
 
-    /// Snake-case name of this variant (see [`MSG_KIND_NAMES`]).
-    pub fn kind_name(&self) -> &'static str {
-        MSG_KIND_NAMES[self.kind_index()]
-    }
-
     /// Approximate number of bytes this request occupies on the wire: the metadata size
     /// `o_m` plus any value / codeword-symbol payload. This mirrors how the paper's cost
     /// model charges network traffic.
@@ -305,8 +300,8 @@ mod tests {
     #[test]
     fn kind_names_align_with_variant_order() {
         assert_eq!(ProtoMsg::AbdReadQuery.kind_index(), 0);
-        assert_eq!(ProtoMsg::AbdReadQuery.kind_name(), "abd_read_query");
-        assert_eq!(ProtoMsg::CasQuery.kind_name(), "cas_query");
+        assert_eq!(MSG_KIND_NAMES[ProtoMsg::AbdReadQuery.kind_index()], "abd_read_query");
+        assert_eq!(MSG_KIND_NAMES[ProtoMsg::CasQuery.kind_index()], "cas_query");
         let m = ProtoMsg::FinishReconfig {
             highest_tag: Tag::INITIAL,
             new_config: Box::new(Configuration::abd_majority(
@@ -315,7 +310,7 @@ mod tests {
             )),
         };
         assert_eq!(m.kind_index(), MSG_KIND_NAMES.len() - 1);
-        assert_eq!(m.kind_name(), "finish_reconfig");
+        assert_eq!(MSG_KIND_NAMES[m.kind_index()], "finish_reconfig");
     }
 
     #[test]

@@ -231,13 +231,8 @@ impl DcServer {
         self.failed = failed;
     }
 
-    /// True if the server is currently failed.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Number of keys hosted (any epoch).
-    pub fn key_count(&self) -> usize {
+    fn key_count(&self) -> usize {
         self.keys.len()
     }
 
@@ -283,7 +278,7 @@ impl DcServer {
     }
 
     /// Removes every epoch of `key` (DELETE).
-    pub fn remove_key(&mut self, key: &Key) -> bool {
+    fn remove_key(&mut self, key: &Key) -> bool {
         self.touched.remove(key);
         self.keys.remove(key).is_some()
     }
@@ -905,7 +900,6 @@ mod tests {
     fn failed_server_drops_messages() {
         let mut s = abd_server_with_key();
         s.set_failed(true);
-        assert!(s.is_failed());
         assert!(s.handle(inbound(1, ConfigEpoch(0), ProtoMsg::AbdReadQuery)).is_empty());
         s.set_failed(false);
         assert_eq!(s.handle(inbound(2, ConfigEpoch(0), ProtoMsg::AbdReadQuery)).len(), 1);
@@ -1453,8 +1447,9 @@ mod tests {
         });
         assert_eq!(s.key_count(), 1);
         s.apply_control(ControlMsg::SetFailed(true));
-        assert!(s.is_failed());
+        assert!(s.handle(inbound(1, ConfigEpoch(0), ProtoMsg::AbdReadQuery)).is_empty());
         s.apply_control(ControlMsg::SetFailed(false));
+        assert_eq!(s.handle(inbound(2, ConfigEpoch(0), ProtoMsg::AbdReadQuery)).len(), 1);
         s.apply_control(ControlMsg::GarbageCollect(1));
         s.apply_control(ControlMsg::RemoveKey(Key::from("k")));
         assert_eq!(s.key_count(), 0);

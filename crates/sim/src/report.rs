@@ -53,7 +53,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Builds a summary from raw latencies.
-    pub fn from_latencies(mut lat: Vec<f64>) -> LatencySummary {
+    fn from_latencies(mut lat: Vec<f64>) -> LatencySummary {
         if lat.is_empty() {
             return LatencySummary::default();
         }

@@ -118,15 +118,6 @@ impl QuorumSpec {
     pub fn sizes(&self) -> [usize; 4] {
         self.sizes
     }
-
-    /// Largest quorum size that is actually used by `protocol`.
-    pub fn max_used(&self, protocol: ProtocolKind) -> usize {
-        self.sizes[..protocol.quorum_count()]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Errors produced when validating a [`Configuration`].
@@ -324,11 +315,6 @@ impl Configuration {
         }
         let size = self.quorums.size(q).min(self.dcs.len()).max(1);
         &self.dcs[..size]
-    }
-
-    /// Effective storage blow-up of this configuration: `n` for ABD, `n / k` for CAS.
-    pub fn storage_overhead(&self) -> f64 {
-        self.n as f64 / self.k as f64
     }
 
     /// Validates the structural, safety and liveness constraints of the configuration
@@ -566,12 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_overhead() {
-        assert!((Configuration::abd_majority(dcs(3), 1).storage_overhead() - 3.0).abs() < 1e-9);
-        assert!((Configuration::cas_default(dcs(6), 3, 1).storage_overhead() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn symbol_index_matches_placement_order() {
         let c = Configuration::cas_default(vec![DcId(4), DcId(2), DcId(7)], 1, 1);
         assert_eq!(c.symbol_index(DcId(2)), Some(1));
@@ -597,13 +577,5 @@ mod tests {
         assert_eq!(ProtocolKind::Cas.get_phases(), 2);
         assert_eq!(ProtocolKind::Abd.quorum_count(), 2);
         assert_eq!(ProtocolKind::Cas.quorum_count(), 4);
-    }
-
-    #[test]
-    fn max_used_quorum() {
-        let c = Configuration::cas_default(dcs(5), 3, 1);
-        assert_eq!(c.quorums.max_used(ProtocolKind::Cas), c.quorums.sizes()[..4].iter().copied().max().unwrap());
-        let a = Configuration::abd_majority(dcs(5), 1);
-        assert_eq!(a.quorums.max_used(ProtocolKind::Abd), 3);
     }
 }

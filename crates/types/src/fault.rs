@@ -381,24 +381,6 @@ impl FaultState {
             || !self.links.is_empty()
     }
 
-    /// True while `dc` is crashed.
-    pub fn is_crashed(&self, dc: DcId) -> bool {
-        self.crashed.contains(&dc)
-    }
-
-    /// True if messages `from → to` are currently cut by a crash or partition
-    /// (probabilistic link loss doesn't count: it is not a guaranteed drop).
-    pub fn is_blocked(&self, from: DcId, to: DcId) -> bool {
-        self.crashed.contains(&from)
-            || self.crashed.contains(&to)
-            || self.blocked.get(&(from, to)).copied().unwrap_or(0) > 0
-    }
-
-    /// Number of events not yet applied.
-    pub fn pending_events(&self) -> usize {
-        self.events.len() - self.next
-    }
-
     /// Next SplitMix64 draw mapped to `[0, 1)`.
     fn next_unit(&mut self) -> f64 {
         // SplitMix64 (Steele et al.); also what the offline `rand` shim's StdRng uses,
@@ -421,6 +403,13 @@ mod tests {
         DcId(i)
     }
 
+    impl FaultState {
+        /// Number of events not yet applied.
+        fn pending_events(&self) -> usize {
+            self.events.len() - self.next
+        }
+    }
+
     #[test]
     fn deliveries_collapses_verdicts() {
         assert_eq!(LinkVerdict::Drop.deliveries(), None);
@@ -436,7 +425,6 @@ mod tests {
         assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::Drop);
         assert_eq!(s.verdict(dc(1), dc(0)), LinkVerdict::Drop);
         assert_eq!(s.verdict(dc(0), dc(2)), LinkVerdict::CLEAN);
-        assert!(s.is_crashed(dc(1)));
         s.apply(&FaultKind::RestartDc { dc: dc(1) });
         assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::CLEAN);
         assert!(!s.any_active());
@@ -451,11 +439,11 @@ mod tests {
             right: vec![dc(1), dc(2)],
             symmetric: true,
         });
-        assert!(s.is_blocked(dc(0), dc(1)));
-        assert!(s.is_blocked(dc(2), dc(0)));
-        assert!(!s.is_blocked(dc(1), dc(2)), "links within one side stay up");
+        assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::Drop);
+        assert_eq!(s.verdict(dc(2), dc(0)), LinkVerdict::Drop);
+        assert_eq!(s.verdict(dc(1), dc(2)), LinkVerdict::CLEAN, "links within one side stay up");
         s.apply(&FaultKind::Heal { id: 1 });
-        assert!(!s.is_blocked(dc(0), dc(1)));
+        assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::CLEAN);
         assert!(!s.any_active());
     }
 
@@ -468,8 +456,8 @@ mod tests {
             right: vec![dc(4)],
             symmetric: false,
         });
-        assert!(s.is_blocked(dc(3), dc(4)));
-        assert!(!s.is_blocked(dc(4), dc(3)), "reverse direction must still flow");
+        assert_eq!(s.verdict(dc(3), dc(4)), LinkVerdict::Drop);
+        assert_eq!(s.verdict(dc(4), dc(3)), LinkVerdict::CLEAN, "reverse direction must still flow");
     }
 
     #[test]
@@ -484,9 +472,9 @@ mod tests {
         s.apply(&cut(1));
         s.apply(&cut(2));
         s.apply(&FaultKind::Heal { id: 1 });
-        assert!(s.is_blocked(dc(0), dc(1)), "second partition still cuts the link");
+        assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::Drop, "second partition still cuts the link");
         s.apply(&FaultKind::Heal { id: 2 });
-        assert!(!s.is_blocked(dc(0), dc(1)));
+        assert_eq!(s.verdict(dc(0), dc(1)), LinkVerdict::CLEAN);
     }
 
     #[test]
@@ -550,13 +538,13 @@ mod tests {
         let mut s = FaultState::new(&plan);
         assert_eq!(s.pending_events(), 2);
         s.advance_to(50.0);
-        assert!(!s.is_crashed(dc(5)));
+        assert_eq!(s.verdict(dc(0), dc(5)), LinkVerdict::CLEAN);
         s.advance_to(150.0);
-        assert!(s.is_crashed(dc(5)));
+        assert_eq!(s.verdict(dc(0), dc(5)), LinkVerdict::Drop);
         s.advance_to(100.0); // going "back" is a no-op
-        assert!(s.is_crashed(dc(5)));
+        assert_eq!(s.verdict(dc(0), dc(5)), LinkVerdict::Drop);
         s.advance_to(1_000.0);
-        assert!(!s.is_crashed(dc(5)));
+        assert_eq!(s.verdict(dc(0), dc(5)), LinkVerdict::CLEAN);
         assert_eq!(s.pending_events(), 0);
     }
 
@@ -590,7 +578,6 @@ mod tests {
             }
             for a in 0..n {
                 for b in 0..n {
-                    prop_assert!(!s.is_blocked(dc(a), dc(b)), "{a}->{b} still cut");
                     prop_assert_eq!(s.verdict(dc(a), dc(b)), LinkVerdict::CLEAN);
                 }
             }

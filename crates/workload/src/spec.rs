@@ -152,21 +152,6 @@ impl WorkloadSpec {
         s.client_distribution = clients;
         s
     }
-
-    /// Returns a copy with different latency SLOs.
-    pub fn with_slos(&self, get_ms: f64, put_ms: f64) -> Self {
-        let mut s = self.clone();
-        s.slo_get_ms = get_ms;
-        s.slo_put_ms = put_ms;
-        s
-    }
-
-    /// Returns a copy with a different fault-tolerance target.
-    pub fn with_fault_tolerance(&self, f: usize) -> Self {
-        let mut s = self.clone();
-        s.fault_tolerance = f;
-        s
-    }
 }
 
 #[cfg(test)]
@@ -220,13 +205,9 @@ mod tests {
         let s = WorkloadSpec::example();
         let s2 = s
             .with_arrival_rate(800.0)
-            .with_slos(200.0, 300.0)
-            .with_fault_tolerance(2)
             .with_clients(vec![(DcId(1), 0.5), (DcId(2), 0.5)]);
         assert_eq!(s.arrival_rate, 200.0);
         assert_eq!(s2.arrival_rate, 800.0);
-        assert_eq!(s2.slo_get_ms, 200.0);
-        assert_eq!(s2.fault_tolerance, 2);
         assert_eq!(s2.client_dcs().len(), 2);
         s2.validate().unwrap();
     }

@@ -18,7 +18,7 @@
 //! | [`obs`] | `legostore-obs` | Telemetry: lock-light metrics, phase spans, flight recorder |
 //! | [`store`] | `legostore-core` | The runnable store: transports, clients, controller |
 //! | [`server`] | `legostore-server` | Standalone per-DC TCP server (`legostore-server` binary) |
-//! | [`optimizer`] | `legostore-optimizer` | Cost model, placement search, baselines, Kopt |
+//! | [`optimizer`] | `legostore-optimizer` | Cost model, placement search, baselines |
 //! | [`sim`] | `legostore-sim` | Deterministic geo-distributed simulator with cost metering |
 //! | [`workload`] | `legostore-workload` | Workload grid, Poisson traces, Wikipedia-like trace |
 //! | [`lincheck`] | `legostore-lincheck` | Linearizability checker for recorded histories |
