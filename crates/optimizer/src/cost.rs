@@ -236,10 +236,9 @@ mod tests {
         spec: &WorkloadSpec,
         members_per_quorum: Vec<Vec<DcId>>,
     ) -> Configuration {
+        let preferred = std::sync::Arc::make_mut(&mut config.preferred_quorums);
         for (client, _) in &spec.client_distribution {
-            config
-                .preferred_quorums
-                .insert(*client, members_per_quorum.clone());
+            preferred.insert(*client, members_per_quorum.clone());
         }
         config
     }

@@ -167,8 +167,7 @@ mod tests {
             .build();
         let spec = spec_at(DcId(0));
         let mut config = Configuration::abd_majority(dcs(3), 1);
-        config
-            .preferred_quorums
+        std::sync::Arc::make_mut(&mut config.preferred_quorums)
             .insert(DcId(0), vec![vec![DcId(0), DcId(1)], vec![DcId(0), DcId(1)]]);
         // Each phase is dominated by the 50 ms RTT to DC 1.
         let put = put_latency_ms(&model, &spec, &config, DcId(0));
@@ -176,8 +175,7 @@ mod tests {
         let get = get_latency_ms(&model, &spec, &config, DcId(0));
         assert!((get - 100.0).abs() < 1.0, "get {get}");
         // Using the far DC instead makes both phases 200 ms.
-        config
-            .preferred_quorums
+        std::sync::Arc::make_mut(&mut config.preferred_quorums)
             .insert(DcId(0), vec![vec![DcId(0), DcId(2)], vec![DcId(0), DcId(2)]]);
         let put = put_latency_ms(&model, &spec, &config, DcId(0));
         assert!((put - 400.0).abs() < 1.0);

@@ -174,7 +174,7 @@ impl Optimizer {
             dcs: placement,
             f,
             epoch: ConfigEpoch::INITIAL,
-            preferred_quorums: BTreeMap::new(),
+            preferred_quorums: Default::default(),
         };
         first.validate().ok()?;
         let mut best = None;
@@ -531,7 +531,7 @@ impl<'a> Tables<'a> {
                             .collect();
                         (*client, quorums)
                     })
-                    .collect();
+                    .collect::<BTreeMap<_, _>>();
                 *best = Some(Plan {
                     config: Configuration {
                         protocol: self.protocol,
@@ -541,7 +541,7 @@ impl<'a> Tables<'a> {
                         dcs: placement.clone(),
                         f: self.spec.fault_tolerance,
                         epoch: ConfigEpoch::INITIAL,
-                        preferred_quorums,
+                        preferred_quorums: preferred_quorums.into(),
                     },
                     cost,
                     worst_get_latency_ms: get_ms,
@@ -697,6 +697,7 @@ mod oracle {
     use super::*;
     use crate::cost::cost_of;
     use crate::latency::{get_latency_ms, put_latency_ms};
+    use std::sync::Arc;
 
     impl Optimizer {
         /// [`Optimizer::optimize_filtered`], candidate by candidate.
@@ -878,14 +879,14 @@ mod oracle {
                 Objective::Latency => vec![build(&by_rtt)],
             };
             for chosen in candidates {
-                config.preferred_quorums.insert(client, chosen);
+                Arc::make_mut(&mut config.preferred_quorums).insert(client, chosen);
                 let g = get_latency_ms(&self.model, spec, config, client);
                 let p = put_latency_ms(&self.model, spec, config, client);
                 if g <= spec.slo_get_ms && p <= spec.slo_put_ms {
                     return Some((g, p));
                 }
             }
-            config.preferred_quorums.remove(&client);
+            Arc::make_mut(&mut config.preferred_quorums).remove(&client);
             None
         }
     }

@@ -54,7 +54,7 @@ impl Fingerprint {
         }
         self.dcs(&c.dcs);
         self.word(c.preferred_quorums.len() as u64);
-        for (client, quorums) in &c.preferred_quorums {
+        for (client, quorums) in c.preferred_quorums.iter() {
             self.word(client.index() as u64);
             self.word(quorums.len() as u64);
             for members in quorums {

@@ -4,6 +4,7 @@
 use crate::msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
 use legostore_types::{Configuration, DcId, Key, QuorumId, StoreError};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// What `AbdPut`, `AbdGet`, `CasPut` and `CasGet` have in common: who runs the
 /// operation under which configuration, which phase is collecting replies into which
@@ -73,11 +74,11 @@ impl OpCore {
     /// The paper's §4.5 widening, made *sticky*: from now on every phase of this
     /// operation targets the full placement, so a later phase transition cannot fall back
     /// to a preferred quorum that contains the unreachable DC. Quorum *sizes* are
-    /// untouched; only the target sets grow.
+    /// untouched; only the target sets grow. The map is copied here if another
+    /// configuration shares it, so the widening stays this operation's own.
     pub fn widen(&mut self) {
         let all = self.config.dcs.clone();
-        self.config
-            .preferred_quorums
+        Arc::make_mut(&mut self.config.preferred_quorums)
             .insert(self.client_dc, vec![all.clone(), all.clone(), all.clone(), all]);
     }
 

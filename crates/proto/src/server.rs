@@ -417,13 +417,18 @@ impl DcServer {
             touch(&mut self.touched, &inbound.key);
         }
         let finished = matches!(inbound.msg, ProtoMsg::FinishReconfig { .. });
-        replies.extend(Self::handle_at_state(state, inbound, now_ns));
+        let served = Self::handle_at_state(state, inbound, now_ns);
         if let KeyStatus::Blocked { since_ns, .. } = &state.status {
             self.next_expiry_ns = self.next_expiry_ns.min(since_ns.saturating_add(self.lease_ns));
         }
         if finished {
             Self::prune_retired(epochs);
         }
+        // Almost always no lease expired: hand back the request's own replies as built.
+        if replies.is_empty() {
+            return served;
+        }
+        replies.extend(served);
         replies
     }
 

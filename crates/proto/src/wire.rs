@@ -15,7 +15,8 @@
 //!   floats anywhere in the message types.
 //! * Byte strings and UTF-8 strings are `u32` length-prefixed. `usize` fields travel as
 //!   `u64` so the format is identical across platforms.
-//! * `Option<T>` is a presence byte (0/1) followed by `T` when present. `Box<T>` is `T`.
+//! * `Option<T>` is a presence byte (0/1) followed by `T` when present. `Box<T>` and
+//!   `Arc<T>` are `T`.
 //! * Sequences are a `u64` element count followed by the elements; maps are a `u64` entry
 //!   count followed by `key, value` pairs in ascending key order. The one exception is the
 //!   stats snapshot ([`MetricsSnapshot`]), whose three maps and per-histogram bucket lists
@@ -43,6 +44,7 @@ use legostore_types::{
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Upper bound on a frame's payload length. Large enough for the biggest modeled object
 /// (the paper's workloads top out at 10 MB values) with generous headroom; small enough
@@ -360,6 +362,21 @@ impl Wire for String {
     }
 }
 
+/// The same bytes as a `String`; decoding copies the text once, into the key's shared
+/// allocation.
+impl Wire for Key {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (self.as_str().len() as u32).put(w);
+        w.extend_from_slice(self.as_str().as_bytes());
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        let n = u32::get(r)? as usize;
+        std::str::from_utf8(r.take(n)?).map(Key::from).map_err(|_| WireError::BadUtf8)
+    }
+}
+
 impl<T: Wire> Wire for Box<T> {
     #[inline]
     fn put(&self, w: &mut Vec<u8>) {
@@ -376,6 +393,18 @@ impl<T: Wire> Wire for Box<T> {
         let inner = T::get(r);
         r.depth -= 1;
         Ok(Box::new(inner?))
+    }
+}
+
+/// `T`, as for `Box<T>`.
+impl<T: Wire> Wire for Arc<T> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (**self).put(w);
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> WireResult<Self> {
+        T::get(r).map(Arc::new)
     }
 }
 
@@ -548,7 +577,6 @@ wire! {
     struct DcId(id);
     struct ClientId(id);
     struct ConfigEpoch(e);
-    struct Key(name);
     struct Value(bytes);
     struct Tag { seq, client };
     struct Configuration { protocol, n, k, quorums, dcs, f, epoch, preferred_quorums };
@@ -635,7 +663,7 @@ mod tests {
             1,
         );
         c.epoch = ConfigEpoch(9);
-        c.preferred_quorums
+        Arc::make_mut(&mut c.preferred_quorums)
             .insert(DcId(0), vec![vec![DcId(0), DcId(3), DcId(5)], vec![DcId(0)]]);
         c
     }

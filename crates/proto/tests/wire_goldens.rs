@@ -22,6 +22,7 @@ use legostore_types::{
     ClientId, ConfigEpoch, Configuration, DcId, Key, StoreError, Tag, Value,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// FNV-1a 64 over the full encoded frame (length prefix included), pinned here so the
 /// goldens never move with any other crate's hash.
@@ -41,9 +42,9 @@ fn filler(len: usize) -> Vec<u8> {
 fn sample_config() -> Configuration {
     let mut c = Configuration::cas_default(vec![DcId(0), DcId(3), DcId(5), DcId(7), DcId(8)], 3, 1);
     c.epoch = ConfigEpoch(9);
-    c.preferred_quorums
-        .insert(DcId(0), vec![vec![DcId(0), DcId(3), DcId(5)], vec![DcId(0), DcId(7)]]);
-    c.preferred_quorums.insert(DcId(7), vec![vec![DcId(7), DcId(8), DcId(0)]]);
+    let preferred = Arc::make_mut(&mut c.preferred_quorums);
+    preferred.insert(DcId(0), vec![vec![DcId(0), DcId(3), DcId(5)], vec![DcId(0), DcId(7)]]);
+    preferred.insert(DcId(7), vec![vec![DcId(7), DcId(8), DcId(0)]]);
     c
 }
 

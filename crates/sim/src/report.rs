@@ -1,7 +1,7 @@
 //! Simulation outputs: per-operation records, latency summaries and cost metering.
 
 use legostore_lincheck::HistoryRecorder;
-use legostore_types::{DcId, OpKind};
+use legostore_types::{DcId, Key, OpKind};
 use std::sync::Arc;
 
 /// One completed (or abandoned) client operation.
@@ -11,8 +11,8 @@ pub struct OpRecord {
     pub origin: DcId,
     /// GET or PUT.
     pub kind: OpKind,
-    /// Key index within the experiment (opaque).
-    pub key: String,
+    /// The key operated on.
+    pub key: Key,
     /// Virtual time the user issued the operation (ms).
     pub start_ms: f64,
     /// Virtual time the operation completed (ms).
@@ -193,7 +193,7 @@ impl SimReport {
             }
         };
         for op in &self.operations {
-            eat(op.key.as_bytes());
+            eat(op.key.as_str().as_bytes());
             eat(&[op.kind as u8, u8::from(op.ok), u8::from(op.one_phase)]);
             eat(&op.origin.0.to_le_bytes());
             eat(&((op.start_ms * 1e6) as u64).to_le_bytes());
@@ -223,7 +223,7 @@ impl SimReport {
             obs.push_op(legostore_obs::OpRecord {
                 op_id: obs.next_op_id(),
                 kind: op.kind,
-                key: op.key.clone(),
+                key: op.key.to_string(),
                 origin: op.origin,
                 started_ns: (op.start_ms * 1e6) as u64,
                 completed_ns: (op.end_ms * 1e6) as u64,

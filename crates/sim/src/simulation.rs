@@ -13,7 +13,7 @@ use legostore_proto::server::{Inbound, Reply};
 use legostore_proto::{Completed, RetryCause};
 use legostore_types::{Configuration, DcId, FaultPlan, FaultState, Key, OpKind, Value};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Tunables of a simulation run.
@@ -56,13 +56,15 @@ enum Event {
 }
 
 /// The pending events, popped in `(instant_us, seq)` order, where `seq` numbers the
-/// pushes. Each event sits in one of two sources, and [`EventQueue::pop`] takes the
-/// smaller of their two heads:
+/// pushes. Each event sits in one of three sources, and [`EventQueue::pop`] takes the
+/// smallest of their heads:
 /// - the *agenda*: what was scheduled before the run, sorted once by
 ///   [`EventQueue::start`] and consumed from its end;
-/// - the *heap*: everything raised during the run (deliveries, operation timeouts,
-///   reconfiguration ticks, reopen pauses). It orders small entries that index a
-///   free-listed slab of payloads.
+/// - the *timers*: operation timeouts. Each is armed a fixed `op_timeout_ms` after the
+///   current instant, which never goes back, so they arrive in order and wait in a FIFO;
+/// - the *heap*: everything else raised during the run (deliveries, reconfiguration
+///   ticks, reopen pauses). It orders small entries that index a free-listed slab of
+///   payloads.
 #[derive(Default)]
 struct EventQueue {
     /// Pushes so far: the tie-breaker among equal instants, and the `msg_id` that
@@ -70,6 +72,8 @@ struct EventQueue {
     seq: u64,
     /// Descending by `(instant_us, seq)` once started, so the next event is the last.
     agenda: Vec<(u64, u64, Event)>,
+    /// `(instant_us, seq, route)` of each pending [`Event::OpTimeout`], ascending.
+    timers: VecDeque<(u64, u64, u64)>,
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
     slab: Vec<Option<Event>>,
     free: Vec<usize>,
@@ -97,12 +101,26 @@ impl EventQueue {
         self.heap.push(Reverse((at_us, self.seq, slot)));
     }
 
+    /// Arms the timeout of the attempt on `route` at `at_us`, which must not precede the
+    /// last timer armed.
+    fn push_timer(&mut self, at_us: u64, route: u64) {
+        self.seq += 1;
+        if let Some(&(last_us, _, _)) = self.timers.back() {
+            assert!(last_us <= at_us, "operation timers must be armed in time order");
+        }
+        self.timers.push_back((at_us, self.seq, route));
+    }
+
     /// Removes and returns the earliest event as `(instant_us, seq, event)`.
     fn pop(&mut self) -> Option<(u64, u64, Event)> {
         const NONE: (u64, u64) = (u64::MAX, u64::MAX);
         let agenda = self.agenda.last().map_or(NONE, |&(at_us, seq, _)| (at_us, seq));
+        let timer = self.timers.front().map_or(NONE, |&(at_us, seq, _)| (at_us, seq));
         let heap = self.heap.peek().map_or(NONE, |&Reverse((at_us, seq, _))| (at_us, seq));
-        if agenda < heap {
+        if timer < agenda && timer < heap {
+            let (at_us, seq, token) = self.timers.pop_front()?;
+            Some((at_us, seq, Event::OpTimeout { token }))
+        } else if agenda < heap {
             self.agenda.pop()
         } else {
             let Reverse((at_us, seq, slot)) = self.heap.pop()?;
@@ -257,8 +275,8 @@ impl Simulation {
         self.queue.schedule(Self::instant_us(at_ms), event);
     }
 
-    /// Queues an event raised during the run (a delivery, an operation timeout, a
-    /// reconfiguration tick or a reopen pause) on the heap.
+    /// Queues an event raised during the run (a delivery, a reconfiguration tick or a
+    /// reopen pause) on the heap.
     fn push_event(&mut self, at_ms: f64, event: Event) {
         self.queue.push(Self::instant_us(at_ms), event);
     }
@@ -389,7 +407,8 @@ impl Simulation {
         match step {
             Out::Opened(msgs) => {
                 self.send_outbound(route, from, msgs);
-                self.push_event(self.now_ms() + self.options.op_timeout_ms, Event::OpTimeout { token: route });
+                let at_us = Self::instant_us(self.now_ms() + self.options.op_timeout_ms);
+                self.queue.push_timer(at_us, route);
             }
             Out::Send(msgs) => self.send_outbound(route, from, msgs),
             // Hosts own the modelled pauses: learning the new configuration costs one
@@ -429,7 +448,7 @@ impl Simulation {
         self.records.push(OpRecord {
             origin,
             kind,
-            key: op.key.0,
+            key: op.key,
             start_ms: op.meta.start_ms,
             end_ms: self.now_ms(),
             ok: done.is_some(),
@@ -764,17 +783,26 @@ pub(crate) mod tests {
     fn event_queue_pops_in_the_order_of_one_binary_heap() {
         const AGENDA: u64 = 0;
         const HEAP: u64 = 1;
+        const TIMER: u64 = 2;
+        // Timers sit a fixed offset after the current instant, as operation timeouts do.
+        const TIMER_OFFSET_US: u64 = 2_000;
         // Instants on a 1 ms grid a few steps apart, so equal instants are common.
         let push = |queue: &mut EventQueue, rng: &mut SplitMix64, now_us: u64, source: u64| {
-            let event = Event::OpenAttempt { token: source };
-            let at_us = if source == AGENDA {
-                let at_us = rng.below(50) * 1_000;
-                queue.schedule(at_us, event);
-                at_us
-            } else {
-                let at_us = now_us + rng.below(4) * 1_000;
-                queue.push(at_us, event);
-                at_us
+            let at_us = match source {
+                AGENDA => {
+                    let at_us = rng.below(50) * 1_000;
+                    queue.schedule(at_us, Event::OpenAttempt { token: source });
+                    at_us
+                }
+                HEAP => {
+                    let at_us = now_us + rng.below(4) * 1_000;
+                    queue.push(at_us, Event::OpenAttempt { token: source });
+                    at_us
+                }
+                _ => {
+                    queue.push_timer(now_us + TIMER_OFFSET_US, source);
+                    now_us + TIMER_OFFSET_US
+                }
             };
             Reverse((at_us, queue.seq))
         };
@@ -782,13 +810,15 @@ pub(crate) mod tests {
         let mut rng = SplitMix64(36);
         let mut queue = EventQueue::default();
         let mut reference = BinaryHeap::new();
-        // Before the run: the agenda out of time order, interleaved with heap pushes.
+        // Before the run: the agenda out of time order, interleaved with heap and timer
+        // pushes.
         for _ in 0..3_000 {
-            let source = rng.below(2);
+            let source = rng.below(3);
             reference.push(push(&mut queue, &mut rng, 0, source));
         }
         queue.start();
-        let (mut now_us, mut last_source, mut cross_source_ties, mut pops) = (0, AGENDA, 0, 0);
+        let (mut now_us, mut last_source, mut pops) = (0, AGENDA, 0);
+        let (mut agenda_heap_ties, mut timer_ties) = (0, 0);
         for step in 0.. {
             let draining = step >= 15_000;
             if draining && reference.is_empty() {
@@ -801,19 +831,30 @@ pub(crate) mod tests {
                     reference.pop().map(|Reverse(entry)| entry),
                     "pop {pops}"
                 );
-                let Some((at_us, _, Event::OpenAttempt { token: source })) = popped else { continue };
+                let Some((at_us, _, Event::OpenAttempt { token } | Event::OpTimeout { token })) = popped else {
+                    continue;
+                };
+                let source = token;
                 pops += 1;
                 if at_us == now_us && source != last_source {
-                    cross_source_ties += 1;
+                    if TIMER == source || TIMER == last_source {
+                        timer_ties += 1;
+                    } else {
+                        agenda_heap_ties += 1;
+                    }
                 }
                 (now_us, last_source) = (at_us, source);
             } else {
-                reference.push(push(&mut queue, &mut rng, now_us, HEAP));
+                let source = HEAP + rng.below(2);
+                reference.push(push(&mut queue, &mut rng, now_us, source));
             }
         }
         assert!(queue.pop().is_none());
         assert!(pops >= 10_000, "{pops}");
-        assert!(cross_source_ties >= 100, "{cross_source_ties}");
+        // Ties across sources, where only `seq` decides: between the agenda and the heap,
+        // and between the timer lane and either of them.
+        assert!(agenda_heap_ties >= 100, "{agenda_heap_ties}");
+        assert!(timer_ties >= 100, "{timer_ties}");
     }
 
     #[test]

@@ -325,6 +325,58 @@ impl<M> World<M> {
 }
 
 #[cfg(test)]
+mod tests {
+    use super::*;
+    use legostore_types::QuorumId;
+    use std::sync::Arc;
+
+    fn targets(step: Option<Tagged<()>>) -> Vec<DcId> {
+        match step.map(|t| t.step) {
+            Some(Out::Opened(msgs)) => msgs.iter().map(|m| m.to).collect(),
+            _ => panic!("expected an opened attempt"),
+        }
+    }
+
+    /// Configurations share their preferred-quorum map, so the §4.5 widening of one timed
+    /// out operation must copy it rather than write through to everyone else's.
+    #[test]
+    fn a_widened_operation_leaves_the_shared_preferred_quorums_alone() {
+        let (tokyo, la, oregon) = (DcId(0), DcId(7), DcId(8));
+        let mut config = Configuration::abd_majority(vec![tokyo, la, oregon], 1);
+        let preferred = vec![vec![tokyo, oregon], vec![tokyo, oregon]];
+        Arc::make_mut(&mut config.preferred_quorums).insert(tokyo, preferred.clone());
+        let mut copy = config.clone();
+        assert!(Arc::ptr_eq(&copy.preferred_quorums, &config.preferred_quorums));
+        Arc::make_mut(&mut copy.preferred_quorums).remove(&tokyo);
+        assert!(!Arc::ptr_eq(&copy.preferred_quorums, &config.preferred_quorums), "a write copies");
+        assert_eq!(config.quorum_for(tokyo, QuorumId::Q1), preferred[0]);
+
+        let key = Key::from("k");
+        let mut world = World::new([tokyo, la, oregon], 1_000_000_000, 3);
+        world.create_key(key.clone(), config.clone(), &Value::filler(16));
+        let opened = world.start_op(tokyo, key.clone(), |_| None, ()).expect("listed");
+        let first = opened.route;
+        assert_eq!(targets(Some(opened)), preferred[0]);
+        let second = world.start_op(tokyo, key.clone(), |_| None, ()).expect("listed").route;
+        assert!(matches!(world.time_out(first).map(|t| t.step), Some(Out::Reopen(RetryCause::Timeout))));
+        assert_eq!(targets(world.reopen(first)), config.dcs, "the timed-out GET widens");
+
+        // Nobody else saw the widening: not the metadata, not the client's view, not the
+        // other operation, nor one started after it. They all still share one map.
+        let shared = [
+            &world.metadata[&key],
+            &world.client_views[&(tokyo, key.clone())],
+            world.ops[&second].driver.config(),
+        ];
+        for seen in shared {
+            assert_eq!(seen.quorum_for(tokyo, QuorumId::Q1), preferred[0]);
+            assert!(Arc::ptr_eq(&seen.preferred_quorums, &config.preferred_quorums));
+        }
+        assert_eq!(targets(world.start_op(tokyo, key, |_| None, ()).ok()), preferred[0]);
+    }
+}
+
+#[cfg(test)]
 mod interleaver {
     //! The second scheduler: the drivers under a seeded, thread-free, clock-free interleaver.
     //!

@@ -10,6 +10,7 @@
 use crate::{ConfigEpoch, DcId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which consistency protocol a configuration uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -245,7 +246,11 @@ pub struct Configuration {
     pub epoch: ConfigEpoch,
     /// Optimizer-recommended quorum membership per client location. Clients not listed fall
     /// back to contacting all of `dcs` and taking the first responders.
-    pub preferred_quorums: BTreeMap<DcId, Vec<Vec<DcId>>>,
+    ///
+    /// Shared copy-on-write: a clone of the configuration (one per operation, per client
+    /// view and per redirect) shares this map, and a writer goes through
+    /// [`Arc::make_mut`], which copies it only while another configuration still holds it.
+    pub preferred_quorums: Arc<BTreeMap<DcId, Vec<Vec<DcId>>>>,
 }
 
 impl Configuration {
@@ -264,7 +269,7 @@ impl Configuration {
             dcs,
             f,
             epoch: ConfigEpoch::INITIAL,
-            preferred_quorums: BTreeMap::new(),
+            preferred_quorums: Arc::default(),
         }
     }
 
@@ -285,7 +290,7 @@ impl Configuration {
             dcs,
             f,
             epoch: ConfigEpoch::INITIAL,
-            preferred_quorums: BTreeMap::new(),
+            preferred_quorums: Arc::default(),
         }
     }
 
@@ -389,7 +394,7 @@ impl Configuration {
             }
         }
         // Preferred quorum sanity.
-        for (client, quorums) in &self.preferred_quorums {
+        for (client, quorums) in self.preferred_quorums.iter() {
             for (idx, members) in quorums.iter().enumerate() {
                 if members.is_empty() {
                     continue;
@@ -524,7 +529,7 @@ mod tests {
     #[test]
     fn preferred_quorum_used_when_present() {
         let mut c = Configuration::abd_majority(dcs(3), 1);
-        c.preferred_quorums
+        Arc::make_mut(&mut c.preferred_quorums)
             .insert(DcId(0), vec![vec![DcId(0), DcId(1)], vec![DcId(1), DcId(2)]]);
         c.validate().expect("valid preferred quorums");
         assert_eq!(c.quorum_for(DcId(0), QuorumId::Q2), vec![DcId(1), DcId(2)]);
@@ -533,7 +538,7 @@ mod tests {
     #[test]
     fn preferred_quorum_wrong_size_rejected() {
         let mut c = Configuration::abd_majority(dcs(3), 1);
-        c.preferred_quorums.insert(DcId(0), vec![vec![DcId(0)]]);
+        Arc::make_mut(&mut c.preferred_quorums).insert(DcId(0), vec![vec![DcId(0)]]);
         assert!(matches!(
             c.validate(),
             Err(ConfigurationError::PreferredQuorumWrongSize { .. })
@@ -543,7 +548,7 @@ mod tests {
     #[test]
     fn preferred_quorum_outside_placement_rejected() {
         let mut c = Configuration::abd_majority(dcs(3), 1);
-        c.preferred_quorums
+        Arc::make_mut(&mut c.preferred_quorums)
             .insert(DcId(0), vec![vec![DcId(0), DcId(8)], vec![DcId(1), DcId(2)]]);
         assert!(matches!(
             c.validate(),

@@ -24,6 +24,7 @@ pub use tag::{ClientId, Tag};
 pub use value::Value;
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a data center participating in the store.
 ///
@@ -54,13 +55,16 @@ impl From<usize> for DcId {
 }
 
 /// A key in the store. Keys are arbitrary UTF-8 strings.
+///
+/// The text is shared: cloning a key, which every message and every lookup of a
+/// per-key map does, bumps a reference count instead of copying the string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Key(pub String);
+pub struct Key(Arc<str>);
 
 impl Key {
     /// Creates a key from anything string-like.
     pub fn new(s: impl Into<String>) -> Self {
-        Key(s.into())
+        Key(s.into().into())
     }
 
     /// Borrow the key text.
@@ -71,19 +75,19 @@ impl Key {
 
 impl std::fmt::Display for Key {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(&self.0)
     }
 }
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(s.to_owned())
+        Key(s.into())
     }
 }
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(s)
+        Key(s.into())
     }
 }
 
@@ -160,6 +164,8 @@ mod tests {
         assert_eq!(k.as_str(), "user:42");
         assert_eq!(k.to_string(), "user:42");
         assert_eq!(Key::new(String::from("a")), Key::from("a"));
+        let copy = k.clone();
+        assert!(std::ptr::eq(copy.as_str(), k.as_str()), "a clone shares the text");
     }
 
     #[test]

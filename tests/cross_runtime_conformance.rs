@@ -113,7 +113,7 @@ fn run_simulator(trace: &[Request]) -> Vec<f64> {
     sim.enable_history_recording();
     sim.set_fault_plan(&fault_plan());
     sim.create_key(key().as_str(), config(), &initial_value());
-    sim.schedule_trace(trace, 0.0, |_| key().0.clone());
+    sim.schedule_trace(trace, 0.0, |_| key().to_string());
     let report = sim.run();
     assert_eq!(report.operations.len(), trace.len());
     assert_eq!(report.failures(), 0, "≤ f faults: every op completes: {:?}", report.operations);
