@@ -2,7 +2,8 @@
 //! controller, all behind the [`Transport`] seam.
 //!
 //! [`Cluster::new`] is the in-process runtime (one locked server per data center, served
-//! on the sending thread, replies on clocked channels). [`Cluster::connect_tcp`] is the
+//! on the sending thread, which takes the reply straight back; only a reply deferred by a
+//! reconfiguration crosses a clocked channel). [`Cluster::connect_tcp`] is the
 //! same deployment over real sockets: the servers are `legostore-server` processes (or
 //! threads) elsewhere, and every protocol message crosses the wire as a length-prefixed
 //! frame. Clients, the metadata service and the reconfiguration controller are identical
@@ -554,6 +555,106 @@ mod tests {
         let switches = crate::clock::voluntary_switches() - before;
         assert!(switches < 20, "200 PUT+GET pairs parked the client {switches} times");
         cluster.shutdown();
+    }
+
+    /// `fast_options` with metrics on, so stats scrapes carry the server gauges.
+    fn metered_options() -> ClusterOptions {
+        ClusterOptions { obs: ObsConfig::Metrics, ..fast_options() }
+    }
+
+    /// Each DC's `server.reply_routes` gauge, in DC order.
+    fn reply_routes(cluster: &Cluster) -> Vec<(DcId, u64)> {
+        let stats = cluster.stats().expect("in-process scrape");
+        stats.servers.iter().map(|(dc, snap)| (*dc, snap.gauge("server.reply_routes"))).collect()
+    }
+
+    #[test]
+    fn answered_requests_leave_no_reply_route() {
+        let cluster = Cluster::gcp9(metered_options());
+        let tokyo = GcpLocation::Tokyo.dc();
+        let nearest = cluster.model().nearest_dcs(tokyo).into_iter().take(5).collect();
+        cluster.install_key("k", Configuration::cas_default(nearest, 3, 1), &Value::filler(64));
+        let (mut client, key) = (cluster.client(tokyo), Key::from("k"));
+        for i in 0..100 {
+            client.put(&key, Value::filler(65 + i)).unwrap();
+            assert_eq!(client.get(&key).unwrap(), Value::filler(65 + i));
+        }
+        let routes = reply_routes(&cluster);
+        assert_eq!(routes.len(), 9);
+        assert!(routes.iter().all(|(_, n)| *n == 0), "{routes:?}");
+        cluster.shutdown();
+    }
+
+    /// Runs `f` on a new thread registered with `clock`, once all of `start` have met.
+    fn participant<T: Send + 'static>(
+        clock: &Clock,
+        start: &Arc<std::sync::Barrier>,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        let (clock, start) = (clock.clone(), start.clone());
+        std::thread::spawn(move || {
+            let _participant = clock.enter();
+            start.wait();
+            f()
+        })
+    }
+
+    /// A PUT that reaches the old placement after the controller's query round has
+    /// blocked it is parked there. The `FinishReconfig` flushes its redirect from the
+    /// controller's thread, over the channel its parked request left as a route, so the
+    /// PUT restarts in the new epoch without waiting out its attempt timeout.
+    #[test]
+    fn a_put_parked_by_reconfigure_is_answered_from_the_controller_thread() {
+        let cluster = Arc::new(Cluster::gcp9(metered_options()));
+        let clock = cluster.options().clock.clone();
+        let tokyo = GcpLocation::Tokyo.dc();
+        let old = vec![tokyo, GcpLocation::LosAngeles.dc(), GcpLocation::Oregon.dc()];
+        cluster.install_key("k", Configuration::abd_majority(old.clone(), 1), &Value::from("v1"));
+        let new = vec![
+            GcpLocation::Singapore.dc(),
+            GcpLocation::Frankfurt.dc(),
+            GcpLocation::Virginia.dc(),
+        ];
+        // Everyone registers with the clock before anyone moves, so the instants below
+        // are exact: the query round blocks the key at 0, the PUT arrives at 1 ns, the
+        // scrape looks at 2 ns, and no reply can arrive before a modelled round trip.
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let controller = {
+            let cluster = cluster.clone();
+            let to = Configuration::abd_majority(new, 1);
+            participant(&clock, &start, move || cluster.reconfigure("k", to).expect("reconfigure"))
+        };
+        let put = {
+            let (cluster, at) = (cluster.clone(), clock.clone());
+            participant(&clock, &start, move || {
+                at.sleep(Duration::from_nanos(1));
+                let mut client = cluster.client(tokyo);
+                client.put(&Key::from("k"), Value::from("v2")).expect("put");
+                (client.stats(), at.now_ns() - 1)
+            })
+        };
+        let parked = {
+            let _participant = clock.enter();
+            start.wait();
+            clock.sleep(Duration::from_nanos(2));
+            reply_routes(&cluster)
+        };
+        controller.join().unwrap();
+        let (stats, took_ns) = put.join().unwrap();
+
+        // A lost redirect would surface as a timeout that finds the new epoch in the
+        // metadata, a restart neither counter counts: the PUT's duration rules it out.
+        assert_eq!(stats.reconfig_restarts, 1, "{stats:?}");
+        assert_eq!(stats.timeout_restarts, 0, "the deferred redirect reached the PUT: {stats:?}");
+        let timeout_ns = cluster.options().op_timeout.as_nanos() as u64;
+        assert!(took_ns < timeout_ns, "the PUT took {took_ns} ns, past its {timeout_ns} ns");
+        // The ABD query round goes to the first two DCs of the placement.
+        let expected: Vec<(DcId, u64)> =
+            parked.iter().map(|(dc, _)| (*dc, u64::from(old[..2].contains(dc)))).collect();
+        assert_eq!(parked, expected, "one route at each DC the parked PUT reached");
+        assert!(reply_routes(&cluster).iter().all(|(_, n)| *n == 0), "flushed routes are gone");
+        assert_eq!(cluster.metadata_config(&Key::from("k")).unwrap().epoch.0, 1);
+        assert!(cluster.recorder().check_all().is_empty());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper's prototype runs one server process per GCP data center plus client processes
 //! co-located with users. This crate reproduces that deployment inside one process: every
 //! data center's server is a locked state machine served on the thread that sends it a
-//! request, replies travel on clocked channels, clients are synchronous
+//! request, which takes the reply straight back (a reply deferred by a reconfiguration
+//! travels on the parked client's clocked channel), clients are synchronous
 //! handles that implement the user-facing CREATE/GET/PUT/DELETE API, and the measured
 //! inter-DC round-trip times of the cloud model are injected on the client side (scaled by a
 //! configurable factor so tests finish quickly). Because the protocol state machines come

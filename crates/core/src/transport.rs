@@ -6,11 +6,15 @@
 //! implementations exist:
 //!
 //! * [`InProcTransport`] — the original runtime: every server is a locked
-//!   [`RequestServer`] in this process, served on the sending thread, and replies travel
-//!   on clocked crossbeam channels. Works under both clocks; under
-//!   [`Clock::virtual_time`] the clocked channels count in-flight replies, which is the
-//!   transport-side half of the virtual clock's quiescence rule (time only jumps when no
-//!   thread is busy *and no message is in flight on the transport*).
+//!   [`RequestServer`] in this process, served on the sending thread. A reply to the
+//!   request being served goes straight into the sending endpoint's own FIFO, which that
+//!   thread drains before it waits. Only a deferred reply — one a `FinishReconfig` or an
+//!   expired epoch lease flushes for a request parked earlier, possibly from another
+//!   thread — travels on the parked endpoint's clocked crossbeam channel. Works under both
+//!   clocks; under [`Clock::virtual_time`] the clocked channels count in-flight replies,
+//!   which is the transport-side half of the virtual clock's quiescence rule (time only
+//!   jumps when no thread is busy *and no message is in flight on the transport*). The
+//!   FIFO needs no such count: its owner is busy from the send until it has drained it.
 //! * [`TcpTransport`] — real length-prefixed frames (see [`legostore_proto::wire`]) over
 //!   std `TcpStream`s to `legostore-server` processes (or in-process serve loops from
 //!   the `legostore-server` crate). Socket delivery is invisible to the virtual clock's
@@ -35,7 +39,8 @@ use legostore_proto::server::{ControlMsg, Inbound, RequestServer, ServedReply};
 use legostore_proto::wire::Frame;
 use legostore_types::{DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,6 +60,11 @@ const STATS_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A reply-receiving endpoint: one per operation attempt (and one per reconfiguration).
 ///
+/// Replies arrive two ways. The in-process transport puts the replies to a request it
+/// serves on the owning thread into a plain FIFO; everything else (replies read off a
+/// socket, deferred replies flushed by another thread) comes through a clocked channel.
+/// [`Endpoint::try_recv`] and [`Endpoint::recv_deadline_ns`] drain the FIFO first.
+///
 /// Dropping the endpoint closes its channel (draining stragglers, releasing any virtual
 /// clock in-flight counts) and, on transports with an explicit routing table, removes its
 /// route — so replies to finished attempts are discarded at the source.
@@ -62,8 +72,10 @@ pub struct Endpoint {
     id: u64,
     tx: ClockedSender<ServedReply>,
     rx: ClockedReceiver<ServedReply>,
-    /// TCP demux table this endpoint is registered in, if any (in-process endpoints route
-    /// via the per-request reply channel instead).
+    /// Replies to requests this endpoint's thread had served in-process, in serve order.
+    answered: RefCell<VecDeque<ServedReply>>,
+    /// TCP demux table this endpoint is registered in, if any (an in-process server keeps
+    /// a parked request's reply sender instead).
     registry: Option<ReplyRoutes>,
 }
 
@@ -73,20 +85,30 @@ impl Endpoint {
         self.id
     }
 
-    /// A sender for routing replies to this endpoint (the in-process transport hands one
-    /// to the server with every request).
+    /// A sender for routing deferred replies to this endpoint (the in-process transport
+    /// hands one to the server only for a request that was parked).
     pub(crate) fn reply_sender(&self) -> ClockedSender<ServedReply> {
         self.tx.clone()
     }
 
+    /// Queues the reply to a request this endpoint's own thread just had served: no clock
+    /// lock, no in-flight count, no wake-up, because the receiver is the running thread.
+    fn deliver_answer(&self, reply: ServedReply) {
+        self.answered.borrow_mut().push_back(reply);
+    }
+
     /// Non-blocking receive of the next delivered reply.
     pub fn try_recv(&self) -> Option<ServedReply> {
-        self.rx.try_recv().ok()
+        self.take_answer().or_else(|| self.rx.try_recv().ok())
     }
 
     /// Blocking receive until `deadline_ns` ([`Clock::now_ns`] domain).
     pub fn recv_deadline_ns(&self, deadline_ns: u64) -> Option<ServedReply> {
-        self.rx.recv_deadline_ns(deadline_ns).ok()
+        self.take_answer().or_else(|| self.rx.recv_deadline_ns(deadline_ns).ok())
+    }
+
+    fn take_answer(&self) -> Option<ServedReply> {
+        self.answered.borrow_mut().pop_front()
     }
 }
 
@@ -268,8 +290,8 @@ impl LinkPolicy {
 // In-process transport
 // ---------------------------------------------------------------------------
 
-/// One in-process data center: its [`RequestServer`], with replies routed back on each
-/// requesting endpoint's clocked channel.
+/// One in-process data center: its [`RequestServer`], which keeps a parked request's
+/// endpoint channel to route the deferred reply.
 type InProcServer = RequestServer<ClockedSender<ServedReply>>;
 
 /// The in-process runtime: one locked [`RequestServer`] per data center, served on the
@@ -320,14 +342,20 @@ impl Transport for InProcTransport {
     fn open_endpoint(&self) -> Endpoint {
         let id = self.next_endpoint.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = self.links.clock.channel();
-        Endpoint { id, tx, rx, registry: None }
+        Endpoint { id, tx, rx, answered: RefCell::default(), registry: None }
     }
 
     /// Serves the request on the calling thread, under the destination's lock, at the
     /// send's clock instant (every sender holds a [`Clock::enter`] guard, so a virtual
-    /// clock cannot advance while it serves). Each reply goes into its endpoint's clocked
-    /// channel, so the modeled reply leg is untouched. Lock order: a server's lock, then
-    /// the clock's (inside the reply's send), never the reverse.
+    /// clock cannot advance while it serves).
+    ///
+    /// The reply to the request goes into `endpoint`'s own FIFO: the calling thread drains
+    /// it before it next waits, so virtual time cannot pass an undrained reply. Only a
+    /// parked request gives the server `endpoint`'s clocked sender, and a deferred reply
+    /// that this request flushes for another endpoint goes into that endpoint's clocked
+    /// channel. Either way the reply keeps its `sent_at_ns`, so the modeled reply leg is
+    /// untouched. Lock order: a server's lock, then the clock's (inside a deferred reply's
+    /// send), never the reverse.
     ///
     /// Telemetry: byte counters use the *modeled* wire sizes (the same
     /// `wire_size(METADATA_BYTES)` the latency model charges for), and dispatch time comes
@@ -347,9 +375,14 @@ impl Transport for InProcTransport {
         let (clock, bytes_in) = (&self.links.clock, inbound.msg.wire_size(METADATA_BYTES));
         let mut host = self.server(to)?.lock();
         let mut serve = |inbound| {
-            host.serve(endpoint.reply_sender(), inbound, bytes_in, || clock.now_ns(), |route, r| {
+            let parked = || endpoint.reply_sender();
+            host.serve(parked, inbound, bytes_in, || clock.now_ns(), |route, r| {
                 let bytes = r.reply.wire_size(METADATA_BYTES);
-                route.send(r).is_ok().then_some(bytes)
+                match route {
+                    None => endpoint.deliver_answer(r),
+                    Some(tx) => tx.send(r).ok()?,
+                }
+                Some(bytes)
             })
         };
         for _ in 1..copies {
@@ -531,7 +564,7 @@ impl Transport for TcpTransport {
         let id = self.next_endpoint.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = self.links.clock.channel();
         self.routes.lock().insert(id, tx.clone());
-        Endpoint { id, tx, rx, registry: Some(self.routes.clone()) }
+        Endpoint { id, tx, rx, answered: RefCell::default(), registry: Some(self.routes.clone()) }
     }
 
     fn send_request(

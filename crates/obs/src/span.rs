@@ -295,6 +295,9 @@ pub struct ServerMetrics {
     pub keys: Arc<Gauge>,
     /// Bytes of stored state (`server.storage_bytes`, refreshed when stats are scraped).
     pub storage_bytes: Arc<Gauge>,
+    /// Endpoints with a reply route held for a request that waits
+    /// (`server.reply_routes`, refreshed when stats are scraped).
+    pub reply_routes: Arc<Gauge>,
     /// Dispatch time by protocol phase (`server.dispatch_ns.phase{0..4}`; phase 0
     /// catches control traffic outside the 1..=4 range).
     pub dispatch: [Arc<Histogram>; MAX_PHASES + 1],
@@ -317,6 +320,7 @@ impl ServerMetrics {
             queue_depth_max: r.gauge("server.queue_depth_max"),
             keys: r.gauge("server.keys"),
             storage_bytes: r.gauge("server.storage_bytes"),
+            reply_routes: r.gauge("server.reply_routes"),
             dispatch: std::array::from_fn(|i| {
                 r.histogram(&format!("server.dispatch_ns.phase{i}"))
             }),

@@ -708,23 +708,26 @@ fn collect_key(epochs: &mut BTreeMap<ConfigEpoch, KeyServerState>, keep_recent: 
 }
 
 /// Upper bound on a [`RequestServer`]'s reply-routing table; crossing it evicts the
-/// least-recently-seen half via [`evict_stale_routes`].
+/// least-recently-parked half via [`evict_stale_routes`]. Only a request parked behind a
+/// reconfiguration leaves a route, and the reply that ends its wait takes it away, so the
+/// table holds one entry per endpoint with a parked request. A request whose reply never
+/// comes (its key was deleted, or no lease ends the block) is what the cap is for.
 const MAX_REPLY_ROUTES: usize = 100_000;
 
-/// Drops the least-recently-seen reply routes until only `keep` remain.
+/// Drops the least-recently-stamped reply routes until only `keep` remain.
 ///
 /// `routes` maps an endpoint id to its reply handle (a channel for the in-process runtime,
-/// a connection id for the TCP server) plus the per-server message counter value at which
-/// the endpoint last sent a request. Endpoints with recent activity are the ones that may
-/// still receive (possibly deferred) replies; evicting only the stale tail — instead of
-/// clearing the whole table — keeps live operations routable.
+/// a connection id for the TCP server) plus the per-server counter value at which the
+/// endpoint last had a request parked. The freshest routes are the ones whose parked
+/// requests may still be flushed; evicting only the stale tail — instead of clearing the
+/// whole table — keeps them routable.
 fn evict_stale_routes<T>(routes: &mut HashMap<u64, (T, u64)>, keep: usize) {
     if routes.len() <= keep {
         return;
     }
     let mut stamps: Vec<u64> = routes.values().map(|(_, seen)| *seen).collect();
     stamps.sort_unstable();
-    // Stamps are unique (one per inserted request), so this keeps exactly `keep` entries.
+    // Stamps are unique (one per inserted route), so this keeps exactly `keep` entries.
     let cutoff = stamps[stamps.len() - keep];
     routes.retain(|_, (_, seen)| *seen >= cutoff);
 }
@@ -751,16 +754,18 @@ pub struct ServedReply {
 }
 
 /// The request-serving half of a per-DC server host: the [`DcServer`], its telemetry and
-/// the bounded table that routes replies — possibly deferred ones, flushed long after
-/// their request by a `FinishReconfig` — back to the endpoint that asked. Generic over
-/// the host's route handle `R` (a reply channel in-process, a connection id over TCP);
-/// hosts keep only their receive loop and their way of writing a reply.
+/// the bounded table that routes deferred replies — flushed long after their request by a
+/// `FinishReconfig` or an expired epoch lease — back to the endpoint that asked. A reply
+/// that answers the request being served goes back the way that request came, so only a
+/// request that waits leaves a route. Generic over the host's route handle `R` (a reply
+/// channel in-process, a connection id over TCP); hosts keep only their receive loop and
+/// their way of writing a reply.
 pub struct RequestServer<R> {
     /// The protocol state. Hosts apply controls and set the epoch lease on it directly.
     pub server: DcServer,
     obs: Obs,
     metrics: ServerMetrics,
-    /// endpoint → (route, stamp of the endpoint's latest request).
+    /// endpoint → (route, stamp of the endpoint's latest parked request).
     routes: HashMap<EndpointId, (R, u64)>,
     stamp: u64,
 }
@@ -782,33 +787,42 @@ impl<R> RequestServer<R> {
         &self.metrics
     }
 
-    /// Serves one request that arrived on `route` as `bytes_in` bytes: remembers the
-    /// route, dispatches at `now_ns()` and hands every resulting reply, stamped, to
-    /// `write` with the route of the endpoint it is addressed to. `write` returns the
-    /// bytes it put on the wire, or `None` if the route turned out dead.
+    /// Serves one request that arrived as `bytes_in` bytes, dispatching it at `now_ns()`,
+    /// and hands every resulting reply, stamped, to `write`, which returns the bytes it put
+    /// on the wire or `None` if the route turned out dead.
+    ///
+    /// A reply addressed to the request's own endpoint goes to `write` with `None`: it
+    /// leaves the way the request came. Any other reply is a deferred one, flushed by this
+    /// request, and goes with the route its endpoint left; a reply with no route is
+    /// discarded. `route` is called only if a live server answered nothing to the
+    /// endpoint — the request was parked behind a reconfiguration — and its result is
+    /// remembered until a reply to that endpoint is written. A failed server drops the
+    /// request and will never answer it, so that leaves no route either.
     pub fn serve(
         &mut self,
-        route: R,
+        route: impl FnOnce() -> R,
         inbound: Inbound,
         bytes_in: u64,
         now_ns: impl Fn() -> u64,
-        mut write: impl FnMut(&R, ServedReply) -> Option<u64>,
+        mut write: impl FnMut(Option<&R>, ServedReply) -> Option<u64>,
     ) {
-        self.stamp += 1;
-        self.routes.insert(inbound.from, (route, self.stamp));
-        // Evicting only the least-recently-seen half (not the whole table) keeps the
-        // routes of in-flight operations alive.
-        if self.routes.len() > MAX_REPLY_ROUTES {
-            evict_stale_routes(&mut self.routes, MAX_REPLY_ROUTES / 2);
-        }
-        let (msg_kind, phase) = (inbound.msg.kind_index(), inbound.phase);
+        let (from, msg_kind, phase) = (inbound.from, inbound.msg.kind_index(), inbound.phase);
         let handled_at = now_ns();
         let replies = self.server.handle_at(inbound, handled_at);
         let service_ns = now_ns().saturating_sub(handled_at);
         let mut bytes_out = 0;
+        let mut answered = false;
+        let mut flushed = Vec::new();
         let produced = replies.len() as u64;
         for r in replies {
-            let Some((route, _)) = self.routes.get(&r.to) else { continue };
+            let route = if r.to == from {
+                answered = true;
+                None
+            } else {
+                let Some((route, _)) = self.routes.get(&r.to) else { continue };
+                flushed.push(r.to);
+                Some(route)
+            };
             let served = ServedReply {
                 endpoint: r.to,
                 from: self.server.dc(),
@@ -819,6 +833,24 @@ impl<R> RequestServer<R> {
                 reply: r.reply,
             };
             bytes_out += write(route, served).unwrap_or(0);
+        }
+        // A reply ends its endpoint's wait: the requests an endpoint sends all concern one
+        // key at one epoch, so whatever flushes one of its parked requests flushes them all.
+        for endpoint in flushed {
+            self.routes.remove(&endpoint);
+        }
+        if answered {
+            if !self.routes.is_empty() {
+                self.routes.remove(&from);
+            }
+        } else if !self.server.failed {
+            self.stamp += 1;
+            self.routes.insert(from, (route(), self.stamp));
+            // Evicting only the least-recently-stamped half (not the whole table) keeps
+            // the routes of recently parked requests alive.
+            if self.routes.len() > MAX_REPLY_ROUTES {
+                evict_stale_routes(&mut self.routes, MAX_REPLY_ROUTES / 2);
+            }
         }
         if self.obs.enabled() {
             self.metrics.bytes_in.add(bytes_in);
@@ -836,6 +868,7 @@ impl<R> RequestServer<R> {
     /// as requests were served) and snapshots the registry.
     pub fn stats(&self) -> MetricsSnapshot {
         self.metrics.keys.set(self.server.key_count() as u64);
+        self.metrics.reply_routes.set(self.routes.len() as u64);
         self.metrics.storage_bytes.set(self.server.storage_bytes());
         self.obs.snapshot()
     }
@@ -1458,6 +1491,69 @@ mod tests {
         s.apply_control(ControlMsg::GarbageCollect(1));
         s.apply_control(ControlMsg::RemoveKey(Key::from("k")));
         assert_eq!(s.key_count(), 0);
+    }
+
+    /// Serves `msg` from endpoint `from` (whose route is its own id) and returns what
+    /// `write` got: each reply's route (`None` for the way the request came), its
+    /// endpoint and its body.
+    fn serve_from(
+        host: &mut RequestServer<u64>,
+        from: EndpointId,
+        msg: ProtoMsg,
+    ) -> Vec<(Option<u64>, EndpointId, ProtoReply)> {
+        let mut written = Vec::new();
+        let request = Inbound { from, ..inbound(from, ConfigEpoch(0), msg) };
+        host.serve(|| from, request, 0, || 0, |route, r| {
+            written.push((route.copied(), r.endpoint, r.reply));
+            Some(0)
+        });
+        written
+    }
+
+    #[test]
+    fn only_a_parked_request_leaves_a_reply_route() {
+        const CLIENT: EndpointId = 7;
+        const PARKED: EndpointId = 8;
+        const CONTROLLER: EndpointId = 9;
+        let mut host = RequestServer::new(DcId(0), Obs::new(legostore_obs::ObsConfig::Metrics));
+        host.server = abd_server_with_key();
+        let routes = |host: &RequestServer<u64>| host.stats().gauge("server.reply_routes");
+
+        let written = serve_from(&mut host, CLIENT, ProtoMsg::AbdReadQuery);
+        let answer = matches!(written[..], [(None, CLIENT, ProtoReply::AbdTagValue { .. })]);
+        assert!(answer, "{written:?}");
+        assert!(host.routes.is_empty(), "an answered request leaves no route");
+        let written = serve_from(&mut host, CONTROLLER, reconfig_query(1));
+        assert!(matches!(written[..], [(None, CONTROLLER, _)]), "{written:?}");
+
+        let write = ProtoMsg::AbdWrite { tag: Tag::new(1, ClientId(3)), value: Value::from("w") };
+        assert!(serve_from(&mut host, PARKED, write).is_empty(), "parked");
+        assert_eq!(host.routes.keys().collect::<Vec<_>>(), [&PARKED]);
+        assert_eq!(routes(&host), 1);
+
+        let mut new_config = Configuration::abd_majority(dcs(3), 1);
+        new_config.epoch = ConfigEpoch(1);
+        let finish = ProtoMsg::FinishReconfig {
+            highest_tag: Tag::new(1, ClientId(3)),
+            new_config: Box::new(new_config),
+        };
+        let written = serve_from(&mut host, CONTROLLER, finish);
+        assert_eq!(
+            written,
+            [(Some(PARKED), PARKED, ProtoReply::Ack), (None, CONTROLLER, ProtoReply::Ack)],
+            "the deferred reply takes the parked route, the finish's own Ack the way it came"
+        );
+        assert!(host.routes.is_empty(), "the flushed request waits no more");
+        assert_eq!(routes(&host), 0);
+    }
+
+    #[test]
+    fn a_failed_server_keeps_no_route_for_what_it_drops() {
+        let mut host = RequestServer::new(DcId(0), Obs::new(legostore_obs::ObsConfig::Off));
+        host.server = abd_server_with_key();
+        host.server.set_failed(true);
+        assert!(serve_from(&mut host, 7, ProtoMsg::AbdReadQuery).is_empty());
+        assert!(host.routes.is_empty());
     }
 
     #[test]

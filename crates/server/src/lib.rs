@@ -13,10 +13,11 @@
 //! same per-DC state under one lock (the one-request-at-a-time model the protocol code was
 //! written against). A connection thread decodes a frame off its socket, locks the state,
 //! serves the frame and writes the replies, then unlocks: no thread hand-off lies between
-//! a request's bytes and its reply's. Replies are routed back through the connection that
-//! carried the endpoint's most recent request, exactly like the in-process server routes
-//! replies through each request's reply channel — so a deferred reply flushed by a
-//! `FinishReconfig` can leave on another connection than the one being served. A
+//! a request's bytes and its reply's. A reply to the request being served goes back on
+//! the connection it arrived on. A request parked behind a reconfiguration leaves its
+//! connection as the endpoint's route, exactly like the in-process server keeps a parked
+//! request's reply channel — so a deferred reply flushed by a `FinishReconfig` can leave
+//! on another connection than the one being served. A
 //! `Shutdown` frame from any connection stops the server — deployments that outlive their
 //! drivers can simply not send one.
 
@@ -173,7 +174,8 @@ impl State {
                 let now_ns = || shared.epoch.elapsed().as_nanos() as u64;
                 let State { host, conns, .. } = self;
                 let mut failed = Vec::new();
-                host.serve(id, inbound, wire_bytes, now_ns, |&conn, r| {
+                host.serve(|| id, inbound, wire_bytes, now_ns, |route, r| {
+                    let conn = route.copied().unwrap_or(id);
                     // Encode once: the same buffer is written and counted.
                     let bytes = Frame::Reply {
                         endpoint: r.endpoint,

@@ -13,7 +13,7 @@ use legostore_proto::server::{Inbound, Reply};
 use legostore_proto::{Completed, RetryCause};
 use legostore_types::{Configuration, DcId, FaultPlan, FaultState, Key, OpKind, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Tunables of a simulation run.
@@ -216,15 +216,18 @@ impl Simulation {
     }
 
     /// Schedules every request of a workload trace; `key_of` maps the trace's key index to a
-    /// key name.
+    /// key name. It is called once per distinct index, and the requests on one key share
+    /// its name.
     pub fn schedule_trace<F: Fn(usize) -> String>(
         &mut self,
         trace: &[legostore_workload::Request],
         offset_ms: f64,
         key_of: F,
     ) {
+        let mut keys: HashMap<usize, Key> = HashMap::new();
         for r in trace {
-            self.schedule_request(offset_ms + r.time_ms, r.origin, r.kind, key_of(r.key_index), r.object_size);
+            let key = keys.entry(r.key_index).or_insert_with(|| Key::new(key_of(r.key_index)));
+            self.schedule_request(offset_ms + r.time_ms, r.origin, r.kind, key.clone(), r.object_size);
         }
     }
 
@@ -877,7 +880,15 @@ pub(crate) mod tests {
         let mut sim = Simulation::new(model);
         sim.create_key("key-0", abd3_config(), &Value::filler(512));
         sim.create_key("key-1", abd3_config(), &Value::filler(512));
-        sim.schedule_trace(&trace, 0.0, |i| format!("key-{i}"));
+        let calls = std::cell::Cell::new(0);
+        sim.schedule_trace(&trace, 0.0, |i| {
+            calls.set(calls.get() + 1);
+            format!("key-{i}")
+        });
+        let distinct: std::collections::BTreeSet<_> = trace.iter().map(|r| r.key_index).collect();
+        assert_eq!(distinct.len(), 2, "both keys are requested");
+        assert!(trace.len() > 2 * distinct.len());
+        assert_eq!(calls.get(), distinct.len(), "one name per key, not one per request");
         let report = sim.run();
         assert_eq!(report.operations.len(), trace.len());
         assert_eq!(report.failures(), 0);
