@@ -9,12 +9,11 @@
 //! deployment clock and keeps the client's view, GET cache, statistics and telemetry.
 
 use crate::cluster::ClusterInner;
-use crate::inbox::DelayedInbox;
 use crate::transport::reply_delay;
 use legostore_cloud::METADATA_BYTES;
 use legostore_lincheck::recorder::fingerprint;
 use legostore_obs::{OpRecord, OpSpan, SpanEventKind};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound, ServedReply};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound};
 use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
 use legostore_types::{
     ClientId, Configuration, DcId, Key, OpKind, StoreError, StoreResult, Tag, Value,
@@ -255,16 +254,14 @@ impl StoreClient {
             // its reply channel (and deregisters its route, on transports that keep one),
             // so replies that straggle in after a timeout or a reconfiguration redirect
             // are discarded at the source (and cannot hold a virtual clock back).
-            let endpoint = cluster.transport.open_endpoint();
+            let endpoint = cluster.transport.open_endpoint(self.dc);
             let deadline_ns = clock.now_ns() + cluster.options.op_timeout.as_nanos() as u64;
-            let mut inbox: DelayedInbox<ServedReply> = DelayedInbox::new();
             let mut outbound = driver.open_attempt(host);
             let cause = loop {
                 for out in outbound.drain(..) {
-                    let to = out.to;
-                    cluster.send_request(self.dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
+                    cluster.transport.send_request(out.to, &endpoint, Inbound::new(endpoint.id(), out))?;
                 }
-                let step = match cluster.wait_for_reply(self.dc, &endpoint, &mut inbox, deadline_ns) {
+                let step = match endpoint.recv(deadline_ns) {
                     Some(env) => {
                         driver.on_reply(env.from, env.phase, env.epoch, env.service_ns, env.reply, host)
                     }
@@ -302,7 +299,9 @@ impl StoreClient {
                         driver.phase()
                     ));
                 }
-                RetryCause::EpochMoved | RetryCause::Failure => {}
+                // The attempt ended by its timeout, like a widening one.
+                RetryCause::EpochMoved => self.stats.timeout_restarts += 1,
+                RetryCause::Failure => {}
             }
         }
     }
@@ -533,6 +532,27 @@ mod tests {
         let get = client.get(&Key::from("coded"));
         assert!(matches!(get, Err(StoreError::QuorumUnreachable { .. })), "{get:?}");
         assert!(client.stats().timeout_restarts >= 2, "{:?}", client.stats());
+        cluster.shutdown();
+    }
+
+    /// A client whose view still names a reconfigured key's old placement, all of it
+    /// failed, hears nothing: its attempt times out, finds the new epoch in the metadata
+    /// and restarts there. Its timeout ended the attempt, so it counts as one.
+    #[test]
+    fn a_timeout_that_finds_a_newer_epoch_counts_as_a_timeout_restart() {
+        let cluster = fast_cluster();
+        let tokyo = GcpLocation::Tokyo.dc();
+        let old = vec![tokyo, GcpLocation::LosAngeles.dc(), GcpLocation::Oregon.dc()];
+        cluster.install_key("k", Configuration::abd_majority(old.clone(), 1), &Value::from("v1"));
+        let (mut client, key) = (cluster.client(tokyo), Key::from("k"));
+        assert_eq!(client.get(&key).unwrap(), Value::from("v1"));
+        let new = [GcpLocation::Singapore, GcpLocation::Frankfurt, GcpLocation::Virginia];
+        let new = Configuration::abd_majority(new.iter().map(|l| l.dc()).collect(), 1);
+        cluster.reconfigure("k", new).unwrap();
+        old.into_iter().for_each(|dc| cluster.fail_dc(dc));
+        assert_eq!(client.get(&key).unwrap(), Value::from("v1"));
+        let stats = client.stats();
+        assert_eq!((stats.reconfig_restarts, stats.timeout_restarts), (0, 1), "{stats:?}");
         cluster.shutdown();
     }
 

@@ -1,7 +1,7 @@
 //! Real and virtual time sources for the in-process deployment.
 //!
-//! Every timing decision in `legostore-core` — the modeled network delays injected by
-//! [`DelayedInbox`](crate::inbox::DelayedInbox), operation timeouts, reconfiguration
+//! Every timing decision in `legostore-core` — the modeled network delays an
+//! [`Endpoint`](crate::Endpoint) holds its replies for, operation timeouts, reconfiguration
 //! deadlines and the linearizability timestamps — goes through a [`Clock`]. Two
 //! implementations exist:
 //!
@@ -352,21 +352,6 @@ impl<T> ClockedReceiver<T> {
         Some((self.clock.virtual_clock()?, self.wake.as_ref()?))
     }
 
-    /// Non-blocking receive.
-    pub(crate) fn try_recv(&self) -> Result<T, TryRecvError> {
-        match self.clock.virtual_clock() {
-            None => self.rx().try_recv(),
-            Some(v) => {
-                let mut s = v.lock();
-                let got = self.rx().try_recv();
-                if got.is_ok() {
-                    s.in_flight -= 1;
-                }
-                got
-            }
-        }
-    }
-
     /// Blocking receive that gives up once the clock reaches `deadline_ns`. On a virtual
     /// clock the deadline is registered as a pending wake-up, so an unreachable quorum
     /// times out at the modeled instant without any wall-clock wait.
@@ -524,33 +509,32 @@ struct VirtualState {
     busy: usize,
     /// Messages sent through a [`ClockedSender`] and not yet received.
     in_flight: usize,
-    /// Pending wake-up instants of blocked threads (deadline → the wake-ups they wait
-    /// on). A notified sleeper keeps its entry until it runs again, so the smallest
-    /// deadline is then `<= now_ns` and blocks the next jump until the sleeper is back.
-    sleepers: BTreeMap<u64, Vec<Arc<Wake>>>,
+    /// Pending wake-ups of blocked threads, one entry per waiter, keyed by (deadline,
+    /// address of the wake-up it waits on). A notified sleeper keeps its entry until it
+    /// runs again, so the smallest deadline is then `<= now_ns` and blocks the next jump
+    /// until the sleeper is back.
+    sleepers: BTreeMap<(u64, usize), Arc<Wake>>,
 }
 
 impl VirtualState {
     fn add_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Wake>) {
-        self.sleepers.entry(deadline_ns).or_default().push(wake.clone());
+        self.sleepers.insert((deadline_ns, Arc::as_ptr(wake) as usize), wake.clone());
     }
 
     /// The earliest pending wake-up after `now_ns`: the instant of the next jump, unless
     /// an earlier deadline is registered first.
     fn next_wake_up(&self) -> Option<u64> {
-        let after_now = (Bound::Excluded(self.now_ns), Bound::Unbounded);
-        self.sleepers.range(after_now).next().map(|(&at, _)| at)
+        let after_now = (Bound::Excluded((self.now_ns, usize::MAX)), Bound::Unbounded);
+        self.sleepers.range(after_now).next().map(|(&(at, _), _)| at)
+    }
+
+    /// The wake-ups of the waiters whose deadline is `at_ns`.
+    fn sleepers_at(&self, at_ns: u64) -> impl Iterator<Item = &Arc<Wake>> {
+        self.sleepers.range((at_ns, 0)..=(at_ns, usize::MAX)).map(|(_, wake)| wake)
     }
 
     fn remove_sleeper(&mut self, deadline_ns: u64, wake: &Arc<Wake>) {
-        if let Some(waiters) = self.sleepers.get_mut(&deadline_ns) {
-            if let Some(i) = waiters.iter().position(|w| Arc::ptr_eq(w, wake)) {
-                waiters.swap_remove(i);
-            }
-            if waiters.is_empty() {
-                self.sleepers.remove(&deadline_ns);
-            }
-        }
+        self.sleepers.remove(&(deadline_ns, Arc::as_ptr(wake) as usize));
     }
 }
 
@@ -568,11 +552,11 @@ impl VirtualClock {
     /// registered at that instant.
     fn advance_if_quiescent(&self, s: &mut VirtualState) {
         if s.busy == 0 && s.in_flight == 0 {
-            if let Some((&at, waiters)) = s.sleepers.first_key_value() {
+            if let Some((&(at, _), _)) = s.sleepers.first_key_value() {
                 if at > s.now_ns {
                     s.now_ns = at;
                     self.now_ns.store(at, Ordering::Release);
-                    waiters.iter().for_each(|w| w.notify());
+                    s.sleepers_at(at).for_each(|w| w.notify());
                 }
             }
         }
@@ -683,8 +667,8 @@ mod tests {
         let clock = Clock::virtual_time();
         let (tx, rx) = clock.channel::<u32>();
         tx.send(7).unwrap();
-        assert_eq!(rx.try_recv().unwrap(), 7);
-        assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
+        assert_eq!(rx.recv_deadline_ns(0).unwrap(), 7);
+        assert!(matches!(rx.recv_deadline_ns(0), Err(RecvTimeoutError::Timeout)));
         clock.sleep_until_ns(1_000);
         assert_eq!(clock.now_ns(), 1_000);
     }
@@ -761,7 +745,7 @@ mod tests {
                 clock.now_ns()
             })
         };
-        wait_for_state(&clock, |s| s.sleepers.contains_key(&99));
+        wait_for_state(&clock, |s| s.sleepers_at(99).count() == 1);
         assert_eq!(clock.now_ns(), 0, "in-flight messages hold time still");
         // Must un-count both and make the jump, or the parked sleeper would wedge.
         drop(rx);
@@ -856,7 +840,7 @@ mod tests {
         }
         // Every bystander has entered; once all of them sleep on `FAR`, all are parked.
         entered.wait();
-        wait_for_state(&clock, |s| s.sleepers.get(&FAR).is_some_and(|w| w.len() == BYSTANDERS));
+        wait_for_state(&clock, |s| s.sleepers_at(FAR).count() == BYSTANDERS);
 
         let (ping_tx, ping_rx) = clock.channel::<u32>();
         let (pong_tx, pong_rx) = clock.channel::<u32>();
@@ -963,7 +947,7 @@ mod tests {
                 })
             })
             .collect();
-        wait_for_state(&clock, |s| s.sleepers.get(&1_000).is_some_and(|w| w.len() == 2));
+        wait_for_state(&clock, |s| s.sleepers_at(1_000).count() == 2);
         drop(participant); // the last participant's guard drop makes the jump
         for sleeper in sleepers {
             assert_eq!(sleeper.join().unwrap(), 1_000);

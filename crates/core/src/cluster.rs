@@ -2,21 +2,21 @@
 //! controller, all behind the [`Transport`] seam.
 //!
 //! [`Cluster::new`] is the in-process runtime (one locked server per data center, served
-//! on the sending thread, which takes the reply straight back; only a reply deferred by a
-//! reconfiguration crosses a clocked channel). [`Cluster::connect_tcp`] is the
-//! same deployment over real sockets: the servers are `legostore-server` processes (or
-//! threads) elsewhere, and every protocol message crosses the wire as a length-prefixed
-//! frame. Clients, the metadata service and the reconfiguration controller are identical
-//! in both cases — they only see the [`Transport`] trait.
+//! on the sending thread, which puts the reply straight into its endpoint's delayed inbox;
+//! only a reply deferred by a reconfiguration crosses a clocked channel).
+//! [`Cluster::connect_tcp`] is the same deployment over real sockets: the servers are
+//! `legostore-server` processes (or threads) elsewhere, and every protocol message crosses
+//! the wire as a length-prefixed frame. Clients, the metadata service and the
+//! reconfiguration controller are identical in both cases — they only see the
+//! [`Transport`] trait, and wait for replies in an [`Endpoint`](crate::Endpoint)'s `recv`.
 
 use crate::clock::Clock;
-use crate::inbox::DelayedInbox;
-use crate::transport::{Endpoint, InProcTransport, LinkPolicy, TcpTransport, Transport};
+use crate::transport::{InProcTransport, LinkPolicy, TcpTransport, Transport};
 use legostore_cloud::CloudModel;
 use legostore_lincheck::HistoryRecorder;
 use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound, ServedReply};
+use legostore_proto::server::{ControlMsg, DcServer, Inbound};
 use legostore_types::{
     Configuration, DcId, FaultPlan, Key, StoreError, StoreResult, Tag, Value,
 };
@@ -59,22 +59,6 @@ pub struct ClusterOptions {
     /// `LEGOSTORE_OBS=1` / `LEGOSTORE_TRACE=1` light up any deployment without a code
     /// change; `Off` costs one relaxed atomic load per would-be instrumentation point.
     pub obs: ObsConfig,
-    /// How long a server keeps a key's requests parked for a reconfiguration whose
-    /// `FinishReconfig` never arrives before re-activating the old epoch and draining
-    /// them there (see `DcServer::expire_leases`). `None` derives 16 × `op_timeout`,
-    /// twice the controller's own 8 × `op_timeout` deadline — a live controller always
-    /// finishes or stalls out before any server gives up on it, so a lease expiry
-    /// implies the controller is gone and the metadata service never published the new
-    /// configuration.
-    pub epoch_lease: Option<Duration>,
-}
-
-impl ClusterOptions {
-    /// The effective epoch lease in nanoseconds (defaulting from `op_timeout`).
-    pub(crate) fn epoch_lease_ns(&self) -> u64 {
-        let default = self.op_timeout * (2 * ReconfigDriver::DEADLINE_TIMEOUTS) as u32;
-        self.epoch_lease.unwrap_or(default).as_nanos() as u64
-    }
 }
 
 impl Default for ClusterOptions {
@@ -87,7 +71,6 @@ impl Default for ClusterOptions {
             clock: Clock::real(),
             fault_plan: FaultPlan::none(),
             obs: ObsConfig::from_env(),
-            epoch_lease: None,
         }
     }
 }
@@ -148,65 +131,6 @@ impl ClusterInner {
         }))
     }
 
-    /// Waits for the next reply addressed to `endpoint`, consumed at `at`, honoring
-    /// modeled network delays; `None` once `deadline_ns` (a
-    /// [`Clock::now_ns`](crate::clock::Clock::now_ns) timestamp) has passed with no reply
-    /// due by then. All parking happens in channel waits (never in a bare clock sleep), so
-    /// replies keep being drained into the inbox while we wait for the earliest one.
-    pub(crate) fn wait_for_reply(
-        &self,
-        at: DcId,
-        endpoint: &Endpoint,
-        inbox: &mut DelayedInbox<ServedReply>,
-        deadline_ns: u64,
-    ) -> Option<ServedReply> {
-        let clock = self.clock();
-        loop {
-            // Drain anything already delivered into the delayed inbox.
-            while let Some(env) = endpoint.try_recv() {
-                if env.endpoint == endpoint.id() {
-                    self.transport.buffer_reply(at, inbox, env);
-                }
-            }
-            if let Some(env) = inbox.pop_ready(clock.now_ns()) {
-                return Some(env);
-            }
-            if clock.now_ns() >= deadline_ns {
-                return None;
-            }
-            let wake_ns = inbox
-                .next_available_at()
-                .unwrap_or(deadline_ns)
-                .min(deadline_ns);
-            match endpoint.recv_deadline_ns(wake_ns) {
-                Some(env) => {
-                    if env.endpoint == endpoint.id() {
-                        self.transport.buffer_reply(at, inbox, env);
-                    }
-                }
-                None => {
-                    if clock.now_ns() >= deadline_ns
-                        && inbox.next_available_at().map(|t| t > deadline_ns).unwrap_or(true)
-                    {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sends a protocol request from the endpoint at `from` to the server at `to` (the
-    /// transport's request-leg fault interposition point).
-    pub(crate) fn send_request(
-        &self,
-        from: DcId,
-        to: DcId,
-        endpoint: &crate::transport::Endpoint,
-        inbound: Inbound,
-    ) -> StoreResult<()> {
-        self.transport.send_request(from, to, endpoint, inbound)
-    }
-
     pub(crate) fn control(&self, to: DcId, msg: ControlMsg) {
         let _ = self.transport.control(to, msg);
     }
@@ -239,9 +163,18 @@ pub struct Cluster {
 impl Cluster {
     /// Builds one in-process server per data center of `model`. No thread is spawned:
     /// each request is served on the thread that sends it, under its server's lock.
+    ///
+    /// A server keeps a key's requests parked for a reconfiguration whose
+    /// `FinishReconfig` never arrives for an epoch lease of 16 × `op_timeout` before it
+    /// re-activates the old epoch and drains them there (see `DcServer::expire_leases`):
+    /// twice the controller's own 8 × `op_timeout` deadline, so a live controller always
+    /// finishes or stalls out before any server gives up on it, and a lease expiry implies
+    /// the controller is gone and the metadata service never published the new
+    /// configuration.
     pub fn new(model: CloudModel, options: ClusterOptions) -> Cluster {
         let dcs = model.dc_ids();
-        let (obs, epoch_lease_ns) = (options.obs, options.epoch_lease_ns());
+        let lease = options.op_timeout * (2 * ReconfigDriver::DEADLINE_TIMEOUTS) as u32;
+        let (obs, epoch_lease_ns) = (options.obs, lease.as_nanos() as u64);
         let inner = ClusterInner::assemble(model, options, |links| {
             Ok(InProcTransport::new(links, dcs, obs, epoch_lease_ns))
         })
@@ -389,16 +322,14 @@ impl Cluster {
         let controller_dc = self.inner.options.controller_dc;
         let op_timeout_ns = self.inner.options.op_timeout.as_nanos() as u64;
         let mut driver = ReconfigDriver::new(key.clone(), old, new_config, op_timeout_ns, started_ns);
-        let endpoint = self.inner.transport.open_endpoint();
-        let mut inbox: DelayedInbox<ServedReply> = DelayedInbox::new();
+        let transport = &self.inner.transport;
+        let endpoint = transport.open_endpoint(controller_dc);
         let mut outbound = driver.start();
         loop {
             for out in outbound.drain(..) {
-                let to = out.to;
-                self.inner.send_request(controller_dc, to, &endpoint, Inbound::new(endpoint.id(), out))?;
+                transport.send_request(out.to, &endpoint, Inbound::new(endpoint.id(), out))?;
             }
-            let reply = self.inner.wait_for_reply(controller_dc, &endpoint, &mut inbox, driver.wake_ns());
-            let step = match reply {
+            let step = match endpoint.recv(driver.wake_ns()) {
                 Some(env) => driver.on_reply(env.from, env.phase, env.reply, clock.now_ns()),
                 None => driver.tick(clock.now_ns()),
             };
@@ -643,7 +574,7 @@ mod tests {
         let (stats, took_ns) = put.join().unwrap();
 
         // A lost redirect would surface as a timeout that finds the new epoch in the
-        // metadata, a restart neither counter counts: the PUT's duration rules it out.
+        // metadata: a timeout restart, and a PUT that outlasts its attempt timeout.
         assert_eq!(stats.reconfig_restarts, 1, "{stats:?}");
         assert_eq!(stats.timeout_restarts, 0, "the deferred redirect reached the PUT: {stats:?}");
         let timeout_ns = cluster.options().op_timeout.as_nanos() as u64;

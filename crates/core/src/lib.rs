@@ -6,7 +6,8 @@
 //! request, which takes the reply straight back (a reply deferred by a reconfiguration
 //! travels on the parked client's clocked channel), clients are synchronous
 //! handles that implement the user-facing CREATE/GET/PUT/DELETE API, and the measured
-//! inter-DC round-trip times of the cloud model are injected on the client side (scaled by a
+//! inter-DC round-trip times of the cloud model are injected on the client side: each
+//! attempt's [`Endpoint`] holds a reply until its modeled arrival (scaled by a
 //! configurable factor so tests finish quickly). Because the protocol state machines come
 //! from `legostore-proto` unchanged, the concurrency behaviour — quorum waiting, blocking
 //! during reconfigurations, fail-over to new configurations — is the real thing; only the
@@ -33,7 +34,7 @@
 pub mod client;
 pub mod clock;
 pub mod cluster;
-pub mod inbox;
+mod inbox;
 pub mod transport;
 
 pub use client::StoreClient;

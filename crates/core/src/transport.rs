@@ -7,14 +7,14 @@
 //!
 //! * [`InProcTransport`] — the original runtime: every server is a locked
 //!   [`RequestServer`] in this process, served on the sending thread. A reply to the
-//!   request being served goes straight into the sending endpoint's own FIFO, which that
-//!   thread drains before it waits. Only a deferred reply — one a `FinishReconfig` or an
-//!   expired epoch lease flushes for a request parked earlier, possibly from another
-//!   thread — travels on the parked endpoint's clocked crossbeam channel. Works under both
-//!   clocks; under [`Clock::virtual_time`] the clocked channels count in-flight replies,
-//!   which is the transport-side half of the virtual clock's quiescence rule (time only
-//!   jumps when no thread is busy *and no message is in flight on the transport*). The
-//!   FIFO needs no such count: its owner is busy from the send until it has drained it.
+//!   request being served goes straight into the sending endpoint's delayed inbox. Only a
+//!   deferred reply — one a `FinishReconfig` or an expired epoch lease flushes for a
+//!   request parked earlier, possibly from another thread — travels on the parked
+//!   endpoint's clocked crossbeam channel. Works under both clocks; under
+//!   [`Clock::virtual_time`] the clocked channels count in-flight replies, which is the
+//!   transport-side half of the virtual clock's quiescence rule (time only jumps when no
+//!   thread is busy *and no message is in flight on the transport*). A reply buffered in
+//!   place needs no such count: its arrival instant is in the inbox the owner waits on.
 //! * [`TcpTransport`] — real length-prefixed frames (see [`legostore_proto::wire`]) over
 //!   std `TcpStream`s to `legostore-server` processes (or in-process serve loops from
 //!   the `legostore-server` crate). Socket delivery is invisible to the virtual clock's
@@ -25,11 +25,14 @@
 //! Both implementations share the same link policy: the cloud model's scaled
 //! geo-latencies are imposed on the reply leg, and a deterministic
 //! [`FaultPlan`] is interposed at exactly two points —
-//! [`Transport::send_request`] (request leg) and [`Transport::buffer_reply`] (reply leg).
-//! Because the verdicts are drawn on the client side of the seam, the *same seeded plan*
-//! produces the same drop/duplicate/delay schedule whether the request is served
-//! in-process or crosses a socket. (The simulator draws the same `LinkVerdict`s from its
-//! own `FaultState` inside its single-threaded event loop, on the same two legs.)
+//! [`Transport::send_request`] (request leg) and the reply's entry into its
+//! [`Endpoint`]'s delayed inbox (reply leg). `Endpoint::recv` is the one wait: it
+//! returns replies in modeled-arrival order. Because the verdicts are drawn on the client
+//! side of the seam, the *same seeded plan* produces the same drop/duplicate/delay
+//! schedule whether the request is served in-process or crosses a socket. (The simulator
+//! draws the same `LinkVerdict`s from its own `FaultState` inside its single-threaded
+//! event loop, on the same two legs.) In-process, the reply-leg verdict is drawn as the
+//! request is served, at the same clock instant as the request-leg one.
 
 use crate::clock::{Clock, ClockedReceiver, ClockedSender};
 use crate::inbox::DelayedInbox;
@@ -40,7 +43,7 @@ use legostore_proto::wire::Frame;
 use legostore_types::{DcId, FaultPlan, FaultState, LinkVerdict, StoreError, StoreResult};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,57 +61,96 @@ type StatsWaiters = Arc<Mutex<HashMap<u64, std::sync::mpsc::Sender<(DcId, Metric
 /// transport only).
 const STATS_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// A reply-receiving endpoint: one per operation attempt (and one per reconfiguration).
+/// A reply-receiving endpoint: one per operation attempt (and one per reconfiguration),
+/// and the one place where a reply waits for its modeled arrival.
 ///
-/// Replies arrive two ways. The in-process transport puts the replies to a request it
-/// serves on the owning thread into a plain FIFO; everything else (replies read off a
-/// socket, deferred replies flushed by another thread) comes through a clocked channel.
-/// [`Endpoint::try_recv`] and [`Endpoint::recv_deadline_ns`] drain the FIFO first.
+/// Every reply addressed to the endpoint enters its delayed inbox through
+/// `Endpoint::arrive`, which draws the reply-leg fault verdict and stamps the modeled
+/// arrival instant for a consumer at the endpoint's data center. The in-process transport
+/// calls it for the replies to a request it serves on the owning thread; everything else
+/// (replies read off a socket, deferred replies flushed by another thread) crosses a
+/// clocked channel and is buffered as `Endpoint::recv` takes it off.
 ///
 /// Dropping the endpoint closes its channel (draining stragglers, releasing any virtual
 /// clock in-flight counts) and, on transports with an explicit routing table, removes its
 /// route — so replies to finished attempts are discarded at the source.
 pub struct Endpoint {
     id: u64,
+    /// The data center that consumes the replies (the delay is modeled from there).
+    at: DcId,
+    links: Arc<LinkPolicy>,
     tx: ClockedSender<ServedReply>,
     rx: ClockedReceiver<ServedReply>,
-    /// Replies to requests this endpoint's thread had served in-process, in serve order.
-    answered: RefCell<VecDeque<ServedReply>>,
+    /// Replies buffered until their modeled arrival instant.
+    inbox: RefCell<DelayedInbox<ServedReply>>,
     /// TCP demux table this endpoint is registered in, if any (an in-process server keeps
     /// a parked request's reply sender instead).
     registry: Option<ReplyRoutes>,
 }
 
 impl Endpoint {
+    fn new(id: u64, at: DcId, links: &Arc<LinkPolicy>, registry: Option<ReplyRoutes>) -> Self {
+        let (tx, rx) = links.clock.channel();
+        if let Some(routes) = &registry {
+            routes.lock().insert(id, tx.clone());
+        }
+        let (links, inbox) = (links.clone(), RefCell::default());
+        Endpoint { id, at, links, tx, rx, inbox, registry }
+    }
+
     /// The endpoint id carried in [`Inbound::from`] and echoed in replies.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// A sender for routing deferred replies to this endpoint (the in-process transport
-    /// hands one to the server only for a request that was parked).
-    pub(crate) fn reply_sender(&self) -> ClockedSender<ServedReply> {
-        self.tx.clone()
+    /// The fault-interposition point of the reply leg: a faulted link drops the reply
+    /// (the client only notices via its attempt timeout), a slow or lossy link defers it
+    /// past the fault-free arrival instant, and a duplicating link buffers it twice (the
+    /// protocol quorum trackers dedupe responders by DC, so duplicates are harmless).
+    fn arrive(&self, env: ServedReply) {
+        let (links, at) = (&*self.links, self.at);
+        let Some((copies, extra_ms)) = links.verdict(env.from, at).deliveries() else {
+            if links.obs.enabled() {
+                links.drops_reply.inc();
+                links.obs.flight().record(
+                    links.clock.now_ns(),
+                    env.endpoint,
+                    format!("fault verdict dropped reply {} -> {at} (phase {})", env.from, env.phase),
+                );
+            }
+            return;
+        };
+        let bytes = env.reply.wire_size(METADATA_BYTES);
+        let delay = reply_delay(&links.model, links.latency_scale, at, env.from, bytes)
+            + Duration::from_secs_f64(extra_ms * links.latency_scale / 1000.0);
+        let mut inbox = self.inbox.borrow_mut();
+        for _ in 1..copies {
+            inbox.push(env.sent_at_ns, delay, env.clone());
+        }
+        inbox.push(env.sent_at_ns, delay, env);
     }
 
-    /// Queues the reply to a request this endpoint's own thread just had served: no clock
-    /// lock, no in-flight count, no wake-up, because the receiver is the running thread.
-    fn deliver_answer(&self, reply: ServedReply) {
-        self.answered.borrow_mut().push_back(reply);
-    }
-
-    /// Non-blocking receive of the next delivered reply.
-    pub fn try_recv(&self) -> Option<ServedReply> {
-        self.take_answer().or_else(|| self.rx.try_recv().ok())
-    }
-
-    /// Blocking receive until `deadline_ns` ([`Clock::now_ns`] domain).
-    pub fn recv_deadline_ns(&self, deadline_ns: u64) -> Option<ServedReply> {
-        self.take_answer().or_else(|| self.rx.recv_deadline_ns(deadline_ns).ok())
-    }
-
-    fn take_answer(&self) -> Option<ServedReply> {
-        self.answered.borrow_mut().pop_front()
+    /// The next reply in modeled-arrival order, waiting on the clock for it; `None` once
+    /// `deadline_ns` ([`Clock::now_ns`] domain) has passed with no reply due by then (a
+    /// reply due by the deadline wins over the timeout). The wait is a channel receive
+    /// bounded by the earlier of the inbox's head and the deadline, so replies that cross
+    /// the channel keep being buffered while it waits.
+    pub(crate) fn recv(&self, deadline_ns: u64) -> Option<ServedReply> {
+        let clock = &self.links.clock;
+        loop {
+            let mut inbox = self.inbox.borrow_mut();
+            if let Some(env) = inbox.pop_ready(clock.now_ns()) {
+                return Some(env);
+            }
+            if clock.now_ns() >= deadline_ns {
+                return None;
+            }
+            let wake_ns = inbox.next_available_at().map_or(deadline_ns, |t| t.min(deadline_ns));
+            drop(inbox);
+            if let Ok(env) = self.rx.recv_deadline_ns(wake_ns) {
+                self.arrive(env);
+            }
+        }
     }
 }
 
@@ -123,29 +165,20 @@ impl Drop for Endpoint {
 /// How messages are delivered between this process's endpoints and the per-DC servers.
 ///
 /// Implementations must be cheap to call from many client threads concurrently. The fault
-/// interposition contract: `send_request` draws the request-leg verdict, `buffer_reply`
-/// draws the reply-leg verdict; a transport must not apply faults anywhere else, so that
-/// one seeded [`FaultPlan`] produces the same schedule
-/// on every transport.
+/// interposition contract: `send_request` draws the request-leg verdict and the endpoint
+/// draws the reply-leg verdict as a reply enters its inbox; a transport must not apply
+/// faults anywhere else, so that one seeded [`FaultPlan`] produces the same schedule on
+/// every transport.
 pub trait Transport: Send + Sync {
-    /// Opens a fresh reply endpoint with a transport-unique id.
-    fn open_endpoint(&self) -> Endpoint;
+    /// Opens a fresh reply endpoint with a transport-unique id, for a consumer at `at`.
+    fn open_endpoint(&self, at: DcId) -> Endpoint;
 
-    /// Sends one protocol request from `from` to the server at `to`, with replies routed
-    /// to `endpoint`. A fault-dropped request returns `Ok(())` — the network gives no
-    /// failure signal; the client only notices via its attempt timeout. Over TCP, a
-    /// failed write to a known peer (its server exited) is dropped the same way.
-    fn send_request(
-        &self,
-        from: DcId,
-        to: DcId,
-        endpoint: &Endpoint,
-        inbound: Inbound,
-    ) -> StoreResult<()>;
-
-    /// Buffers `env` in `inbox` at its modeled arrival instant for a consumer at `at`,
-    /// applying the reply-leg fault verdict (drop / delay / duplicate).
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply);
+    /// Sends one protocol request from `endpoint`'s data center to the server at `to`,
+    /// with replies routed to `endpoint`. A fault-dropped request returns `Ok(())` — the
+    /// network gives no failure signal; the client only notices via its attempt timeout.
+    /// Over TCP, a failed write to a known peer (its server exited) is dropped the same
+    /// way.
+    fn send_request(&self, to: DcId, endpoint: &Endpoint, inbound: Inbound) -> StoreResult<()>;
 
     /// Sends an out-of-band administration command to the server at `to`. Unknown
     /// destinations are ignored (best-effort, like the drivers' admin paths).
@@ -179,15 +212,15 @@ pub(crate) fn reply_delay(
 /// The delivery policy both deployment transports share: the cloud model's scaled
 /// geo-latencies and the deterministic fault plan.
 pub(crate) struct LinkPolicy {
-    pub(crate) model: Arc<CloudModel>,
-    pub(crate) latency_scale: f64,
-    pub(crate) clock: Clock,
+    model: Arc<CloudModel>,
+    latency_scale: f64,
+    clock: Clock,
     /// Interpreter of the fault plan; `None` when the plan is empty so the fault-free
     /// message path takes no lock.
-    pub(crate) faults: Option<Mutex<FaultState>>,
+    faults: Option<Mutex<FaultState>>,
     /// Client-process telemetry handle (fault drops are observed on this side of the
     /// seam, where the verdicts are drawn).
-    pub(crate) obs: Obs,
+    obs: Obs,
     drops_request: Arc<Counter>,
     drops_reply: Arc<Counter>,
 }
@@ -215,7 +248,7 @@ impl LinkPolicy {
     /// The fate of one message on the `from → to` link under the active fault plan.
     /// Fault events are applied lazily: everything scheduled at or before the current
     /// model instant takes effect before the verdict is drawn.
-    pub(crate) fn verdict(&self, from: DcId, to: DcId) -> LinkVerdict {
+    fn verdict(&self, from: DcId, to: DcId) -> LinkVerdict {
         let Some(faults) = &self.faults else {
             return LinkVerdict::CLEAN;
         };
@@ -227,7 +260,7 @@ impl LinkPolicy {
     /// Request-leg verdict plus drop accounting: both transports call this from
     /// `send_request` so a fault-dropped request shows up in the drop counter and the
     /// flight recorder even though the caller sees `Ok(())`.
-    pub(crate) fn request_deliveries(&self, from: DcId, to: DcId) -> Option<(u32, f64)> {
+    fn request_deliveries(&self, from: DcId, to: DcId) -> Option<(u32, f64)> {
         let deliveries = self.verdict(from, to).deliveries();
         if deliveries.is_none() && self.obs.enabled() {
             self.drops_request.inc();
@@ -243,7 +276,7 @@ impl LinkPolicy {
     /// Drop accounting for a request whose write to a known peer failed (its server
     /// exited or reset the connection): a dead peer is a lossy link, not an error, so
     /// the caller sees `Ok(())` and the client notices only through its attempt timeout.
-    pub(crate) fn request_lost(&self, from: DcId, to: DcId, err: &std::io::Error) {
+    fn request_lost(&self, from: DcId, to: DcId, err: &std::io::Error) {
         if self.obs.enabled() {
             self.drops_request.inc();
             self.obs.flight().record(
@@ -252,37 +285,6 @@ impl LinkPolicy {
                 format!("write to {to} failed ({err}); dropped request {from} -> {to}"),
             );
         }
-    }
-
-    /// Shared reply-leg implementation of [`Transport::buffer_reply`]: a faulted link
-    /// drops the reply (the client only notices via its attempt timeout), a slow or lossy
-    /// link defers it past the fault-free arrival instant, and a duplicating link buffers
-    /// it twice (the protocol quorum trackers dedupe responders by DC, so duplicates are
-    /// harmless).
-    pub(crate) fn buffer_reply(
-        &self,
-        at: DcId,
-        inbox: &mut DelayedInbox<ServedReply>,
-        env: ServedReply,
-    ) {
-        let Some((copies, extra_ms)) = self.verdict(env.from, at).deliveries() else {
-            if self.obs.enabled() {
-                self.drops_reply.inc();
-                self.obs.flight().record(
-                    self.clock.now_ns(),
-                    env.endpoint,
-                    format!("fault verdict dropped reply {} -> {at} (phase {})", env.from, env.phase),
-                );
-            }
-            return;
-        };
-        let bytes = env.reply.wire_size(METADATA_BYTES);
-        let delay = reply_delay(&self.model, self.latency_scale, at, env.from, bytes)
-            + Duration::from_secs_f64(extra_ms * self.latency_scale / 1000.0);
-        for _ in 1..copies {
-            inbox.push(env.sent_at_ns, delay, env.clone());
-        }
-        inbox.push(env.sent_at_ns, delay, env);
     }
 }
 
@@ -297,7 +299,7 @@ type InProcServer = RequestServer<ClockedSender<ServedReply>>;
 /// The in-process runtime: one locked [`RequestServer`] per data center, served on the
 /// sending thread.
 pub struct InProcTransport {
-    links: LinkPolicy,
+    links: Arc<LinkPolicy>,
     servers: HashMap<DcId, Mutex<InProcServer>>,
     next_endpoint: AtomicU64,
     down: AtomicBool,
@@ -322,7 +324,7 @@ impl InProcTransport {
             })
             .collect();
         let (next_endpoint, down) = (AtomicU64::new(1), AtomicBool::new(false));
-        InProcTransport { links, servers, next_endpoint, down }
+        InProcTransport { links: Arc::new(links), servers, next_endpoint, down }
     }
 
     /// The server at `to`, unless it is unknown or the transport has shut down.
@@ -339,22 +341,20 @@ impl InProcTransport {
 }
 
 impl Transport for InProcTransport {
-    fn open_endpoint(&self) -> Endpoint {
-        let id = self.next_endpoint.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = self.links.clock.channel();
-        Endpoint { id, tx, rx, answered: RefCell::default(), registry: None }
+    fn open_endpoint(&self, at: DcId) -> Endpoint {
+        Endpoint::new(self.next_endpoint.fetch_add(1, Ordering::Relaxed), at, &self.links, None)
     }
 
     /// Serves the request on the calling thread, under the destination's lock, at the
     /// send's clock instant (every sender holds a [`Clock::enter`] guard, so a virtual
     /// clock cannot advance while it serves).
     ///
-    /// The reply to the request goes into `endpoint`'s own FIFO: the calling thread drains
-    /// it before it next waits, so virtual time cannot pass an undrained reply. Only a
-    /// parked request gives the server `endpoint`'s clocked sender, and a deferred reply
-    /// that this request flushes for another endpoint goes into that endpoint's clocked
-    /// channel. Either way the reply keeps its `sent_at_ns`, so the modeled reply leg is
-    /// untouched. Lock order: a server's lock, then the clock's (inside a deferred reply's
+    /// The reply to the request enters `endpoint`'s inbox on the spot, through
+    /// `Endpoint::arrive`: no clock lock, no in-flight count. Only a parked request gives
+    /// the server `endpoint`'s clocked sender, and a deferred reply that this request
+    /// flushes for another endpoint goes into that endpoint's clocked channel. Either way
+    /// the reply keeps its `sent_at_ns`, so the modeled reply leg is untouched. Lock order:
+    /// a server's lock, then the fault state's or the clock's (inside a deferred reply's
     /// send), never the reverse.
     ///
     /// Telemetry: byte counters use the *modeled* wire sizes (the same
@@ -362,24 +362,18 @@ impl Transport for InProcTransport {
     /// off the deployment clock — so under a virtual clock, durations are the modeled ones
     /// (deterministically 0 for compute, since the serving thread pins virtual time) and
     /// two identical runs snapshot identically.
-    fn send_request(
-        &self,
-        from: DcId,
-        to: DcId,
-        endpoint: &Endpoint,
-        inbound: Inbound,
-    ) -> StoreResult<()> {
-        let Some((copies, _)) = self.links.request_deliveries(from, to) else {
+    fn send_request(&self, to: DcId, endpoint: &Endpoint, inbound: Inbound) -> StoreResult<()> {
+        let Some((copies, _)) = self.links.request_deliveries(endpoint.at, to) else {
             return Ok(());
         };
         let (clock, bytes_in) = (&self.links.clock, inbound.msg.wire_size(METADATA_BYTES));
         let mut host = self.server(to)?.lock();
         let mut serve = |inbound| {
-            let parked = || endpoint.reply_sender();
+            let parked = || endpoint.tx.clone();
             host.serve(parked, inbound, bytes_in, || clock.now_ns(), |route, r| {
                 let bytes = r.reply.wire_size(METADATA_BYTES);
                 match route {
-                    None => endpoint.deliver_answer(r),
+                    None => endpoint.arrive(r),
                     Some(tx) => tx.send(r).ok()?,
                 }
                 Some(bytes)
@@ -390,10 +384,6 @@ impl Transport for InProcTransport {
         }
         serve(inbound);
         Ok(())
-    }
-
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
-        self.links.buffer_reply(at, inbox, env);
     }
 
     fn control(&self, to: DcId, msg: ControlMsg) -> StoreResult<()> {
@@ -424,7 +414,7 @@ const CONNECT_RETRY_WINDOW: Duration = Duration::from_secs(10);
 /// [`Frame`]s on the wire, and a per-process reader thread per connection that demuxes
 /// replies to endpoints through a routing table.
 pub struct TcpTransport {
-    links: LinkPolicy,
+    links: Arc<LinkPolicy>,
     /// Write halves, locked per-peer so concurrent clients interleave whole frames.
     peers: HashMap<DcId, Mutex<TcpStream>>,
     /// endpoint id → reply channel (the demux table reader threads route through).
@@ -478,7 +468,7 @@ impl TcpTransport {
         // two drivers' endpoints cannot collide in a server's routing table.
         let seed = ((std::process::id() as u64) << 32) | 1;
         Ok(TcpTransport {
-            links,
+            links: Arc::new(links),
             peers,
             routes,
             stats_waiters,
@@ -560,23 +550,15 @@ fn reader_loop(
 }
 
 impl Transport for TcpTransport {
-    fn open_endpoint(&self) -> Endpoint {
+    fn open_endpoint(&self, at: DcId) -> Endpoint {
         let id = self.next_endpoint.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = self.links.clock.channel();
-        self.routes.lock().insert(id, tx.clone());
-        Endpoint { id, tx, rx, answered: RefCell::default(), registry: Some(self.routes.clone()) }
+        Endpoint::new(id, at, &self.links, Some(self.routes.clone()))
     }
 
-    fn send_request(
-        &self,
-        from: DcId,
-        to: DcId,
-        _endpoint: &Endpoint,
-        inbound: Inbound,
-    ) -> StoreResult<()> {
+    fn send_request(&self, to: DcId, endpoint: &Endpoint, inbound: Inbound) -> StoreResult<()> {
         // Request-leg fault verdict, drawn on this side of the socket so the same seeded
         // plan drives both transports identically.
-        let Some((copies, _)) = self.links.request_deliveries(from, to) else {
+        let Some((copies, _)) = self.links.request_deliveries(endpoint.at, to) else {
             return Ok(());
         };
         let peer = self.peer(to)?;
@@ -584,15 +566,11 @@ impl Transport for TcpTransport {
         let bytes = Frame::Request(inbound).encode();
         for _ in 0..copies {
             if let Err(e) = peer.lock().write_all(&bytes) {
-                self.links.request_lost(from, to, &e);
+                self.links.request_lost(endpoint.at, to, &e);
                 break;
             }
         }
         Ok(())
-    }
-
-    fn buffer_reply(&self, at: DcId, inbox: &mut DelayedInbox<ServedReply>, env: ServedReply) {
-        self.links.buffer_reply(at, inbox, env);
     }
 
     fn control(&self, to: DcId, msg: ControlMsg) -> StoreResult<()> {
@@ -638,5 +616,93 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use legostore_cloud::CloudModelBuilder;
+    use legostore_proto::msg::ProtoReply;
+    use legostore_types::{ConfigEpoch, Tag};
+    use std::time::Instant;
+
+    const MS: u64 = 1_000_000;
+
+    /// An endpoint at the one DC of a uniform model, on `clock`, with no fault plan.
+    fn endpoint(clock: &Clock) -> Endpoint {
+        let model = Arc::new(CloudModelBuilder::uniform(1).build());
+        let links = LinkPolicy::new(model, 1.0, clock.clone(), &FaultPlan::none(), Obs::new(ObsConfig::Off));
+        Endpoint::new(1, DcId(0), &Arc::new(links), None)
+    }
+
+    /// A reply labelled `label` (in its phase byte), handed over at `sent_at_ns`.
+    fn reply(label: u8, sent_at_ns: u64) -> ServedReply {
+        let (epoch, reply) = (ConfigEpoch::INITIAL, ProtoReply::TagOnly { tag: Tag::INITIAL });
+        ServedReply { endpoint: 1, from: DcId(0), sent_at_ns, service_ns: 0, phase: label, epoch, reply }
+    }
+
+    /// The modeled reply leg of every [`reply`].
+    fn leg_ns(endpoint: &Endpoint) -> u64 {
+        let bytes = reply(0, 0).reply.wire_size(METADATA_BYTES);
+        reply_delay(&endpoint.links.model, 1.0, DcId(0), DcId(0), bytes).as_nanos() as u64
+    }
+
+    #[test]
+    fn replies_come_out_in_modelled_arrival_order() {
+        let clock = Clock::virtual_time();
+        let endpoint = endpoint(&clock);
+        for (label, sent_ms) in [(3, 30), (1, 1), (2, 10)] {
+            endpoint.arrive(reply(label, sent_ms * MS));
+        }
+        let deadline = 1_000 * MS;
+        let got: Vec<_> =
+            std::iter::from_fn(|| endpoint.recv(deadline)).map(|r| (r.phase, clock.now_ns())).collect();
+        let leg = leg_ns(&endpoint);
+        assert_eq!(got, [(1, MS + leg), (2, 10 * MS + leg), (3, 30 * MS + leg)]);
+        assert_eq!(clock.now_ns(), deadline, "then the deadline passed with nothing due");
+    }
+
+    #[test]
+    fn a_missed_deadline_does_not_advance_a_virtual_clock() {
+        let clock = Clock::virtual_time();
+        let endpoint = endpoint(&clock);
+        clock.sleep_until_ns(5 * MS);
+        endpoint.arrive(reply(1, 60_000 * MS));
+        assert!(endpoint.recv(5 * MS).is_none());
+        assert_eq!(clock.now_ns(), 5 * MS, "a deadline already reached does not move the clock");
+        assert!(endpoint.recv(6 * MS).is_none());
+        assert_eq!(clock.now_ns(), 6 * MS, "the wait stops at the deadline, not at the reply");
+        assert_eq!(endpoint.recv(u64::MAX).map(|r| r.phase), Some(1), "the reply stays buffered");
+        assert_eq!(clock.now_ns(), 60_000 * MS + leg_ns(&endpoint));
+    }
+
+    #[test]
+    fn a_real_clock_wait_really_waits() {
+        let clock = Clock::real();
+        let endpoint = endpoint(&clock);
+        let (wall, t0) = (Instant::now(), clock.now_ns());
+        endpoint.arrive(reply(7, t0 + 20 * MS));
+        assert_eq!(endpoint.recv(t0 + 1_000 * MS).map(|r| r.phase), Some(7));
+        assert!(wall.elapsed() >= Duration::from_millis(20), "{:?}", wall.elapsed());
+    }
+
+    /// Replies answered in place enter the inbox at once; deferred ones cross the channel
+    /// from another thread and enter it as `recv` takes them. Arrival instants decide.
+    #[test]
+    fn answered_and_deferred_replies_interleave_by_arrival() {
+        let clock = Clock::virtual_time();
+        let endpoint = endpoint(&clock);
+        endpoint.arrive(reply(2, 10 * MS));
+        endpoint.arrive(reply(4, 20 * MS));
+        let tx = endpoint.tx.clone();
+        std::thread::spawn(move || {
+            tx.send(reply(3, 15 * MS)).unwrap();
+            tx.send(reply(1, 5 * MS)).unwrap();
+        })
+        .join()
+        .unwrap();
+        let order: Vec<u8> = std::iter::from_fn(|| endpoint.recv(1_000 * MS)).map(|r| r.phase).collect();
+        assert_eq!(order, [1, 2, 3, 4]);
     }
 }

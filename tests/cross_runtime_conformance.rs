@@ -33,7 +33,8 @@ use std::time::Duration;
 
 /// Per-op latency agreement for operations outside the fault window (ms). The runtimes
 /// model the same round trips; the slack covers the simulator metering transfer time on
-/// the request leg where the deployment folds it all into the reply leg.
+/// the request leg, which the deployment does not charge at all (it models only the
+/// reply's transfer time).
 const CLEAN_TOLERANCE_MS: f64 = 5.0;
 
 /// Relative agreement of the overall mean latencies (faulted ops included).

@@ -478,43 +478,50 @@ fn epoch_lease_drains_deferred_requests_when_the_controller_stalls() {
         .iter()
         .map(|dc| FaultEvent { at_ms: 0.0, kind: FaultKind::CrashDc { dc: *dc } })
         .collect();
+    let op_timeout = Duration::from_millis(500);
     let cluster = Cluster::gcp9(ClusterOptions {
         latency_scale: 1.0,
-        op_timeout: Duration::from_millis(500),
-        max_attempts: 8,
+        op_timeout,
+        // Enough timed-out attempts to outlast the default lease (16 × op_timeout).
+        max_attempts: 24,
         clock: Clock::virtual_time(),
         fault_plan: FaultPlan { seed: 5, events },
-        // Shortened so the drain happens inside the clients' retry budget; the default
-        // (16 × op_timeout) only matters for outliving a *live* controller's deadline,
-        // and this controller can never finish.
-        epoch_lease: Some(Duration::from_secs(2)),
         ..Default::default()
     });
     let key = Key::from("leased");
     cluster.install_key(key.clone(), old.clone(), &Value::from("v1"));
     let clock = cluster.options().clock.clone();
 
-    // The client fires after the controller's query round has blocked the old epoch.
+    // Both sides register with the clock before either moves, so the client fires at
+    // exactly 1 s, after the controller's query round has blocked the old epoch at 0.
+    let start = Arc::new(std::sync::Barrier::new(2));
     let put = {
         let mut client = cluster.client(old.dcs[0]);
-        let key = key.clone();
-        let clock = clock.clone();
+        let (key, clock, start) = (key.clone(), clock.clone(), start.clone());
         std::thread::spawn(move || {
-            let _guard = clock.enter();
+            let _participant = clock.enter();
+            start.wait();
             clock.sleep(Duration::from_millis(1_000));
-            client.put(&key, Value::from("v2"))
+            let put = client.put(&key, Value::from("v2"));
+            (put, clock.now_ns(), client.stats())
         })
     };
-    let err = cluster
-        .reconfigure(key.clone(), new)
-        .expect_err("the transfer cannot complete with the new placement down");
+    let err = {
+        let _participant = clock.enter();
+        start.wait();
+        cluster.reconfigure(key.clone(), new)
+    }
+    .expect_err("the transfer cannot complete with the new placement down");
     let StoreError::ReconfigStalled { round, .. } = err else {
         panic!("expected the typed stall verdict, got {err:?}");
     };
     assert_eq!(round, 3, "write-new is where the dead placement bites");
-    put.join()
-        .expect("client thread")
-        .expect("the parked PUT must drain via the epoch lease, in the old epoch");
+    let (put, done_ns, stats) = put.join().expect("client thread");
+    put.expect("the parked PUT must drain via the epoch lease, in the old epoch");
+    // The PUT stayed parked, attempt after attempt, until the lease ended.
+    let lease_ns = (op_timeout * 2 * ReconfigDriver::DEADLINE_TIMEOUTS as u32).as_nanos() as u64;
+    assert!(done_ns >= lease_ns, "the PUT returned at {done_ns} ns, before the lease ended");
+    assert!(stats.timeout_restarts >= 1, "{stats:?}");
 
     // The key was never half-moved: old epoch, old placement, and the drained write
     // is durably readable there.
