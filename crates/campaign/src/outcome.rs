@@ -89,7 +89,7 @@ pub struct RunOutcome {
     pub cost_usd: f64,
     /// Completed reconfigurations.
     pub reconfigs: usize,
-    /// Total timeout-widen retries across all ops.
+    /// Total timeout retries across all ops, widened or moved into a newer epoch.
     pub timeout_widens: u64,
     /// The simulation report's FNV-1a fingerprint.
     pub sim_fingerprint: u64,

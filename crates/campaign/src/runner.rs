@@ -8,7 +8,7 @@
 //! an aborted (failing) outcome rather than taking the campaign down.
 
 use crate::outcome::{outcome_from_report, ExpectedProperty, RunOutcome};
-use crate::spec::{flip_epoch2_workload, CellSpec, ScenarioFamily, SweepSpec, CAMPAIGN_F};
+use crate::spec::{flip_epoch2_workload, protocol_label, CellSpec, ScenarioFamily, SweepSpec, CAMPAIGN_F};
 use legostore_cloud::{CloudModel, GcpLocation};
 use legostore_obs::{Obs, ObsConfig};
 use legostore_optimizer::{Optimizer, ReconfigTrigger, TriggerThresholds, WorkloadMonitor};
@@ -45,13 +45,6 @@ fn sim_options() -> SimOptions {
 
 fn key_name(i: usize) -> String {
     format!("key-{i}")
-}
-
-fn protocol_label(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::Abd => "abd",
-        ProtocolKind::Cas => "cas",
-    }
 }
 
 /// Runs one prepared simulation: keys installed, trace + optional fault plan applied,

@@ -132,6 +132,14 @@ pub enum PlacementChoice {
     Spread,
 }
 
+/// A protocol's lower-case name in cell ids and reports.
+pub(crate) fn protocol_label(protocol: ProtocolKind) -> &'static str {
+    match protocol {
+        ProtocolKind::Abd => "abd",
+        ProtocolKind::Cas => "cas",
+    }
+}
+
 impl PlacementChoice {
     /// Short label for cell ids and reports.
     pub fn label(self) -> &'static str {
@@ -286,15 +294,11 @@ impl SweepSpec {
                         protocol: ProtocolKind,
                         placement: PlacementChoice,
                         rep: usize| {
-            let proto_label = match protocol {
-                ProtocolKind::Abd => "abd",
-                ProtocolKind::Cas => "cas",
-            };
             let id = format!(
                 "{}/{}/{}/{}/s{}",
                 family.label(),
                 workload.name,
-                proto_label,
+                protocol_label(protocol),
                 placement.label(),
                 rep
             );

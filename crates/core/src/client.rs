@@ -5,20 +5,18 @@
 //! local view, falling back to the metadata service) and hosts a
 //! [`legostore_proto::OpDriver`] against the servers. The driver decides how the operation
 //! survives the two kinds of disruption the paper studies — reconfigurations and
-//! data-center failures; this module moves its messages over the transport, waits on the
-//! deployment clock and keeps the client's view, GET cache, statistics and telemetry.
+//! data-center failures — and counts its retries; a [`legostore_proto::ClientView`] keeps
+//! what the client remembers of its keys. This module moves the driver's messages over
+//! the transport, waits on the deployment clock and keeps statistics and telemetry.
 
 use crate::cluster::ClusterInner;
 use crate::transport::reply_delay;
 use legostore_cloud::METADATA_BYTES;
 use legostore_lincheck::recorder::fingerprint;
 use legostore_obs::{OpRecord, OpSpan, SpanEventKind};
-use legostore_proto::server::{ControlMsg, DcServer, Inbound};
-use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
-use legostore_types::{
-    ClientId, Configuration, DcId, Key, OpKind, StoreError, StoreResult, Tag, Value,
-};
-use std::collections::HashMap;
+use legostore_proto::server::{ControlMsg, Inbound};
+use legostore_proto::{ClientView, Completed, Host, OpDriver, OpSpec, RetryCause, Step};
+use legostore_types::{ClientId, DcId, Key, OpKind, StoreError, StoreResult, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -33,7 +31,8 @@ pub struct ClientStats {
     pub puts: u64,
     /// Operation attempts that were restarted because of a reconfiguration.
     pub reconfig_restarts: u64,
-    /// Operation attempts that were restarted after a timeout.
+    /// Operation attempts that were restarted after a timeout: widened to the full
+    /// placement, or moved into a newer epoch the metadata service listed by then.
     pub timeout_restarts: u64,
 }
 
@@ -42,10 +41,8 @@ pub struct StoreClient {
     cluster: Arc<ClusterInner>,
     dc: DcId,
     client_id: ClientId,
-    /// Local view of key configurations (refreshed on redirects).
-    view: HashMap<Key, Configuration>,
-    /// Client-side cache used by the CAS optimized GET.
-    cas_cache: HashMap<Key, (Tag, Value)>,
+    /// Key configurations and last versions, kept across operations.
+    view: ClientView,
     /// Per-client operation statistics.
     stats: ClientStats,
 }
@@ -57,8 +54,7 @@ impl StoreClient {
             cluster,
             dc,
             client_id,
-            view: HashMap::new(),
-            cas_cache: HashMap::new(),
+            view: ClientView::default(),
             stats: ClientStats::default(),
         }
     }
@@ -82,41 +78,14 @@ impl StoreClient {
     /// stores `value` as its initial version. Errors if the key already exists.
     pub fn create(&mut self, key: &Key, value: Value) -> StoreResult<()> {
         let config = self.cluster.default_config(self.dc);
-        self.create_with_config(key, value, config)
-    }
-
-    /// CREATE with an explicit configuration (e.g. one produced by the optimizer).
-    pub fn create_with_config(
-        &mut self,
-        key: &Key,
-        value: Value,
-        config: Configuration,
-    ) -> StoreResult<()> {
         config
             .validate()
             .map_err(|e| StoreError::InvalidConfiguration(e.to_string()))?;
-        {
-            let mut meta = self.cluster.metadata.lock();
-            if meta.contains_key(key) {
-                return Err(StoreError::KeyAlreadyExists(key.clone()));
-            }
-            meta.insert(key.clone(), config.clone());
+        let mut listed = self.cluster.metadata.lock();
+        if listed.contains_key(key) {
+            return Err(StoreError::KeyAlreadyExists(key.clone()));
         }
-        for (dc, payload) in DcServer::initial_payloads(&config, &value) {
-            self.cluster.control(
-                dc,
-                ControlMsg::InstallKey {
-                    key: key.clone(),
-                    config: config.clone(),
-                    tag: Tag::INITIAL,
-                    payload,
-                },
-            );
-        }
-        self.cluster
-            .recorder
-            .register_key(key.as_str(), fingerprint(value.as_bytes()));
-        self.view.insert(key.clone(), config);
+        self.cluster.install_key(&mut listed, key.clone(), config, &value);
         Ok(())
     }
 
@@ -129,8 +98,7 @@ impl StoreClient {
         for dc in self.cluster.model.dc_ids() {
             self.cluster.control(dc, ControlMsg::RemoveKey(key.clone()));
         }
-        self.view.remove(key);
-        self.cas_cache.remove(key);
+        self.view.forget(key);
         Ok(())
     }
 
@@ -166,37 +134,21 @@ impl StoreClient {
         Ok(())
     }
 
-    /// Refreshes this client's view of `key`'s configuration from the metadata service.
-    pub fn refresh_view(&mut self, key: &Key) -> StoreResult<Configuration> {
-        let config = self
-            .cluster
-            .metadata
-            .lock()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StoreError::KeyNotFound(key.clone()))?;
-        self.view.insert(key.clone(), config.clone());
-        Ok(config)
-    }
-
-    fn config_for(&mut self, key: &Key) -> StoreResult<Configuration> {
-        if let Some(c) = self.view.get(key) {
-            return Ok(c.clone());
-        }
-        self.refresh_view(key)
-    }
-
     /// Runs one PUT of `value` (or a GET, if `None`) to completion.
     ///
     /// Every protocol decision — which messages, when to widen, how to cross an epoch,
     /// when to give up — is the [`OpDriver`]'s. This function opens and closes the
-    /// per-attempt endpoints, waits, sleeps the modelled metadata round trip, keeps the
-    /// client's view and GET cache, and wraps the operation in telemetry: when
+    /// per-attempt endpoints, waits, sleeps the modelled metadata round trip, shows each
+    /// step to the client's [`ClientView`], and wraps the operation in telemetry: when
     /// observability is on, the driver fills an [`OpSpan`] that feeds the client metric
     /// bundle and the bounded op-record queue.
     fn run_operation(&mut self, key: &Key, value: Option<Value>) -> StoreResult<Completed> {
-        let config = self.config_for(key)?;
         let cluster = self.cluster.clone();
+        let metadata = || cluster.metadata.lock().get(key).cloned();
+        let config = self
+            .view
+            .config(key, metadata)
+            .ok_or_else(|| StoreError::KeyNotFound(key.clone()))?;
         let clock = cluster.clock().clone();
         // Register with the clock for the whole operation: a virtual clock must not jump
         // ahead while this thread is between sends and waits.
@@ -213,21 +165,14 @@ impl StoreClient {
             client_id: self.client_id,
             max_attempts: cluster.options.max_attempts,
         };
-        let (epoch, op_id) = (config.epoch, span.as_ref().map(|s| s.op_id));
-        let cache = self.cas_cache.get(key).cloned();
-        let host = Host {
-            now_ns: &|| clock.now_ns(),
-            metadata: &|| cluster.metadata.lock().get(key).cloned(),
-            cache: &|| cache.clone(),
-        };
+        let op_id = span.as_ref().map(|s| s.op_id);
+        let cache = self.view.cached(key);
+        let host = Host { now_ns: &|| clock.now_ns(), metadata: &metadata, cache: &|| cache.clone() };
         let mut driver = OpDriver::new(spec, config, value, span, &host);
         let result = self.drive(&cluster, &mut driver, &host, op_id);
-        if driver.config().epoch != epoch {
-            self.view.insert(key.clone(), driver.config().clone());
-        }
-        if let Ok(done) = &result {
-            self.cas_cache.insert(key.clone(), (done.tag, done.value.clone()));
-        }
+        let retries = driver.retries();
+        self.stats.reconfig_restarts += u64::from(retries.redirects);
+        self.stats.timeout_restarts += u64::from(retries.timeouts);
         if let Some(span) = driver.take_span() {
             self.finish_span(span, &result);
         }
@@ -267,6 +212,7 @@ impl StoreClient {
                     }
                     None => driver.on_timeout(host),
                 };
+                self.view.note(driver, &step);
                 match step {
                     Step::Wait => {}
                     Step::Send(msgs) => outbound = msgs,
@@ -280,7 +226,6 @@ impl StoreClient {
             let (kind, key) = (driver.kind(), driver.key());
             match cause {
                 RetryCause::Redirect => {
-                    self.stats.reconfig_restarts += 1;
                     note(format!("{kind} {key}: restarting against epoch {}", driver.config().epoch));
                     // Fetching the new configuration is modeled as a metadata round
                     // trip to the controller DC.
@@ -292,16 +237,11 @@ impl StoreClient {
                         METADATA_BYTES,
                     ));
                 }
-                RetryCause::Timeout => {
-                    self.stats.timeout_restarts += 1;
-                    note(format!(
-                        "{kind} {key}: attempt timed out in phase {}; widening to the full placement",
-                        driver.phase()
-                    ));
-                }
-                // The attempt ended by its timeout, like a widening one.
-                RetryCause::EpochMoved => self.stats.timeout_restarts += 1,
-                RetryCause::Failure => {}
+                RetryCause::Timeout => note(format!(
+                    "{kind} {key}: attempt timed out in phase {}; widening to the full placement",
+                    driver.phase()
+                )),
+                RetryCause::EpochMoved | RetryCause::Failure => {}
             }
         }
     }
@@ -349,7 +289,8 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::cluster::{Cluster, ClusterOptions};
-    use legostore_cloud::GcpLocation;
+    use legostore_cloud::{CloudModelBuilder, GcpLocation};
+    use legostore_types::Configuration;
     use std::time::Duration;
 
     fn fast_cluster() -> Cluster {
@@ -408,9 +349,7 @@ mod tests {
             3,
             1,
         );
-        client
-            .create_with_config(&key, Value::filler(5000), config)
-            .unwrap();
+        cluster.install_key(key.clone(), config, &Value::filler(5000));
         assert_eq!(client.get(&key).unwrap(), Value::filler(5000));
         client.put(&key, Value::filler(2500)).unwrap();
         // The second GET can use the client-side cache and complete in one phase.
@@ -424,18 +363,16 @@ mod tests {
 
     #[test]
     fn invalid_configuration_is_rejected() {
-        let cluster = fast_cluster();
-        let mut client = cluster.client(GcpLocation::Tokyo.dc());
-        // CAS with n < k + 2f is invalid.
-        let bad = Configuration::cas_default(
-            vec![GcpLocation::Tokyo.dc(), GcpLocation::Oregon.dc(), GcpLocation::Virginia.dc()],
-            3,
-            1,
-        );
+        // CREATE's default configuration is ABD over the 2f + 1 = 3 nearest DCs; a
+        // one-DC deployment cannot host it.
+        let options = ClusterOptions { clock: Clock::virtual_time(), ..Default::default() };
+        let cluster = Cluster::new(CloudModelBuilder::uniform(1).build(), options);
+        let mut client = cluster.client(DcId(0));
         assert!(matches!(
-            client.create_with_config(&Key::from("bad"), Value::empty(), bad),
+            client.create(&Key::from("bad"), Value::empty()),
             Err(StoreError::InvalidConfiguration(_))
         ));
+        assert_eq!(cluster.metadata_config(&Key::from("bad")), None);
         cluster.shutdown();
     }
 

@@ -13,6 +13,7 @@
 use crate::clock::Clock;
 use crate::transport::{InProcTransport, LinkPolicy, TcpTransport, Transport};
 use legostore_cloud::CloudModel;
+use legostore_lincheck::recorder::fingerprint;
 use legostore_lincheck::HistoryRecorder;
 use legostore_obs::{ClientMetrics, MetricsSnapshot, Obs, ObsConfig};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
@@ -133,6 +134,24 @@ impl ClusterInner {
 
     pub(crate) fn control(&self, to: DcId, msg: ControlMsg) {
         let _ = self.transport.control(to, msg);
+    }
+
+    /// Every CREATE's steps once its configuration is chosen: installs `value` as `key`'s
+    /// initial version at each DC of the placement, registers the key with the history
+    /// recorder and lists it in `listed`, the held metadata service.
+    pub(crate) fn install_key(
+        &self,
+        listed: &mut HashMap<Key, Configuration>,
+        key: Key,
+        config: Configuration,
+        value: &Value,
+    ) {
+        for (dc, payload) in DcServer::initial_payloads(&config, value) {
+            let (key, config) = (key.clone(), config.clone());
+            self.control(dc, ControlMsg::InstallKey { key, config, tag: Tag::INITIAL, payload });
+        }
+        self.recorder.register_key(key.as_str(), fingerprint(value.as_bytes()));
+        listed.insert(key, config);
     }
 
     /// See [`Cluster::default_config`].
@@ -282,22 +301,7 @@ impl Cluster {
     /// Installs `key` with an explicit configuration and initial value, bypassing the
     /// networked CREATE path (used by experiments to set up many keys quickly).
     pub fn install_key(&self, key: impl Into<Key>, config: Configuration, value: &Value) {
-        let key = key.into();
-        for (dc, payload) in DcServer::initial_payloads(&config, value) {
-            self.inner.control(
-                dc,
-                ControlMsg::InstallKey {
-                    key: key.clone(),
-                    config: config.clone(),
-                    tag: Tag::INITIAL,
-                    payload,
-                },
-            );
-        }
-        self.inner
-            .recorder
-            .register_key(key.as_str(), legostore_lincheck::recorder::fingerprint(value.as_bytes()));
-        self.inner.metadata.lock().insert(key, config);
+        self.inner.install_key(&mut self.inner.metadata.lock(), key.into(), config, value);
     }
 
     /// Runs the reconfiguration protocol, moving `key` to `new_config`.

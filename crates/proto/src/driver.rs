@@ -6,7 +6,9 @@
 //! per attempt, moves [`Outbound`] messages and feeds replies and timeouts back in. Each
 //! input returns one [`Step`] saying what the host does next, so resume-not-restart on
 //! timeout (§4.5), tag-pinned re-entry into a new epoch (§4.6), stale-epoch discard and
-//! the attempt budget exist once, here, for every runtime.
+//! the attempt budget exist once, here, for every runtime. So does what a retry counts
+//! as ([`Retries`]), and the one rule by which a client remembers its keys between
+//! operations ([`ClientView`]).
 
 use crate::msg::{OpOutcome, OpProgress, Outbound, ProtoReply};
 use crate::quorum::OpCore;
@@ -16,6 +18,7 @@ use legostore_types::{
     ClientId, ConfigEpoch, Configuration, DcId, Key, OpKind, ProtocolKind, StoreError,
     StoreResult, Tag, Value,
 };
+use std::collections::HashMap;
 
 /// The four protocol machines behind the one dispatch.
 #[derive(Debug, Clone)]
@@ -107,6 +110,16 @@ pub enum RetryCause {
     Failure,
 }
 
+/// The attempts an operation reopened, by what ended them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retries {
+    /// Attempts ended by a reconfiguration's redirect ([`RetryCause::Redirect`]).
+    pub redirects: u32,
+    /// Attempts ended by their timer: widened ([`RetryCause::Timeout`]) or moved into the
+    /// newer epoch the metadata service lists ([`RetryCause::EpochMoved`]).
+    pub timeouts: u32,
+}
+
 /// A successfully finished operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completed {
@@ -142,6 +155,7 @@ pub struct OpDriver {
     value: Option<Value>,
     machine: Machine,
     attempts: u32,
+    retries: Retries,
     /// Why the attempt about to open was asked for (`None`: it is the first).
     reopening: Option<RetryCause>,
     /// True once a reconfiguration moved this operation into a newer epoch. From then
@@ -198,6 +212,7 @@ impl OpDriver {
             config,
             value,
             attempts: 1,
+            retries: Retries::default(),
             reopening: None,
             crossed_epochs: false,
             span,
@@ -220,10 +235,15 @@ impl OpDriver {
         self.spec.client_dc
     }
 
-    /// The configuration the operation currently runs against (hosts refresh their
-    /// view from it after a [`RetryCause::Redirect`] or [`RetryCause::EpochMoved`]).
+    /// The configuration the operation currently runs against ([`ClientView::note`]
+    /// remembers it after a [`RetryCause::Redirect`] or [`RetryCause::EpochMoved`]).
     pub fn config(&self) -> &Configuration {
         &self.config
+    }
+
+    /// The attempts reopened so far, by what ended them.
+    pub fn retries(&self) -> Retries {
+        self.retries
     }
 
     /// The protocol phase currently collecting replies.
@@ -393,7 +413,62 @@ impl OpDriver {
             }));
         }
         self.attempts += 1;
+        match cause {
+            RetryCause::Redirect => self.retries.redirects += 1,
+            RetryCause::Timeout | RetryCause::EpochMoved => self.retries.timeouts += 1,
+            RetryCause::Failure => {}
+        }
         self.reopening = Some(cause);
         Step::Reopen(cause)
+    }
+}
+
+/// What a client remembers of its keys between operations: the configuration it last
+/// learned for each (§3.1, §4.6), and the last `(tag, value)` an operation finished with,
+/// which a CAS GET's one-phase path starts from. [`ClientView::note`] is the one rule
+/// every host applies to its drivers' steps.
+#[derive(Debug, Default)]
+pub struct ClientView {
+    configs: HashMap<Key, Configuration>,
+    versions: HashMap<Key, (Tag, Value)>,
+}
+
+impl ClientView {
+    /// The configuration an operation on `key` starts from: the remembered one, or on
+    /// first use the one `metadata` lists (`None`: the key is not listed).
+    pub fn config(&mut self, key: &Key, metadata: impl FnOnce() -> Option<Configuration>) -> Option<Configuration> {
+        if let Some(config) = self.configs.get(key) {
+            return Some(config.clone());
+        }
+        let listed = metadata()?;
+        self.configs.insert(key.clone(), listed.clone());
+        Some(listed)
+    }
+
+    /// The last `(tag, value)` of `key` this client's operations finished with: what its
+    /// [`Host::cache`] answers.
+    pub fn cached(&self, key: &Key) -> Option<(Tag, Value)> {
+        self.versions.get(key).cloned()
+    }
+
+    /// Takes the client's share of `step`, which `driver` just returned: a redirect, or a
+    /// timeout that found a newer epoch, moves the view to the driver's configuration; a
+    /// success becomes the remembered version.
+    pub fn note(&mut self, driver: &OpDriver, step: &Step) {
+        match step {
+            Step::Reopen(RetryCause::Redirect | RetryCause::EpochMoved) => {
+                self.configs.insert(driver.key().clone(), driver.config().clone());
+            }
+            Step::Done(Ok(done)) => {
+                self.versions.insert(driver.key().clone(), (done.tag, done.value.clone()));
+            }
+            _ => {}
+        }
+    }
+
+    /// Forgets `key` (it was deleted).
+    pub fn forget(&mut self, key: &Key) {
+        self.configs.remove(key);
+        self.versions.remove(key);
     }
 }

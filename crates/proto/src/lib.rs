@@ -11,7 +11,8 @@
 //!   Reed–Solomon codeword symbols, optimized GET through a client-side cache, and server
 //!   garbage collection (Appendix F).
 //! * [`driver`] — the sans-IO operation driver: one GET/PUT from first message to result,
-//!   with every retry decision (timeout widening, epoch redirects, the attempt budget).
+//!   with every retry decision (timeout widening, epoch redirects, the attempt budget),
+//!   the count of each retry, and the client's memory of its keys between operations.
 //! * [`reconfig`] — the reconfiguration protocol (Algorithms 1–2, Appendix D): one driver
 //!   for the controller's rounds and their pacing (resends, deadline, finish acks).
 //! * [`server`] — the per-data-center server that hosts per-key, per-epoch protocol state
@@ -38,7 +39,7 @@ pub mod wire;
 
 pub use abd::{AbdGet, AbdPut};
 pub use cas::{CasGet, CasPut};
-pub use driver::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
+pub use driver::{ClientView, Completed, Host, OpDriver, OpSpec, Retries, RetryCause, Step};
 pub use msg::{OpOutcome, OpProgress, Outbound, ProtoMsg, ProtoReply};
 pub use server::{ControlMsg, DcServer, KeyServerState};
 pub use wire::{Frame, WireError};

@@ -10,7 +10,7 @@ use legostore_proto::msg::{Outbound, ProtoMsg, ProtoReply, ReconfigPayload};
 use legostore_proto::reconfig::{
     ReconfigDriver, ReconfigStep, PHASE_COLLECT, PHASE_FINISH, PHASE_QUERY, PHASE_WRITE,
 };
-use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
+use legostore_proto::{Completed, Host, OpDriver, OpSpec, Retries, RetryCause, Step};
 use legostore_types::{
     ClientId, ConfigEpoch, Configuration, DcId, Key, StoreError, Tag, Value,
 };
@@ -222,6 +222,33 @@ fn key_not_found_after_a_redirect_is_retried_only_while_the_metadata_lists_the_k
     replies(&mut d, &[0], 1, E0, &not_found);
     let step = d.on_reply(DcId(1), 1, E0, 0, not_found.clone(), &host!(Some(abd3())));
     assert!(matches!(step, Step::Done(Err(StoreError::KeyNotFound(_)))), "{step:?}");
+}
+
+#[test]
+fn the_driver_counts_redirects_and_attempts_its_timer_ended() {
+    const E2: ConfigEpoch = ConfigEpoch(2);
+    let mut d = driver(abd3(), None, 8);
+    d.open_attempt(&host!(None));
+    assert_eq!(d.retries(), Retries::default());
+    // A redirect, ...
+    let moved = ProtoReply::OperationFail { new_config: Box::new(at_epoch(abd3(), E1)) };
+    assert_eq!(d.on_reply(DcId(0), 1, E0, 0, moved, &host!(None)), Step::Reopen(RetryCause::Redirect));
+    assert_eq!(d.retries(), Retries { redirects: 1, timeouts: 0 });
+    // ... a timeout that widens, ...
+    d.open_attempt(&host!(None));
+    assert_eq!(d.on_timeout(&host!(Some(at_epoch(abd3(), E1)))), Step::Reopen(RetryCause::Timeout));
+    assert_eq!(d.retries(), Retries { redirects: 1, timeouts: 1 });
+    // ... a timeout that finds a newer epoch, whose timer ended the attempt too, ...
+    d.open_attempt(&host!(None));
+    assert_eq!(d.on_timeout(&host!(Some(at_epoch(abd3(), E2)))), Step::Reopen(RetryCause::EpochMoved));
+    assert_eq!(d.retries(), Retries { redirects: 1, timeouts: 2 });
+    // ... and a retryable failure, which is neither.
+    d.open_attempt(&host!(None));
+    let not_found = ProtoReply::Error(StoreError::KeyNotFound(Key::from("k")));
+    let listed = host!(Some(at_epoch(abd3(), E2)));
+    assert_eq!(d.on_reply(DcId(0), 1, E2, 0, not_found.clone(), &listed), Step::Wait);
+    assert_eq!(d.on_reply(DcId(1), 1, E2, 0, not_found, &listed), Step::Reopen(RetryCause::Failure));
+    assert_eq!(d.retries(), Retries { redirects: 1, timeouts: 2 });
 }
 
 // ---- the reconfiguration driver ----

@@ -23,7 +23,8 @@ pub struct OpRecord {
     pub one_phase: bool,
     /// Number of times the operation was restarted because of a reconfiguration.
     pub reconfig_retries: u32,
-    /// Number of times the operation was restarted after a timeout (e.g. a failed DC).
+    /// Number of times the operation was restarted after a timeout (e.g. a failed DC):
+    /// widened, or moved into a newer epoch the metadata service listed by then.
     pub timeout_retries: u32,
     /// Object bytes carried (PUT payload / GET response size as requested).
     pub object_bytes: u64,
@@ -237,7 +238,9 @@ impl SimReport {
     /// threaded runtime publishes (`client.{get,put}.ops`, `client.{get,put}.latency_ns`,
     /// `client.ops_failed`, `client.get.one_phase`, retry counters), so simulated and
     /// live snapshots can be diffed with the same tooling. Model milliseconds are
-    /// converted to nanoseconds. No-op when `obs` is disabled.
+    /// converted to nanoseconds. No-op when `obs` is disabled. `client.retries.timeout_widen`
+    /// sums `timeout_retries`, epoch-moved attempts included; the threaded runtime derives
+    /// it from its spans' `TimeoutWiden` events, which only widening attempts record.
     pub fn export_metrics(&self, obs: &legostore_obs::Obs) {
         if !obs.enabled() {
             return;

@@ -10,7 +10,7 @@ use legostore_cloud::{CloudModel, METADATA_BYTES};
 use legostore_lincheck::{recorder::fingerprint, HistoryRecorder};
 use legostore_proto::msg::Outbound;
 use legostore_proto::server::{Inbound, Reply};
-use legostore_proto::{Completed, RetryCause};
+use legostore_proto::{Completed, Retries, RetryCause};
 use legostore_types::{Configuration, DcId, FaultPlan, FaultState, Key, OpKind, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -397,9 +397,7 @@ impl Simulation {
         match self.world.start_op(origin, key, value_of, meta) {
             Ok(step) => self.carry_out(step),
             // Key unknown anywhere: record an immediate failure.
-            Err(key) => {
-                self.finish_op(origin, OpInfo { key, kind, id: 0, redirects: 0, timeouts: 0, meta }, None);
-            }
+            Err(key) => self.finish_op(origin, OpInfo { key, kind, id: 0, meta }, Retries::default(), None),
         }
     }
 
@@ -425,7 +423,7 @@ impl Simulation {
                     self.carry_out(step);
                 }
             }
-            Out::Done(op, done) => self.finish_op(from, op, done),
+            Out::Done(op, retries, done) => self.finish_op(from, op, retries, done),
             Out::Published { started_ns, finish } => {
                 self.reconfig_durations.push(self.now_ms() - started_ns as f64 / 1e6);
                 self.send_outbound(route, from, finish);
@@ -436,7 +434,7 @@ impl Simulation {
     /// Records the finished operation and, when it succeeded, its history entry. Failed
     /// operations are never entered into a history, matching the threaded runtime: an
     /// operation without a response has no place in a completed-operation history.
-    fn finish_op(&mut self, origin: DcId, op: OpInfo<OpMeta>, done: Option<Completed>) {
+    fn finish_op(&mut self, origin: DcId, op: OpInfo<OpMeta>, retries: Retries, done: Option<Completed>) {
         let kind = op.kind;
         if let (Some(recorder), Some(done)) = (&self.recorder, &done) {
             let invoke_us = (op.meta.start_ms * 1000.0).round() as u64;
@@ -456,8 +454,8 @@ impl Simulation {
             end_ms: self.now_ms(),
             ok: done.is_some(),
             one_phase: done.is_some_and(|d| d.one_phase),
-            reconfig_retries: op.redirects,
-            timeout_retries: op.timeouts,
+            reconfig_retries: retries.redirects,
+            timeout_retries: retries.timeouts,
             object_bytes: op.meta.object_bytes,
         });
     }
@@ -766,6 +764,31 @@ pub(crate) mod tests {
         assert!(!get.ok);
         assert_eq!((get.reconfig_retries, get.timeout_retries), (0, 0));
         assert!(get.latency_ms() < SimOptions::default().op_timeout_ms, "{}", get.latency_ms());
+    }
+
+    /// Tokyo's clients still remember the key's old placement, which has failed whole
+    /// since the key moved: a GET hears nothing, times out, finds the new epoch at the
+    /// metadata service and finishes there. Its timer ended the attempt, so it counts.
+    #[test]
+    fn a_timeout_that_finds_a_newer_epoch_counts_as_a_timeout_retry() {
+        let mut sim = Simulation::new(gcp());
+        let old = abd3_config();
+        sim.create_key("k", old.clone(), &Value::filler(1024));
+        let tokyo = GcpLocation::Tokyo.dc();
+        sim.schedule_request(0.0, tokyo, OpKind::Get, "k", 1024);
+        let new = [GcpLocation::Singapore, GcpLocation::Frankfurt, GcpLocation::Virginia];
+        sim.schedule_reconfig(1000.0, "k", Configuration::abd_majority(new.iter().map(|l| l.dc()).collect(), 1));
+        for dc in old.dcs {
+            sim.schedule_failure(3000.0, dc);
+        }
+        sim.schedule_request(4000.0, tokyo, OpKind::Get, "k", 1024);
+        let report = sim.run();
+        assert_eq!(report.reconfig_durations_ms.len(), 1);
+        let [before, after] = &report.operations[..] else { panic!("{:?}", report.operations) };
+        assert!(before.ok && after.ok, "{:?}", report.operations);
+        assert_eq!((before.reconfig_retries, before.timeout_retries), (0, 0));
+        assert_eq!((after.reconfig_retries, after.timeout_retries), (0, 1));
+        assert!(after.latency_ms() >= SimOptions::default().op_timeout_ms, "{}", after.latency_ms());
     }
 
     /// SplitMix64, the generator behind the workspace's `StdRng` shim.

@@ -2,8 +2,8 @@
 //!
 //! The world is what a geo-distributed deployment holds between two messages: the
 //! `DcServer`s, the live `OpDriver`s keyed by the reply route of their current attempt, the
-//! live `ReconfigDriver`s, the metadata service, each client DC's view of it and the GET
-//! cache its clients share. [`World`] applies one input and hands back what the driver
+//! live `ReconfigDriver`s, the metadata service, and one `ClientView` per client DC, which
+//! that DC's clients share. [`World`] applies one input and hands back what the driver
 //! asked for, tagged with its route and the DC its messages leave from. It decides nothing
 //! about time or the network: a scheduler chooses the next input, carries the messages and
 //! arms the timers. [`Simulation`](crate::Simulation) is one scheduler, an event queue over
@@ -12,7 +12,7 @@
 use legostore_proto::msg::{Outbound, ProtoReply};
 use legostore_proto::reconfig::{ReconfigDriver, ReconfigStep};
 use legostore_proto::server::{DcServer, Inbound, Reply};
-use legostore_proto::{Completed, Host, OpDriver, OpSpec, RetryCause, Step};
+use legostore_proto::{ClientView, Completed, Host, OpDriver, OpSpec, Retries, RetryCause, Step};
 use legostore_types::{ClientId, ConfigEpoch, Configuration, DcId, Key, OpKind, Tag, Value};
 use std::collections::HashMap;
 
@@ -40,13 +40,13 @@ pub(crate) fn endpoint(route: u64) -> (DcId, TrafficClass) {
 }
 
 /// What an operation's driver may ask of the world: no clock (no spans are recorded
-/// here), the metadata service, and the GET cache its origin DC's clients share.
+/// here), the metadata service, and the last version its origin DC's clients saw.
 macro_rules! host {
     ($world:expr, $origin:expr, $key:expr) => {
         Host {
             now_ns: &|| 0,
             metadata: &|| $world.metadata.get($key).cloned(),
-            cache: &|| $world.get_cache.get(&($origin, $key.clone())).cloned(),
+            cache: &|| $world.views.get(&$origin).and_then(|view| view.cached($key)),
         }
     };
 }
@@ -58,10 +58,6 @@ pub(crate) struct OpInfo<M> {
     /// Serial number of the first attempt's route: the operation's identity in recorded
     /// histories.
     pub(crate) id: u64,
-    /// Attempts ended by a reconfiguration's redirect.
-    pub(crate) redirects: u32,
-    /// Attempts ended by their timeout.
-    pub(crate) timeouts: u32,
     /// The scheduler's own record of the operation.
     pub(crate) meta: M,
 }
@@ -97,8 +93,8 @@ pub(crate) enum Out<M> {
     /// The operation closed its attempt; [`World::reopen`] opens the next, now or after
     /// the pause the cause costs.
     Reopen(RetryCause),
-    /// The operation is over (`None`: it failed).
-    Done(OpInfo<M>, Option<Completed>),
+    /// The operation is over, after these retries (`None`: it failed).
+    Done(OpInfo<M>, Retries, Option<Completed>),
     /// The reconfiguration published its target configuration; send the finish round.
     Published { started_ns: u64, finish: Vec<Outbound> },
 }
@@ -109,8 +105,7 @@ pub(crate) struct World<M> {
     ops: HashMap<u64, LiveOp<M>>,
     reconfigs: HashMap<u64, LiveReconfig>,
     metadata: HashMap<Key, Configuration>,
-    client_views: HashMap<(DcId, Key), Configuration>,
-    get_cache: HashMap<(DcId, Key), (Tag, Value)>,
+    views: HashMap<DcId, ClientView>,
     next_route: u64,
     next_client_id: u32,
     op_timeout_ns: u64,
@@ -136,8 +131,7 @@ impl<M> World<M> {
             ops: HashMap::new(),
             reconfigs: HashMap::new(),
             metadata: HashMap::new(),
-            client_views: HashMap::new(),
-            get_cache: HashMap::new(),
+            views: HashMap::new(),
             next_route: 1,
             next_client_id: 1,
             op_timeout_ns,
@@ -168,7 +162,7 @@ impl<M> World<M> {
 
     /// Starts an operation of a client in `origin` on `key` and opens its first attempt:
     /// a PUT of the value `value_of` returns for the operation's id, or a GET if it returns
-    /// `None`. `Err` gives `key` back if the client's view does not list it.
+    /// `None`. `Err` gives `key` back if the metadata service does not list it.
     pub(crate) fn start_op(
         &mut self,
         origin: DcId,
@@ -176,14 +170,9 @@ impl<M> World<M> {
         value_of: impl FnOnce(u64) -> Option<Value>,
         meta: M,
     ) -> Result<Tagged<M>, Key> {
-        let config = match self.client_views.get(&(origin, key.clone())) {
-            Some(view) => view.clone(),
-            None => {
-                let Some(listed) = self.metadata.get(&key).cloned() else { return Err(key) };
-                self.client_views.insert((origin, key.clone()), listed.clone());
-                listed
-            }
-        };
+        let metadata = &self.metadata;
+        let view = self.views.entry(origin).or_default();
+        let Some(config) = view.config(&key, || metadata.get(&key).cloned()) else { return Err(key) };
         let id = self.serial();
         let spec = OpSpec {
             key: key.clone(),
@@ -195,7 +184,7 @@ impl<M> World<M> {
         let value = value_of(id);
         let kind = if value.is_some() { OpKind::Put } else { OpKind::Get };
         let driver = OpDriver::new(spec, config, value, None, &host!(self, origin, &key));
-        let info = OpInfo { key, kind, id, redirects: 0, timeouts: 0, meta };
+        let info = OpInfo { key, kind, id, meta };
         Ok(self.open(id, LiveOp { driver, info, closed: false }))
     }
 
@@ -247,28 +236,19 @@ impl<M> World<M> {
             Some((dc, phase, epoch, reply)) => op.driver.on_reply(dc, phase, epoch, 0, reply, &host),
             None => op.driver.on_timeout(&host),
         };
+        if matches!(step, Step::Reopen(_) | Step::Done(_)) {
+            self.views.entry(from).or_default().note(&op.driver, &step);
+        }
         let step = match step {
             Step::Wait => return None,
             Step::Send(msgs) => Out::Send(msgs),
             Step::Reopen(cause) => {
                 op.closed = true;
-                match cause {
-                    RetryCause::Redirect => op.info.redirects += 1,
-                    RetryCause::Timeout => op.info.timeouts += 1,
-                    RetryCause::EpochMoved | RetryCause::Failure => {}
-                }
-                if matches!(cause, RetryCause::Redirect | RetryCause::EpochMoved) {
-                    self.client_views.insert((from, op.info.key.clone()), op.driver.config().clone());
-                }
                 Out::Reopen(cause)
             }
             Step::Done(result) => {
-                let info = self.ops.remove(&route).expect("stepped just now").info;
-                let done = result.ok();
-                if let Some(done) = &done {
-                    self.get_cache.insert((from, info.key.clone()), (done.tag, done.value.clone()));
-                }
-                Out::Done(info, done)
+                let LiveOp { driver, info, .. } = self.ops.remove(&route).expect("stepped just now");
+                Out::Done(info, driver.retries(), result.ok())
             }
         };
         Some(Tagged { route, from, step })
@@ -363,11 +343,9 @@ mod tests {
 
         // Nobody else saw the widening: not the metadata, not the client's view, not the
         // other operation, nor one started after it. They all still share one map.
-        let shared = [
-            &world.metadata[&key],
-            &world.client_views[&(tokyo, key.clone())],
-            world.ops[&second].driver.config(),
-        ];
+        let view = world.views.get_mut(&tokyo).and_then(|view| view.config(&key, || None));
+        let view = view.expect("the client DC remembers the key");
+        let shared = [&world.metadata[&key], &view, world.ops[&second].driver.config()];
         for seen in shared {
             assert_eq!(seen.quorum_for(tokyo, QuorumId::Q1), preferred[0]);
             assert!(Arc::ptr_eq(&seen.preferred_quorums, &config.preferred_quorums));
@@ -480,7 +458,7 @@ mod interleaver {
                         self.carry_out(step);
                     }
                 }
-                Out::Done(op, done) => {
+                Out::Done(op, _, done) => {
                     let now = self.now;
                     let (index, client) = self.client(from);
                     (client.route, client.busy) = (None, false);

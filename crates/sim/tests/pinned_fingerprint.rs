@@ -55,5 +55,5 @@ fn hand_built_schedule_has_a_pinned_fingerprint() {
     assert_eq!(report.reconfig_durations_ms.len(), 1);
     let histories = report.histories.as_ref().expect("recording enabled");
     assert!(histories.check_all().is_empty());
-    assert_eq!(report.fingerprint(), 0x2c76_12d5_de74_e461);
+    assert_eq!(report.fingerprint(), 0xd192_cd71_c1b2_46e8);
 }
