@@ -2,13 +2,15 @@
 //!
 //! ```text
 //! legostore-campaign --tier smoke|ci|nightly|full [--out-dir DIR] [--threads N]
-//!                    [--seed-base N] [--list]
+//!                    [--seed-base N] [--list] [--only SUBSTR] [--verbose]
 //! ```
 //!
 //! Writes `campaign_<tier>.csv` (per-cell rows) and `campaign_<tier>.json` (summary)
 //! into `--out-dir` (default `target/campaign`), prints the group rollup, and exits
 //! non-zero if any cell violated its expected property. Everything runs on virtual
-//! time; two identical invocations produce byte-identical reports.
+//! time; two identical invocations produce byte-identical reports. `--list` prints the
+//! cell ids instead of running them, `--only` keeps the cells whose id contains
+//! `SUBSTR`, and `--verbose` logs each cell's wall time to stderr.
 
 use legostore_campaign::runner::run_cells;
 use legostore_campaign::{Aggregator, SweepSpec, Tier};

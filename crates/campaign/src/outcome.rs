@@ -11,9 +11,6 @@ use legostore_sim::SimReport;
 pub struct ExpectedProperty {
     /// Minimum fraction of operations that must succeed.
     pub min_availability: f64,
-    /// Maximum fraction allowed to succeed — `Some` for scenarios that are vacuous
-    /// unless something actually failed (e.g. a region outage that never bit).
-    pub max_availability: Option<f64>,
     /// If set, no operation *started* at or after this instant may fail: liveness must
     /// return once the faults heal.
     pub live_after_ms: Option<f64>,
@@ -31,7 +28,6 @@ impl ExpectedProperty {
     pub fn always_live() -> ExpectedProperty {
         ExpectedProperty {
             min_availability: 1.0,
-            max_availability: None,
             live_after_ms: None,
             min_reconfigs: 0,
             min_timeout_widens: 0,
@@ -42,7 +38,6 @@ impl ExpectedProperty {
     pub fn safe_with_recovery(min_availability: f64, heal_ms: f64) -> ExpectedProperty {
         ExpectedProperty {
             min_availability,
-            max_availability: None,
             live_after_ms: Some(heal_ms),
             min_reconfigs: 0,
             min_timeout_widens: 0,
@@ -198,13 +193,6 @@ pub fn outcome_from_report(
             "availability {availability:.4} below required {:.4}",
             expected.min_availability
         ));
-    }
-    if let Some(max) = expected.max_availability {
-        if availability > max {
-            violations.push(format!(
-                "availability {availability:.4} above {max:.4}: the scenario's stress never bit"
-            ));
-        }
     }
     if let Some(after) = expected.live_after_ms {
         let late = report.failures_after(after);

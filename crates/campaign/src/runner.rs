@@ -1,11 +1,15 @@
-//! Cell execution: one virtual-time simulation per cell, fanned across a bounded
-//! thread pool.
+//! Cell execution: each scenario family turns a cell into a `Scenario` value, one
+//! function executes every scenario on a virtual-time simulation, and the cells fan
+//! across a bounded thread pool.
 //!
-//! Every cell is a self-contained, seeded simulation — no shared mutable state — so
-//! the pool is embarrassingly parallel and the *set* of outcomes is independent of
-//! scheduling: workers pull cell indices from an atomic counter and results are
-//! re-ordered by index before aggregation. A panicking cell is caught and reported as
-//! an aborted (failing) outcome rather than taking the campaign down.
+//! A family decides *what* runs (configuration, trace, fault plan, reconfigurations)
+//! and what passing means; `execute` is the only place the crate builds a
+//! `Simulation`, so every cell — the protocol flip's pilot included — is set up the
+//! same way. Every cell is a self-contained, seeded run with no shared mutable
+//! state, so the pool is embarrassingly parallel and the *set* of outcomes is
+//! independent of scheduling: workers pull cell indices from an atomic counter and
+//! results are re-ordered by index before aggregation. A panicking cell is caught and
+//! reported as an aborted (failing) outcome rather than taking the campaign down.
 
 use crate::outcome::{outcome_from_report, ExpectedProperty, RunOutcome};
 use crate::spec::{flip_epoch2_workload, protocol_label, CellSpec, ScenarioFamily, SweepSpec, CAMPAIGN_F};
@@ -34,54 +38,93 @@ pub const BASELINE_MIN_AVAILABILITY: f64 = 0.9;
 /// the timeout-widen floor in the expected property, not an availability cap.
 pub const OUTAGE_MIN_AVAILABILITY: f64 = 0.5;
 
-fn sim_options() -> SimOptions {
-    SimOptions {
-        // Tighter than the 1.5 s default so faulted cells converge quickly, with more
-        // retries so within-`f` faults exhaust patience, not correctness.
-        op_timeout_ms: 1_000.0,
-        max_timeout_retries: 4,
-    }
-}
-
 fn key_name(i: usize) -> String {
     format!("key-{i}")
 }
 
-/// Runs one prepared simulation: keys installed, trace + optional fault plan applied,
-/// history always recorded.
-fn simulate(
-    cell: &CellSpec,
-    config: &Configuration,
-    trace: &[Request],
-    fault_plan: Option<&FaultPlan>,
-) -> SimReport {
-    let mut sim = Simulation::with_options(CloudModel::gcp9(), sim_options());
+/// One campaign run as data: what the simulator is given, and how its report is
+/// judged.
+struct Scenario {
+    /// Keys `key-0..keys`, all created with `config` and one filler value.
+    keys: usize,
+    config: Configuration,
+    /// Size of the initial [`Value::filler`].
+    object_size: usize,
+    /// Requests at absolute virtual times.
+    trace: Vec<Request>,
+    /// An empty plan is a fault-free run.
+    faults: FaultPlan,
+    /// `(at_ms, target)`: every key is reconfigured to `target` at `at_ms`.
+    reconfigs: Vec<(f64, Configuration)>,
+    expected: ExpectedProperty,
+    /// The report's protocol column.
+    label: String,
+}
+
+impl Scenario {
+    /// `trace` over the cell's keys under `config`: fault-free, no reconfiguration,
+    /// every operation must succeed, labelled with the cell's protocol.
+    fn new(cell: &CellSpec, config: Configuration, trace: Vec<Request>) -> Scenario {
+        Scenario {
+            keys: cell.keys(),
+            config,
+            object_size: cell.workload.object_size as usize,
+            trace,
+            faults: FaultPlan::none(),
+            reconfigs: Vec::new(),
+            expected: ExpectedProperty::always_live(),
+            label: protocol_label(cell.protocol).into(),
+        }
+    }
+}
+
+/// Runs `scenario` on a fresh simulation, history always recorded. Keys, fault plan,
+/// trace, then reconfigurations: the order in which events are scheduled fixes their
+/// tie-break order, which the campaign fingerprints pin.
+fn execute(scenario: &Scenario) -> SimReport {
+    let options = SimOptions {
+        // Tighter than the 1.5 s default so faulted cells converge quickly, with more
+        // retries so within-`f` faults exhaust patience, not correctness.
+        op_timeout_ms: 1_000.0,
+        max_timeout_retries: 4,
+    };
+    let mut sim = Simulation::with_options(CloudModel::gcp9(), options);
     sim.enable_history_recording();
-    let initial = Value::filler(cell.workload.object_size as usize);
-    for i in 0..cell.keys() {
-        sim.create_key(key_name(i), config.clone(), &initial);
+    let initial = Value::filler(scenario.object_size);
+    for i in 0..scenario.keys {
+        sim.create_key(key_name(i), scenario.config.clone(), &initial);
     }
-    if let Some(plan) = fault_plan {
-        sim.set_fault_plan(plan);
+    sim.set_fault_plan(&scenario.faults);
+    sim.schedule_trace(&scenario.trace, 0.0, key_name);
+    for (at_ms, target) in &scenario.reconfigs {
+        for i in 0..scenario.keys {
+            sim.schedule_reconfig(*at_ms, key_name(i), target.clone());
+        }
     }
-    sim.schedule_trace(trace, 0.0, key_name);
     sim.run()
 }
 
-fn run_baseline(cell: &CellSpec) -> RunOutcome {
-    let config = cell.placement.config(cell.protocol);
-    let spec = FaultPlanSpec::for_placement(config.dcs.clone(), CAMPAIGN_F, cell.duration_ms * 0.6);
-    let plan = generate_fault_plan(&spec, cell.seed);
-    let heal_ms = plan.events.iter().map(|e| e.at_ms).fold(0.0, f64::max);
-    let trace = TraceGenerator::new(cell.workload.clone(), cell.keys(), cell.seed)
-        .generate(cell.duration_ms);
-    let report = simulate(cell, &config, &trace, Some(&plan));
-    let expected = ExpectedProperty::safe_with_recovery(BASELINE_MIN_AVAILABILITY, heal_ms + 1.0);
-    outcome_from_report(cell, protocol_label(cell.protocol).into(), &report, &expected)
+/// The cell's workload as a stationary trace over its whole duration.
+fn stationary_trace(cell: &CellSpec) -> Vec<Request> {
+    TraceGenerator::new(cell.workload.clone(), cell.keys(), cell.seed).generate(cell.duration_ms)
 }
 
-fn run_diurnal(cell: &CellSpec) -> RunOutcome {
-    let config = cell.placement.config(cell.protocol);
+/// The instant of a plan's last event: its faults have all healed after it.
+fn heal_ms(plan: &FaultPlan) -> f64 {
+    plan.events.iter().map(|e| e.at_ms).fold(0.0, f64::max)
+}
+
+fn baseline(cell: &CellSpec) -> Result<Scenario, String> {
+    let mut s = Scenario::new(cell, cell.placement.config(cell.protocol), stationary_trace(cell));
+    let spec =
+        FaultPlanSpec::for_placement(s.config.dcs.clone(), CAMPAIGN_F, cell.duration_ms * 0.6);
+    s.faults = generate_fault_plan(&spec, cell.seed);
+    s.expected =
+        ExpectedProperty::safe_with_recovery(BASELINE_MIN_AVAILABILITY, heal_ms(&s.faults) + 1.0);
+    Ok(s)
+}
+
+fn diurnal(cell: &CellSpec) -> Result<Scenario, String> {
     let trace = diurnal_schedule(
         &cell.workload,
         cell.keys(),
@@ -90,17 +133,10 @@ fn run_diurnal(cell: &CellSpec) -> RunOutcome {
         2,   // two day/night cycles
         0.8, // peaks at 1.8× the mean rate
     );
-    let report = simulate(cell, &config, &trace, None);
-    outcome_from_report(
-        cell,
-        protocol_label(cell.protocol).into(),
-        &report,
-        &ExpectedProperty::always_live(),
-    )
+    Ok(Scenario::new(cell, cell.placement.config(cell.protocol), trace))
 }
 
-fn run_flash_crowd(cell: &CellSpec) -> RunOutcome {
-    let config = cell.placement.config(cell.protocol);
+fn flash_crowd(cell: &CellSpec) -> Result<Scenario, String> {
     let trace = flash_crowd_schedule(
         &cell.workload,
         cell.keys(),
@@ -112,78 +148,70 @@ fn run_flash_crowd(cell: &CellSpec) -> RunOutcome {
         0.6, // 60% of all requests land in the surge window
         0.9, // and 90% of those pile onto Sydney
     );
-    let report = simulate(cell, &config, &trace, None);
-    outcome_from_report(
-        cell,
-        protocol_label(cell.protocol).into(),
-        &report,
-        &ExpectedProperty::always_live(),
-    )
+    Ok(Scenario::new(cell, cell.placement.config(cell.protocol), trace))
 }
 
-fn run_region_outage(cell: &CellSpec) -> RunOutcome {
+fn region_outage(cell: &CellSpec) -> Result<Scenario, String> {
     let config = cell.placement.config(cell.protocol);
-    let Some(region) = pick_outage_region(&config.dcs, CAMPAIGN_F, cell.seed) else {
-        return RunOutcome::aborted(cell, "no region survivable by this placement".into());
-    };
+    let region = pick_outage_region(&config.dcs, CAMPAIGN_F, cell.seed)
+        .ok_or("no region survivable by this placement")?;
     let start_ms = 0.25 * cell.duration_ms;
     let end_ms = 0.55 * cell.duration_ms;
-    let plan = correlated_outage_plan(region, &config.dcs, CAMPAIGN_F, start_ms, end_ms, cell.seed)
-        .expect("picked region is within tolerance");
-    let trace = TraceGenerator::new(cell.workload.clone(), cell.keys(), cell.seed)
-        .generate(cell.duration_ms);
-    let report = simulate(cell, &config, &trace, Some(&plan));
-    let expected = ExpectedProperty {
-        min_availability: OUTAGE_MIN_AVAILABILITY,
-        max_availability: None,
-        live_after_ms: Some(end_ms + 1.0),
-        min_reconfigs: 0,
-        // The crashed region hosts clients (the outage workload spreads them across
-        // every DC), so a real outage must force at least one timeout widen.
-        min_timeout_widens: 1,
-    };
-    outcome_from_report(cell, protocol_label(cell.protocol).into(), &report, &expected)
+    let faults =
+        correlated_outage_plan(region, &config.dcs, CAMPAIGN_F, start_ms, end_ms, cell.seed)
+            .expect("picked region is within tolerance");
+    Ok(Scenario {
+        faults,
+        expected: ExpectedProperty {
+            min_availability: OUTAGE_MIN_AVAILABILITY,
+            live_after_ms: Some(end_ms + 1.0),
+            min_reconfigs: 0,
+            // The crashed region hosts clients (the outage workload spreads them across
+            // every DC), so a real outage must force at least one timeout widen.
+            min_timeout_widens: 1,
+        },
+        ..Scenario::new(cell, config, stationary_trace(cell))
+    })
 }
 
-/// The ABD↔CAS flip scenario, end to end through the PR 8 live-monitor path:
+/// The ABD↔CAS flip scenario, end to end through the live-monitor path:
 ///
 /// 1. plan epoch 1 with the optimizer (a read-heavy 1 KB Tokyo mix ⇒ ABD);
-/// 2. run a pilot carrying both epochs under that plan, export its ops into an
+/// 2. execute a pilot carrying both epochs under that plan, export its ops into an
 ///    [`Obs`] stream, and feed the epoch-2 window through [`WorkloadMonitor`];
 /// 3. require a [`ReconfigTrigger::WorkloadDrift`] and re-plan from the monitor's
 ///    *estimated* (not scripted) workload;
-/// 4. re-run the same schedule live, reconfiguring every key to the new plan at the
-///    epoch boundary, and judge the run with `min_reconfigs ≥ 1`.
+/// 4. return the same scenario with every key reconfigured to the new plan just
+///    after the epoch boundary, judged with `min_reconfigs ≥ 1`.
 ///
 /// If the monitor misses the drift or the optimizer keeps the old protocol, no
 /// reconfiguration is scheduled and the expected property fails the cell — the
 /// scenario proves the adaptation loop, not just the reconfig primitive.
-fn run_protocol_flip(cell: &CellSpec) -> RunOutcome {
+fn protocol_flip(cell: &CellSpec) -> Result<Scenario, String> {
     let model = CloudModel::gcp9();
     let optimizer = Optimizer::new(model.clone());
     let epoch1 = &cell.workload;
-    let epoch2 = flip_epoch2_workload(&model);
-    let Some(plan1) = optimizer.optimize(epoch1) else {
-        return RunOutcome::aborted(cell, "no feasible epoch-1 plan".into());
-    };
+    let plan1 = optimizer.optimize(epoch1).ok_or("no feasible epoch-1 plan")?;
     let half_ms = 0.5 * cell.duration_ms;
     let keys = cell.keys();
-    let trace1 = TraceGenerator::new(epoch1.clone(), keys, cell.seed).generate(half_ms);
-    let trace2 =
-        TraceGenerator::new(epoch2.clone(), keys, cell.seed ^ 0x5eed_f11b).generate(half_ms);
+    let mut trace = TraceGenerator::new(epoch1.clone(), keys, cell.seed).generate(half_ms);
+    let epoch2 = TraceGenerator::new(flip_epoch2_workload(&model), keys, cell.seed ^ 0x5eed_f11b)
+        .generate(half_ms);
+    trace.extend(epoch2.into_iter().map(|r| Request { time_ms: half_ms + r.time_ms, ..r }));
+    let mut scenario = Scenario {
+        expected: ExpectedProperty {
+            min_availability: 0.995,
+            live_after_ms: None,
+            min_reconfigs: 1,
+            min_timeout_widens: 0,
+        },
+        label: format!("{}->none", protocol_label(plan1.config.protocol)),
+        ..Scenario::new(cell, plan1.config.clone(), trace)
+    };
 
     // Pilot: both epochs under the epoch-1 plan, watched by the monitor.
-    let mut pilot = Simulation::with_options(model.clone(), sim_options());
-    let initial = Value::filler(epoch1.object_size as usize);
-    for i in 0..keys {
-        pilot.create_key(key_name(i), plan1.config.clone(), &initial);
-    }
-    pilot.schedule_trace(&trace1, 0.0, key_name);
-    pilot.schedule_trace(&trace2, half_ms, key_name);
-    let pilot_report = pilot.run();
-
     let obs = Obs::new(ObsConfig::Metrics);
-    pilot_report.export_ops(&obs);
+    execute(&scenario).export_ops(&obs);
     let mut monitor = WorkloadMonitor::new(half_ms, epoch1.slo_get_ms, epoch1.slo_put_ms);
     let epoch2_start_ns = (half_ms * 1e6) as u64;
     for rec in obs.drain_ops() {
@@ -191,51 +219,24 @@ fn run_protocol_flip(cell: &CellSpec) -> RunOutcome {
             monitor.ingest(&rec, 1.0);
         }
     }
-    let triggers = monitor.triggers(
-        epoch1,
-        &plan1.cost,
-        plan1.total_cost(),
-        &TriggerThresholds::default(),
-    );
-    let drifted = triggers
+    let drifted = monitor
+        .triggers(epoch1, &plan1.cost, plan1.total_cost(), &TriggerThresholds::default())
         .iter()
         .any(|t| matches!(t, ReconfigTrigger::WorkloadDrift { .. }));
-    let observed = monitor.estimate(epoch1);
-    let plan2 = optimizer.optimize(&observed);
-    let flips = plan2
-        .as_ref()
-        .map(|p| p.config.protocol != plan1.config.protocol || p.config.dcs != plan1.config.dcs)
-        .unwrap_or(false);
+    let plan2 = optimizer
+        .optimize(&monitor.estimate(epoch1))
+        .filter(|p| p.config.protocol != plan1.config.protocol || p.config.dcs != plan1.config.dcs);
 
-    // Live run: same schedule, with the reconfiguration the monitor earned (if any).
-    let mut sim = Simulation::with_options(model, sim_options());
-    sim.enable_history_recording();
-    for i in 0..keys {
-        sim.create_key(key_name(i), plan1.config.clone(), &initial);
-    }
-    sim.schedule_trace(&trace1, 0.0, key_name);
-    sim.schedule_trace(&trace2, half_ms, key_name);
-    let label = if let (true, true, Some(plan2)) = (drifted, flips, plan2.as_ref()) {
-        for i in 0..keys {
-            sim.schedule_reconfig(half_ms + 200.0, key_name(i), plan2.config.clone());
-        }
-        format!(
+    // The reconfiguration the monitor earned, if any.
+    if let (true, Some(plan2)) = (drifted, plan2) {
+        scenario.label = format!(
             "{}->{}",
             protocol_label(plan1.config.protocol),
             protocol_label(plan2.config.protocol)
-        )
-    } else {
-        format!("{}->none", protocol_label(plan1.config.protocol))
-    };
-    let report = sim.run();
-    let expected = ExpectedProperty {
-        min_availability: 0.995,
-        max_availability: None,
-        live_after_ms: None,
-        min_reconfigs: 1,
-        min_timeout_widens: 0,
-    };
-    outcome_from_report(cell, label, &report, &expected)
+        );
+        scenario.reconfigs.push((half_ms + 200.0, plan2.config));
+    }
+    Ok(scenario)
 }
 
 /// The reconfiguration-storm scenario: the transfer path itself under fire. The cell's
@@ -246,65 +247,56 @@ fn run_protocol_flip(cell: &CellSpec) -> RunOutcome {
 /// client traffic. Judged with `min_reconfigs ≥ 1` (the storm must actually move the
 /// keys) on top of the usual linearizability verdict; a cell whose history double-
 /// applies a redirected PUT across the epoch boundary fails here.
-fn run_reconfig_storm(cell: &CellSpec) -> RunOutcome {
-    let model = CloudModel::gcp9();
+fn reconfig_storm(cell: &CellSpec) -> Result<Scenario, String> {
     let start_config = cell.placement.config(cell.protocol);
     let other = match cell.protocol {
         ProtocolKind::Abd => ProtocolKind::Cas,
         ProtocolKind::Cas => ProtocolKind::Abd,
     };
     let flip_config = cell.placement.config(other);
-    let universe: Vec<DcId> = (0..model.num_dcs()).map(DcId::from).collect();
-    let plan = reconfig_storm_plan(
+    let universe: Vec<DcId> = (0..CloudModel::gcp9().num_dcs()).map(DcId::from).collect();
+    let faults = reconfig_storm_plan(
         &[start_config.dcs.clone(), flip_config.dcs.clone()],
         universe,
         CAMPAIGN_F,
         cell.duration_ms,
         cell.seed,
     );
-    let heal_ms = plan.events.iter().map(|e| e.at_ms).fold(0.0, f64::max);
-    let trace = TraceGenerator::new(cell.workload.clone(), cell.keys(), cell.seed)
-        .generate(cell.duration_ms);
-
-    let mut sim = Simulation::with_options(model, sim_options());
-    sim.enable_history_recording();
-    let initial = Value::filler(cell.workload.object_size as usize);
-    for i in 0..cell.keys() {
-        sim.create_key(key_name(i), start_config.clone(), &initial);
-    }
-    sim.set_fault_plan(&plan);
-    sim.schedule_trace(&trace, 0.0, key_name);
-    for (flip, at_ms) in reconfig_storm_times(cell.duration_ms, 2).into_iter().enumerate() {
-        let target = if flip % 2 == 0 { &flip_config } else { &start_config };
-        for i in 0..cell.keys() {
-            sim.schedule_reconfig(at_ms, key_name(i), target.clone());
-        }
-    }
-    let report = sim.run();
-    let expected = ExpectedProperty {
-        min_availability: BASELINE_MIN_AVAILABILITY,
-        max_availability: None,
-        live_after_ms: Some(heal_ms + 1.0),
-        min_reconfigs: 1,
-        min_timeout_widens: 0,
-    };
-    let label = format!(
-        "{}<->{}",
-        protocol_label(cell.protocol),
-        protocol_label(other)
-    );
-    outcome_from_report(cell, label, &report, &expected)
+    let reconfigs = reconfig_storm_times(cell.duration_ms, 2)
+        .into_iter()
+        .enumerate()
+        .map(|(flip, at_ms)| {
+            let target = if flip % 2 == 0 { &flip_config } else { &start_config };
+            (at_ms, target.clone())
+        })
+        .collect();
+    Ok(Scenario {
+        expected: ExpectedProperty {
+            min_availability: BASELINE_MIN_AVAILABILITY,
+            live_after_ms: Some(heal_ms(&faults) + 1.0),
+            min_reconfigs: 1,
+            min_timeout_widens: 0,
+        },
+        faults,
+        reconfigs,
+        label: format!("{}<->{}", protocol_label(cell.protocol), protocol_label(other)),
+        ..Scenario::new(cell, start_config, stationary_trace(cell))
+    })
 }
 
 /// Executes one cell (synchronously, on the calling thread).
 pub fn run_cell(cell: &CellSpec) -> RunOutcome {
-    match cell.family {
-        ScenarioFamily::Baseline => run_baseline(cell),
-        ScenarioFamily::Diurnal => run_diurnal(cell),
-        ScenarioFamily::FlashCrowd => run_flash_crowd(cell),
-        ScenarioFamily::RegionOutage => run_region_outage(cell),
-        ScenarioFamily::ProtocolFlip => run_protocol_flip(cell),
-        ScenarioFamily::ReconfigStorm => run_reconfig_storm(cell),
+    let scenario = match cell.family {
+        ScenarioFamily::Baseline => baseline(cell),
+        ScenarioFamily::Diurnal => diurnal(cell),
+        ScenarioFamily::FlashCrowd => flash_crowd(cell),
+        ScenarioFamily::RegionOutage => region_outage(cell),
+        ScenarioFamily::ProtocolFlip => protocol_flip(cell),
+        ScenarioFamily::ReconfigStorm => reconfig_storm(cell),
+    };
+    match scenario {
+        Ok(s) => outcome_from_report(cell, s.label.clone(), &execute(&s), &s.expected),
+        Err(reason) => RunOutcome::aborted(cell, reason),
     }
 }
 

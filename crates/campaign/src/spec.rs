@@ -190,7 +190,7 @@ impl PlacementChoice {
     }
 }
 
-/// The five scenario families a campaign sweeps.
+/// The six scenario families a campaign sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScenarioFamily {
     /// A stationary grid workload under a seeded within-`f` fault plan.

@@ -8,32 +8,36 @@
 
 use legostore_campaign::runner::run_campaign;
 use legostore_campaign::{
-    outcome_from_report, Aggregator, ExpectedProperty, ScenarioFamily, SweepSpec, Tier,
+    outcome_from_report, Aggregator, CampaignReport, ExpectedProperty, ScenarioFamily, SweepSpec,
+    Tier,
 };
 use legostore_lincheck::HistoryRecorder;
 use legostore_sim::{OpRecord, SimReport};
 use legostore_types::{DcId, OpKind};
 use std::sync::Arc;
 
-fn aggregate(tier: Tier, threads: usize) -> (String, String) {
+fn aggregate(tier: Tier, threads: usize) -> CampaignReport {
     let spec = SweepSpec::for_tier(tier);
     let mut agg = Aggregator::new(tier.label());
     for outcome in run_campaign(&spec, threads) {
         agg.ingest(outcome);
     }
-    let report = agg.finish();
-    (report.to_csv(), report.to_json())
+    agg.finish()
 }
 
 #[test]
 fn smoke_reports_are_byte_identical_across_runs_and_thread_counts() {
     // Different worker counts force different completion interleavings; the reports
     // must not care.
-    let (csv_a, json_a) = aggregate(Tier::Smoke, 2);
-    let (csv_b, json_b) = aggregate(Tier::Smoke, 4);
-    assert_eq!(csv_a, csv_b, "CSV must be byte-identical across reruns");
-    assert_eq!(json_a, json_b, "JSON must be byte-identical across reruns");
-    assert!(csv_a.lines().count() > 20, "smoke tier writes one row per cell");
+    let a = aggregate(Tier::Smoke, 2);
+    let b = aggregate(Tier::Smoke, 4);
+    assert_eq!(a.to_csv(), b.to_csv(), "CSV must be byte-identical across reruns");
+    assert_eq!(a.to_json(), b.to_json(), "JSON must be byte-identical across reruns");
+    assert!(a.failures().is_empty(), "smoke cells failed: {:?}", a.failures());
+    // The smoke tier's pinned identity (23 cells). A change that moves it on purpose
+    // edits this literal and says why.
+    assert_eq!(a.rows.len(), 23, "smoke tier writes one row per cell");
+    assert_eq!(format!("{:016x}", a.fingerprint), "d288593a3adbacd3");
 }
 
 /// Negative control: a run whose history contains a stale read (a value read *after*
